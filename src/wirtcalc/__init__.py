@@ -11,15 +11,13 @@ from .errors import (ArityError, DimensionMismatch, DomainError, EmptyData,
 from .expr import Expr, eval_jet, format_expr, parse, parse_complex
 from .fdcheck import (HolomorphyReport, Verdict, classify, fd_partials,
                       fd_wirtinger)
-from .forward import (PRIMITIVES, WirtingerJet, apply_primitive, conj,
+from .forward import (PRIMITIVES, WirtingerJet, add, apply_primitive, conj,
                       constant, div, linear_combine, mul, power_int, recip,
-                      seed_variable)
+                      seed_variable, sub)
 from .hilbert import (FunctionalJet, GradientStack, classify_functional,
                       fd_gradients, fd_wirtinger_gradients,
                       functional_constant, hvec, inner, ip_functional,
-                      jet_add, jet_conj, jet_div, jet_linear_combine,
-                      jet_mul, jet_recip, jet_sub, outer_chain,
-                      squared_distance, stack_vector_operator)
+                      outer_chain, squared_distance, stack_vector_operator)
 from .optimize import (DescentConfig, DescentTrace, Termination,
                        build_least_squares, newton_step_scalar,
                        steepest_descent_hilbert, steepest_descent_scalar)

@@ -196,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action=argparse.BooleanOptionalAction,
                        default=True, help="emit a JSON record (default)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for sampling paths (reserved)")
 
     p_diff = sub.add_parser("diff", help="first or second derivatives")
     p_diff.add_argument("expr")

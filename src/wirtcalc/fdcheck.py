@@ -34,21 +34,41 @@ class Verdict(enum.Enum):
 class HolomorphyReport:
     """Classification verdict plus the residuals of both condition systems.
 
-    ``cr_residual`` is |CW| (the Cauchy-Riemann system reduces to a
-    vanishing z*-derivative) and ``conj_cr_residual`` is |W|.
+    ``w``/``cw`` are the finite-difference W/CW derivatives (scalars, or
+    gradient vectors for functionals on C^n).  ``cr_residual`` is the size
+    of CW (the Cauchy-Riemann system reduces to a vanishing z*-derivative)
+    and ``conj_cr_residual`` the size of W: the modulus for scalars, the
+    2-norm for vectors.
     """
 
     verdict: Verdict
     w: complex
     cw: complex
+    cr_residual: float
+    conj_cr_residual: float
 
-    @property
-    def cr_residual(self) -> float:
-        return abs(self.cw)
 
-    @property
-    def conj_cr_residual(self) -> float:
-        return abs(self.w)
+def holomorphy_report(w, cw, w_size: float, cw_size: float,
+                      tol: float) -> HolomorphyReport:
+    """Threshold the sizes of W and CW at ``tol``: the one verdict ladder
+    behind ``classify`` and ``hilbert.classify_functional``."""
+    cr_ok = cw_size < tol
+    conj_cr_ok = w_size < tol
+    if cr_ok and conj_cr_ok:
+        verdict = Verdict.BOTH
+    elif cr_ok:
+        verdict = Verdict.HOLOMORPHIC
+    elif conj_cr_ok:
+        verdict = Verdict.CONJUGATE_HOLOMORPHIC
+    else:
+        verdict = Verdict.NEITHER
+    return HolomorphyReport(verdict, w, cw, cw_size, w_size)
+
+
+def wirtinger_pair(fx, fy):
+    """(W, CW) = ((fx - i fy) / 2, (fx + i fy) / 2) from the partials in x
+    and y (scalars or coordinate-wise vectors)."""
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 def _as_callable(f: Evaluable) -> Callable[[complex], complex]:
@@ -74,10 +94,7 @@ def fd_partials(f: Evaluable, c: complex,
 def fd_wirtinger(f: Evaluable, c: complex,
                  step: float = DEFAULT_STEP) -> tuple[complex, complex]:
     """Central-difference (d/dz, d/dz*) pair at ``c``."""
-    fx, fy = fd_partials(f, c, step)
-    w = 0.5 * (fx - 1j * fy)
-    cw = 0.5 * (fx + 1j * fy)
-    return w, cw
+    return wirtinger_pair(*fd_partials(f, c, step))
 
 
 def classify(f: Evaluable, c: complex, step: float = DEFAULT_STEP,
@@ -91,14 +108,4 @@ def classify(f: Evaluable, c: complex, step: float = DEFAULT_STEP,
     if isinstance(f, (Expr, str)):
         eval_jet(f, c, order=1)
     w, cw = fd_wirtinger(f, c, step)
-    cr_ok = abs(cw) < tol
-    conj_cr_ok = abs(w) < tol
-    if cr_ok and conj_cr_ok:
-        verdict = Verdict.BOTH
-    elif cr_ok:
-        verdict = Verdict.HOLOMORPHIC
-    elif conj_cr_ok:
-        verdict = Verdict.CONJUGATE_HOLOMORPHIC
-    else:
-        verdict = Verdict.NEITHER
-    return HolomorphyReport(verdict, w, cw)
+    return holomorphy_report(w, cw, abs(w), abs(cw), tol)

@@ -6,6 +6,13 @@ z* held formally constant and ``dzc`` the derivative with z held constant:
     dz  = (df/dx - i*df/dy) / 2
     dzc = (df/dx + i*df/dy) / 2
 
+The derivative slots may also hold arrays: ``hilbert.FunctionalJet`` is a
+``WirtingerJet`` whose slots are the gradient vectors of a functional on
+C^n, and every rule here builds its result as ``a.__class__(...)``, so one
+rule set serves scalar and Hilbert-space jets.  The binary rules raise
+DimensionMismatch unless both operands are scalar jets or both are vector
+jets of the same dimension.
+
 Everything here is a pure function of its inputs; jets are immutable and can
 be shared freely between threads.  Jets do not remember their base point:
 combining jets seeded at different points is a caller error that is not
@@ -23,7 +30,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainError, PoleError
+from .errors import DimensionMismatch, DomainError, PoleError
 
 #: |value| at or below which reciprocals/quotients raise PoleError.
 POLE_FLOOR = 1e-300
@@ -45,6 +52,12 @@ class WirtingerJet:
     dzc: complex
 
 
+def _mismatch(a: WirtingerJet, b: WirtingerJet) -> DimensionMismatch:
+    a_dim, b_dim = (f"{j.__class__.__name__}{getattr(j.dz, 'shape', ())}"
+                    for j in (a, b))
+    return DimensionMismatch(f"dimension mismatch: {a_dim} vs {b_dim}")
+
+
 def seed_variable(c: complex) -> WirtingerJet:
     """Jet of the identity function at ``c``: (c, 1, 0)."""
     return WirtingerJet(_require_finite(c, "seed point"), 1.0 + 0.0j, 0.0 + 0.0j)
@@ -55,12 +68,21 @@ def constant(k: complex) -> WirtingerJet:
     return WirtingerJet(_require_finite(k, "constant"), 0.0 + 0.0j, 0.0 + 0.0j)
 
 
+# The binary rules check inline that both operands are scalar jets or both
+# vector jets of one dimension (numpy would silently broadcast n=1 against
+# n=3); a helper call for the check measurably slows the scalar rules.
+
+
 def linear_combine(alpha: complex, a: WirtingerJet,
                    beta: complex, b: WirtingerJet) -> WirtingerJet:
     """Jet of ``alpha*a + beta*b`` (operands at the same base point)."""
+    cls = a.__class__
+    if cls is not b.__class__ or (cls is not WirtingerJet
+                                  and a.dz.shape != b.dz.shape):
+        raise _mismatch(a, b)
     alpha = complex(alpha)
     beta = complex(beta)
-    return WirtingerJet(
+    return cls(
         alpha * a.value + beta * b.value,
         alpha * a.dz + beta * b.dz,
         alpha * a.dzc + beta * b.dzc,
@@ -68,20 +90,32 @@ def linear_combine(alpha: complex, a: WirtingerJet,
 
 
 def add(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    return WirtingerJet(a.value + b.value, a.dz + b.dz, a.dzc + b.dzc)
+    cls = a.__class__
+    if cls is not b.__class__ or (cls is not WirtingerJet
+                                  and a.dz.shape != b.dz.shape):
+        raise _mismatch(a, b)
+    return cls(a.value + b.value, a.dz + b.dz, a.dzc + b.dzc)
 
 
 def sub(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    return WirtingerJet(a.value - b.value, a.dz - b.dz, a.dzc - b.dzc)
+    cls = a.__class__
+    if cls is not b.__class__ or (cls is not WirtingerJet
+                                  and a.dz.shape != b.dz.shape):
+        raise _mismatch(a, b)
+    return cls(a.value - b.value, a.dz - b.dz, a.dzc - b.dzc)
 
 
 def neg(a: WirtingerJet) -> WirtingerJet:
-    return WirtingerJet(-a.value, -a.dz, -a.dzc)
+    return a.__class__(-a.value, -a.dz, -a.dzc)
 
 
 def mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     """Product rule, applied independently in the dz and dzc slots."""
-    return WirtingerJet(
+    cls = a.__class__
+    if cls is not b.__class__ or (cls is not WirtingerJet
+                                  and a.dz.shape != b.dz.shape):
+        raise _mismatch(a, b)
+    return cls(
         a.value * b.value,
         a.dz * b.value + a.value * b.dz,
         a.dzc * b.value + a.value * b.dzc,
@@ -90,7 +124,7 @@ def mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
 
 def conj(a: WirtingerJet) -> WirtingerJet:
     """Jet of the conjugated function: swaps and conjugates the two slots."""
-    return WirtingerJet(
+    return a.__class__(
         a.value.conjugate(),
         a.dzc.conjugate(),
         a.dz.conjugate(),
@@ -103,16 +137,20 @@ def recip(a: WirtingerJet, floor: float = POLE_FLOOR) -> WirtingerJet:
     if abs(v) <= floor:
         raise PoleError(f"reciprocal at a pole: |value| = {abs(v):.3e}")
     v2 = v * v
-    return WirtingerJet(1.0 / v, -a.dz / v2, -a.dzc / v2)
+    return a.__class__(1.0 / v, -a.dz / v2, -a.dzc / v2)
 
 
 def div(a: WirtingerJet, b: WirtingerJet, floor: float = POLE_FLOOR) -> WirtingerJet:
     """Quotient rule in both derivative slots."""
+    cls = a.__class__
+    if cls is not b.__class__ or (cls is not WirtingerJet
+                                  and a.dz.shape != b.dz.shape):
+        raise _mismatch(a, b)
     v = b.value
     if abs(v) <= floor:
         raise PoleError(f"division by a value at a pole: |value| = {abs(v):.3e}")
     v2 = v * v
-    return WirtingerJet(
+    return cls(
         a.value / v,
         (a.dz * v - a.value * b.dz) / v2,
         (a.dzc * v - a.value * b.dzc) / v2,
@@ -123,11 +161,27 @@ def power_int(a: WirtingerJet, k: int, floor: float = POLE_FLOOR) -> WirtingerJe
     """Integer power ``a**k`` (holomorphic; k may be negative away from 0)."""
     v = a.value
     if k == 0:
-        return WirtingerJet(v ** 0, 0.0 + 0.0j, 0.0 + 0.0j)
+        # a**0 is 1 identically: exact zero slots, whatever a's slots hold
+        zero = 0.0 + 0.0j if a.__class__ is WirtingerJet else [0j] * len(a.dz)
+        return a.__class__(v ** 0, zero, zero)
     if k < 0 and abs(v) <= floor:
         raise PoleError(f"negative power at a pole: |value| = {abs(v):.3e}")
     g = k * v ** (k - 1)
-    return WirtingerJet(v ** k, g * a.dz, g * a.dzc)
+    return a.__class__(v ** k, g * a.dz, g * a.dzc)
+
+
+def chain(value: complex, gz: complex, gzc: complex,
+          a: WirtingerJet) -> WirtingerJet:
+    """Jet of S(A) from S's value and partials (gz, gzc) at A's value.
+
+    The conjugate cross terms use (dA*/dz) = (dA/dz*)* and its mirror, so a
+    single (gz, gzc) pair of the outer function suffices.
+    """
+    return a.__class__(
+        value,
+        gz * a.dz + gzc * a.dzc.conjugate(),
+        gz * a.dzc + gzc * a.dz.conjugate(),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -249,11 +303,7 @@ PRIMITIVES: dict[str, Primitive] = {
 
 
 def apply_primitive(name: str, a: WirtingerJet) -> WirtingerJet:
-    """Chain rule for one primitive applied on top of a jet.
-
-    The conjugate cross terms use (df*/dz) = (df/dz*)* and its mirror, so a
-    single (g_z, g_zc) pair per primitive suffices.
-    """
+    """Chain rule for one primitive applied on top of a jet."""
     p = PRIMITIVES[name]
     v = a.value
     p.check_domain(v, order=1)
@@ -262,8 +312,4 @@ def apply_primitive(name: str, a: WirtingerJet) -> WirtingerJet:
         gz, gzc = p.partials(v)
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"{name}: {exc}") from None
-    return WirtingerJet(
-        value,
-        gz * a.dz + gzc * a.dzc.conjugate(),
-        gz * a.dzc + gzc * a.dz.conjugate(),
-    )
+    return chain(value, gz, gzc, a)

@@ -8,16 +8,19 @@ linear in the FIRST argument and conjugate-linear in the second,
     inner(f, g) = sum_k f_k * conj(g_k),
 
 which is the convention under which the gradient of f -> inner(f, w) is
-conj(w) with vanishing conjugate gradient.  A ``FunctionalJet`` stores
+conj(w) with vanishing conjugate gradient.  A ``FunctionalJet`` is a
+``WirtingerJet`` whose derivative slots hold frozen gradient vectors:
 
-    value    : T(c)
-    grad_f   : gradient with f* held formally constant
-    grad_fc  : gradient with f held formally constant (the steepest-ascent
-               direction when T is real valued)
+    value          : T(c)
+    dz  (grad_f)   : gradient with f* held formally constant
+    dzc (grad_fc)  : gradient with f held formally constant (the
+                     steepest-ascent direction when T is real valued)
 
-and the algebra below mirrors the scalar jet rules with vectors in the
-derivative slots.  ``fd_gradients`` is the independent oracle: coordinate-wise
-central differences along the real and imaginary unit directions.
+so the scalar rules of ``forward`` (``add``, ``mul``, ``div``, ``conj``,
+``apply_primitive``, ...) combine functional jets unchanged; the scalar
+calculus is the case n = 1.  ``fd_gradients`` is the independent oracle:
+coordinate-wise central differences along the real and imaginary unit
+directions.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import (DimensionMismatch, DomainError, PoleError, StepTooSmall)
-from .fdcheck import DEFAULT_STEP, DEFAULT_TOL, MIN_STEP, Verdict
-from .forward import POLE_FLOOR
+from . import forward as fw
+from .errors import DimensionMismatch, DomainError, StepTooSmall
+from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, MIN_STEP, HolomorphyReport,
+                      holomorphy_report, wirtinger_pair)
 
 HVec = np.ndarray
 
@@ -65,31 +69,32 @@ def inner(f: HVec, g: HVec) -> complex:
     return complex(np.vdot(g, f))
 
 
-def norm(f: HVec) -> float:
-    return float(np.linalg.norm(f))
-
-
-@dataclass(frozen=True)
-class FunctionalJet:
-    """Scalar value of a functional plus its two gradient vectors."""
-
-    value: complex
-    grad_f: np.ndarray
-    grad_fc: np.ndarray
+@dataclass(frozen=True, slots=True)
+class FunctionalJet(fw.WirtingerJet):
+    """Scalar value of a functional plus its two gradient vectors, held in
+    the ``dz``/``dzc`` slots as frozen 1-D complex128 arrays."""
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
-        gf = np.array(self.grad_f, dtype=np.complex128, copy=True)
-        gfc = np.array(self.grad_fc, dtype=np.complex128, copy=True)
+        gf = np.array(self.dz, dtype=np.complex128, copy=True)
+        gfc = np.array(self.dzc, dtype=np.complex128, copy=True)
         if gf.ndim != 1 or gfc.shape != gf.shape:
             raise DimensionMismatch(
                 f"gradient shapes differ: {gf.shape} vs {gfc.shape}")
-        object.__setattr__(self, "grad_f", _freeze(gf))
-        object.__setattr__(self, "grad_fc", _freeze(gfc))
+        object.__setattr__(self, "dz", _freeze(gf))
+        object.__setattr__(self, "dzc", _freeze(gfc))
+
+    @property
+    def grad_f(self) -> np.ndarray:
+        return self.dz
+
+    @property
+    def grad_fc(self) -> np.ndarray:
+        return self.dzc
 
     @property
     def dim(self) -> int:
-        return self.grad_f.shape[0]
+        return self.dz.shape[0]
 
 
 def functional_constant(k: complex, n: int) -> FunctionalJet:
@@ -120,74 +125,11 @@ def ip_functional(kind: str, w: HVec, c: HVec) -> FunctionalJet:
     raise ValueError(f"unknown inner-product kind {kind!r}")
 
 
-# --------------------------------------------------------------------------
-# jet algebra (vector-valued twin of the scalar rules)
-# --------------------------------------------------------------------------
-
-
-def jet_linear_combine(alpha: complex, a: FunctionalJet,
-                       beta: complex, b: FunctionalJet) -> FunctionalJet:
-    _check_same_dim(a.grad_f, b.grad_f)
-    alpha = complex(alpha)
-    beta = complex(beta)
-    return FunctionalJet(alpha * a.value + beta * b.value,
-                         alpha * a.grad_f + beta * b.grad_f,
-                         alpha * a.grad_fc + beta * b.grad_fc)
-
-
-def jet_add(a: FunctionalJet, b: FunctionalJet) -> FunctionalJet:
-    _check_same_dim(a.grad_f, b.grad_f)
-    return FunctionalJet(a.value + b.value, a.grad_f + b.grad_f,
-                         a.grad_fc + b.grad_fc)
-
-
-def jet_sub(a: FunctionalJet, b: FunctionalJet) -> FunctionalJet:
-    _check_same_dim(a.grad_f, b.grad_f)
-    return FunctionalJet(a.value - b.value, a.grad_f - b.grad_f,
-                         a.grad_fc - b.grad_fc)
-
-
-def jet_mul(a: FunctionalJet, b: FunctionalJet) -> FunctionalJet:
-    _check_same_dim(a.grad_f, b.grad_f)
-    return FunctionalJet(a.value * b.value,
-                         a.grad_f * b.value + a.value * b.grad_f,
-                         a.grad_fc * b.value + a.value * b.grad_fc)
-
-
-def jet_conj(a: FunctionalJet) -> FunctionalJet:
-    return FunctionalJet(a.value.conjugate(),
-                         np.conj(a.grad_fc), np.conj(a.grad_f))
-
-
-def jet_recip(a: FunctionalJet, floor: float = POLE_FLOOR) -> FunctionalJet:
-    v = a.value
-    if abs(v) <= floor:
-        raise PoleError(f"reciprocal at a pole: |value| = {abs(v):.3e}")
-    v2 = v * v
-    return FunctionalJet(1.0 / v, -a.grad_f / v2, -a.grad_fc / v2)
-
-
-def jet_div(a: FunctionalJet, b: FunctionalJet,
-            floor: float = POLE_FLOOR) -> FunctionalJet:
-    _check_same_dim(a.grad_f, b.grad_f)
-    v = b.value
-    if abs(v) <= floor:
-        raise PoleError(f"division by a value at a pole: |value| = {abs(v):.3e}")
-    v2 = v * v
-    return FunctionalJet(a.value / v,
-                         (a.grad_f * v - a.value * b.grad_f) / v2,
-                         (a.grad_fc * v - a.value * b.grad_fc) / v2)
-
-
 def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
     """Jet of S(T(f)) for a scalar outer function S given as an expression
     in z (and conj(z)); its scalar jet is evaluated at the value slot."""
     sj = ex.eval_jet(s, a.value, order=1)
-    return FunctionalJet(
-        sj.value,
-        sj.dz * a.grad_f + sj.dzc * np.conj(a.grad_fc),
-        sj.dz * a.grad_fc + sj.dzc * np.conj(a.grad_f),
-    )
+    return fw.chain(sj.value, sj.dz, sj.dzc, a)
 
 
 def squared_distance(w: HVec) -> Functional:
@@ -200,9 +142,9 @@ def squared_distance(w: HVec) -> Functional:
     def program(c: HVec) -> FunctionalJet:
         total = functional_constant(0.0, n)
         for j in range(n):
-            r = jet_sub(ip_functional("fw", basis[j], c),
-                        functional_constant(w[j], n))
-            total = jet_add(total, jet_mul(r, jet_conj(r)))
+            r = fw.sub(ip_functional("fw", basis[j], c),
+                       functional_constant(w[j], n))
+            total = fw.add(total, fw.mul(r, fw.conj(r)))
         return total
 
     return program
@@ -236,41 +178,17 @@ def fd_gradients(T: Callable[[HVec], complex], c: HVec,
 def fd_wirtinger_gradients(T: Callable[[HVec], complex], c: HVec,
                            step: float = DEFAULT_STEP) -> tuple[HVec, HVec]:
     """(W-gradient, CW-gradient) reconstructed from the directional pair."""
-    g1, g2 = fd_gradients(T, c, step)
-    return _freeze(0.5 * (g1 - 1j * g2)), _freeze(0.5 * (g1 + 1j * g2))
-
-
-@dataclass(frozen=True)
-class FunctionalHolomorphyReport:
-    verdict: Verdict
-    grad_w: np.ndarray
-    grad_cw: np.ndarray
-
-    @property
-    def cr_residual(self) -> float:
-        return float(np.linalg.norm(self.grad_cw))
-
-    @property
-    def conj_cr_residual(self) -> float:
-        return float(np.linalg.norm(self.grad_w))
+    gw, gcw = wirtinger_pair(*fd_gradients(T, c, step))
+    return _freeze(gw), _freeze(gcw)
 
 
 def classify_functional(T: Callable[[HVec], complex], c: HVec,
                         step: float = DEFAULT_STEP,
-                        tol: float = DEFAULT_TOL) -> FunctionalHolomorphyReport:
+                        tol: float = DEFAULT_TOL) -> HolomorphyReport:
     """Threshold the finite-difference W/CW gradient norms at ``c``."""
     gw, gcw = fd_wirtinger_gradients(T, c, step)
-    cr_ok = float(np.linalg.norm(gcw)) < tol
-    conj_cr_ok = float(np.linalg.norm(gw)) < tol
-    if cr_ok and conj_cr_ok:
-        verdict = Verdict.BOTH
-    elif cr_ok:
-        verdict = Verdict.HOLOMORPHIC
-    elif conj_cr_ok:
-        verdict = Verdict.CONJUGATE_HOLOMORPHIC
-    else:
-        verdict = Verdict.NEITHER
-    return FunctionalHolomorphyReport(verdict, gw, gcw)
+    return holomorphy_report(gw, gcw, float(np.linalg.norm(gw)),
+                             float(np.linalg.norm(gcw)), tol)
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import expr as ex
+from . import forward as fw
 from . import hilbert as hb
 from .errors import (DimensionMismatch, EmptyData, NonRealCost,
                      SingularHessian)
@@ -101,7 +102,7 @@ def _check_real(value: complex, tol: float) -> float:
     return value.real
 
 
-def _descend(value_of: Callable, jet_of: Callable,
+def _descend(value_of: Callable, value_and_grad: Callable,
              move: Callable, grad_norm_of: Callable,
              x0, cfg: DescentConfig) -> DescentTrace:
     """Shared loop: scalar and Hilbert descent differ only in the callbacks."""
@@ -109,7 +110,7 @@ def _descend(value_of: Callable, jet_of: Callable,
     x = x0
     initial_cost = None
     for k in range(cfg.max_iter + 1):
-        jet = jet_of(x)
+        jet = value_and_grad(x)
         tol_imag = IMAG_TOL_START if k == 0 else IMAG_TOL_DRIFT
         cost = _check_real(jet[0], tol_imag)
         grad = jet[1]
@@ -152,13 +153,13 @@ def steepest_descent_scalar(cost: Union[str, ex.Expr], z0: complex,
     """Minimize a real-valued expression in z, z* from the point ``z0``."""
     e = ex.parse(cost) if isinstance(cost, str) else cost
 
-    def jet_of(z):
+    def value_and_grad(z):
         j = ex.eval_jet(e, z, order=1)
         return j.value, j.dzc
 
     return _descend(
         value_of=lambda z: ex.eval_jet(e, z, order=0),
-        jet_of=jet_of,
+        value_and_grad=value_and_grad,
         move=lambda z, t, g: z - t * g,
         grad_norm_of=abs,
         x0=complex(z0),
@@ -171,13 +172,13 @@ def steepest_descent_hilbert(cost: hb.Functional, f0: hb.HVec,
     """Minimize a real-valued functional program from the vector ``f0``."""
     f0 = hb.hvec(f0)
 
-    def jet_of(f):
+    def value_and_grad(f):
         j = cost(f)
         return j.value, j.grad_fc
 
     return _descend(
         value_of=lambda f: cost(f).value,
-        jet_of=jet_of,
+        value_and_grad=value_and_grad,
         move=lambda f, t, g: f - t * g,
         grad_norm_of=lambda g: float(np.linalg.norm(g)),
         x0=f0,
@@ -245,9 +246,8 @@ class LeastSquaresProgram:
         total = hb.functional_constant(0.0, self.n_params)
         for k in range(self._W.shape[0]):
             ip = hb.ip_functional("wf", self._W[k], c)
-            r = hb.jet_sub(hb.functional_constant(self._d[k], self.n_params),
-                           ip)
-            total = hb.jet_add(total, hb.jet_mul(r, hb.jet_conj(r)))
+            r = fw.sub(hb.functional_constant(self._d[k], self.n_params), ip)
+            total = fw.add(total, fw.mul(r, fw.conj(r)))
         return total
 
 

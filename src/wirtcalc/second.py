@@ -90,21 +90,6 @@ def neg2(a: SecondOrderJet) -> SecondOrderJet:
                           -a.dzz, -a.dzzc, -a.dzcz, -a.dzczc)
 
 
-def linear_combine2(alpha: complex, a: SecondOrderJet,
-                    beta: complex, b: SecondOrderJet) -> SecondOrderJet:
-    alpha = complex(alpha)
-    beta = complex(beta)
-    return SecondOrderJet(
-        alpha * a.value + beta * b.value,
-        alpha * a.dz + beta * b.dz,
-        alpha * a.dzc + beta * b.dzc,
-        alpha * a.dzz + beta * b.dzz,
-        alpha * a.dzzc + beta * b.dzzc,
-        alpha * a.dzcz + beta * b.dzcz,
-        alpha * a.dzczc + beta * b.dzczc,
-    )
-
-
 def mul2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
     av, bv = a.value, b.value
     return SecondOrderJet(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wirtcalc import forward as fw
 from wirtcalc import hilbert as hb
 from wirtcalc.errors import (DimensionMismatch, DomainError, PoleError,
                              StepTooSmall)
@@ -19,29 +20,32 @@ def functional_corpus(w, v):
     def rational(c):
         num = hb.ip_functional("fw", w, c)
         g = hb.ip_functional("fw", v, c)
-        den = hb.jet_add(hb.functional_constant(2.0, n),
-                         hb.jet_mul(g, hb.jet_conj(g)))
-        return hb.jet_div(num, den)
+        den = fw.add(hb.functional_constant(2.0, n),
+                     fw.mul(g, fw.conj(g)))
+        return fw.div(num, den)
 
     return [
         ("rule_fw", lambda c: hb.ip_functional("fw", w, c)),
         ("rule_wf", lambda c: hb.ip_functional("wf", w, c)),
         ("rule_fcw", lambda c: hb.ip_functional("fcw", w, c)),
         ("rule_wfc", lambda c: hb.ip_functional("wfc", w, c)),
-        ("abs_ip_squared", lambda c: hb.jet_mul(
+        ("abs_ip_squared", lambda c: fw.mul(
             hb.ip_functional("fw", w, c),
-            hb.jet_conj(hb.ip_functional("fw", w, c)))),
-        ("mixed_product", lambda c: hb.jet_add(
-            hb.jet_mul(hb.ip_functional("fw", w, c),
-                       hb.ip_functional("wf", v, c)),
+            fw.conj(hb.ip_functional("fw", w, c)))),
+        ("mixed_product", lambda c: fw.add(
+            fw.mul(hb.ip_functional("fw", w, c),
+                   hb.ip_functional("wf", v, c)),
             hb.ip_functional("wfc", w, c))),
         ("rational", rational),
         ("outer_square", lambda c: hb.outer_chain(
             "z^2 + conj(z)", hb.ip_functional("fw", w, c))),
         ("distance", hb.squared_distance(w)),
-        ("linear_mix", lambda c: hb.jet_linear_combine(
+        ("linear_mix", lambda c: fw.linear_combine(
             2 - 1j, hb.ip_functional("fw", w, c),
             0.5j, hb.ip_functional("fcw", v, c))),
+        ("exp_ip", lambda c: fw.apply_primitive(
+            "exp", hb.ip_functional("fw", w, c))),
+        ("ip_cubed", lambda c: fw.power_int(hb.ip_functional("fw", w, c), 3)),
     ]
 
 
@@ -133,7 +137,7 @@ def test_ip_unknown_kind(np_rng):
 
 def test_conj_of_rule1_matches_rule2(np_rng):
     w, c = rand_vec(np_rng, 4), rand_vec(np_rng, 4)
-    lhs = hb.jet_conj(hb.ip_functional("fw", w, c))
+    lhs = fw.conj(hb.ip_functional("fw", w, c))
     rhs = hb.ip_functional("wf", w, c)
     assert abs(lhs.value - rhs.value) < 1e-12
     assert np.allclose(lhs.grad_f, rhs.grad_f, atol=1e-15)
@@ -144,7 +148,7 @@ def test_mul_gives_modulus_squared_gradient(np_rng):
     w, c = rand_vec(np_rng, 5), rand_vec(np_rng, 5)
     a = hb.ip_functional("fw", w, c)
     b = hb.ip_functional("wf", w, c)
-    j = hb.jet_mul(a, b)
+    j = fw.mul(a, b)
     assert np.allclose(j.grad_fc, hb.inner(c, w) * w, atol=1e-12)
     assert abs(j.value.imag) < 1e-12  # |<f,w>|^2 is real
 
@@ -157,19 +161,46 @@ def test_outer_chain_holomorphic_outer(np_rng):
 
 
 def test_jet_dimension_mismatch(np_rng):
+    def vec_jet(n):
+        return hb.ip_functional("fw", rand_vec(np_rng, n), rand_vec(np_rng, n))
+
+    rules = (fw.add, fw.sub, fw.mul, fw.div,
+             lambda a, b: fw.linear_combine(2.0, a, -1j, b))
+    scalar = fw.seed_variable(0.5 - 0.25j)
+    # n=1 against n=3 is the pair numpy would silently broadcast
+    pairs = [(vec_jet(3), vec_jet(4)), (vec_jet(1), vec_jet(3)),
+             (vec_jet(3), vec_jet(1)), (scalar, vec_jet(1)),
+             (vec_jet(1), scalar), (scalar, vec_jet(3)), (vec_jet(3), scalar)]
+    for a, b in pairs:
+        for op in rules:
+            with pytest.raises(DimensionMismatch):
+                op(a, b)
+
+    a, b = vec_jet(3), vec_jet(3)
+    results = [op(a, b) for op in rules] + [
+        fw.neg(a), fw.conj(a), fw.recip(a), fw.power_int(a, 0),
+        fw.power_int(a, -2), fw.apply_primitive("sin", a),
+        hb.outer_chain("z*conj(z)", a)]
+    for j in results:
+        assert isinstance(j, hb.FunctionalJet) and j.dim == 3
+        for slot in (j.dz, j.dzc):
+            assert slot.dtype == np.complex128 and not slot.flags.writeable
+
+
+def test_power_int_zero_keeps_the_jet_kind(np_rng):
     a = hb.ip_functional("fw", rand_vec(np_rng, 3), rand_vec(np_rng, 3))
-    b = hb.ip_functional("fw", rand_vec(np_rng, 4), rand_vec(np_rng, 4))
-    for op in (hb.jet_add, hb.jet_sub, hb.jet_mul, hb.jet_div):
-        with pytest.raises(DimensionMismatch):
-            op(a, b)
+    j = fw.power_int(a, 0)
+    assert isinstance(j, hb.FunctionalJet) and j.value == 1
+    assert np.array_equal(j.grad_f, np.zeros(3))
+    assert np.array_equal(j.grad_fc, np.zeros(3))
 
 
 def test_jet_recip_pole(np_rng):
     j = hb.functional_constant(0.0, 3)
     with pytest.raises(PoleError):
-        hb.jet_recip(j)
+        fw.recip(j)
     with pytest.raises(PoleError):
-        hb.jet_div(j, j)
+        fw.div(j, j)
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +282,7 @@ def test_real_valued_conjugate_pair(np_rng):
         for _ in range(5):
             c = rand_vec(np_rng, n)
             s = hb.ip_functional("fw", w, c)
-            t = hb.jet_mul(s, hb.jet_conj(s))
+            t = fw.mul(s, fw.conj(s))
             assert np.max(np.abs(np.conj(t.grad_f) - t.grad_fc)) <= 1e-12 * (
                 1 + np.max(np.abs(t.grad_f)))
             assert abs(t.value.imag) <= 1e-12
@@ -333,9 +364,9 @@ def test_stack_rows(np_rng):
 
 def test_stack_of_jet_and_its_conjugate(np_rng):
     w, c = rand_vec(np_rng, 3), rand_vec(np_rng, 3)
-    j = hb.jet_mul(hb.ip_functional("fw", w, c),
-                   hb.ip_functional("wf", c, c))
-    stack = hb.stack_vector_operator([j, hb.jet_conj(j)])
+    j = fw.mul(hb.ip_functional("fw", w, c),
+               hb.ip_functional("wf", c, c))
+    stack = hb.stack_vector_operator([j, fw.conj(j)])
     assert np.array_equal(stack.grads_f[1], np.conj(stack.grads_fc[0]))
     assert np.array_equal(stack.grads_fc[1], np.conj(stack.grads_f[0]))
 
