@@ -28,7 +28,7 @@ from . import __version__
 from .errors import (DomainError, ExprSyntaxError, NonRealCost, PoleError,
                      UnsupportedPrimitive, WirtcalcError)
 from .expr import eval_jet, format_expr, parse, parse_complex
-from .fdcheck import DEFAULT_STEP, DEFAULT_TOL, classify, fd_wirtinger
+from .fdcheck import DEFAULT_STEP, DEFAULT_TOL, classify
 from .optimize import (DescentConfig, Termination, build_least_squares,
                        steepest_descent_hilbert, steepest_descent_scalar)
 
@@ -88,10 +88,10 @@ def cmd_check(args) -> int:
     at = parse_complex(args.at)
     e = parse(args.expr)
     j = eval_jet(e, at, order=1)
-    w, cw = fd_wirtinger(e, at, step=args.step)
+    verdict = classify(e, at, step=args.step)
+    w, cw = verdict.w, verdict.cw
     res_dz = abs(j.dz - w) / (1.0 + abs(j.dz))
     res_dzc = abs(j.dzc - cw) / (1.0 + abs(j.dzc))
-    verdict = classify(e, at, step=args.step)
     ok = res_dz < args.tol and res_dzc < args.tol
     report = {
         "schema": 1,

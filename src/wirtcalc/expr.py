@@ -21,19 +21,22 @@ with constant base.  Build ``Const(-5)`` rather than ``Neg(Const(5))`` when
 constructing trees by hand, for the same reason.
 
 ASTs are immutable; parsing, printing and evaluation are pure functions.
+Printing and evaluation fold one non-recursive post-order walk, so the
+parser's nesting cap (200) and |k| <= 64 are the only size limits: a
+chain such as ``z+z+...+z`` of any length prints and evaluates.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 from . import forward as fw
 from . import second as so
 from .errors import (ArityError, DomainError, ExprSyntaxError, PoleError,
                      UnknownIdentifier)
-from .forward import PRIMITIVES, WirtingerJet
-from .second import SecondOrderJet
+from .forward import PRIMITIVES
 
 MAX_POW = 64
 _MAX_DEPTH = 200
@@ -320,6 +323,65 @@ def parse(text: str) -> Expr:
 
 
 # --------------------------------------------------------------------------
+# tree walk
+# --------------------------------------------------------------------------
+
+_BINARY = frozenset((Add, Sub, Mul, Div))
+
+
+def _postorder(e: Expr) -> list:
+    """Every node of ``e``, children before parents and left before right,
+    walked without recursion.  This is the only code that knows which
+    fields hold a node's children; anything else is listed as a leaf."""
+    nodes, stack = [], [e]
+    while stack:
+        n = stack.pop()
+        nodes.append(n)
+        t = type(n)
+        if t in _BINARY:
+            stack.append(n.left)
+            stack.append(n.right)
+        elif t is Neg:
+            stack.append(n.operand)
+        elif t is Pow:
+            stack.append(n.base)
+        elif t is Call:
+            stack.append(n.arg)
+    nodes.reverse()
+    return nodes
+
+
+def _fold(e: Expr, c, rules):
+    """Build a result for ``e`` bottom-up with ``rules`` = (variable,
+    constant, add, sub, mul, div, neg, power, call), one per node kind.
+    ``variable(c)`` is made once and shared by every occurrence of z;
+    ``power`` also takes the exponent and ``call`` the function name."""
+    variable, constant, add, sub, mul, div, neg, power, call = rules
+    binary = {Add: add, Sub: sub, Mul: mul, Div: div}
+    x = variable(c)
+    stack = []
+    push, pop = stack.append, stack.pop
+    for n in _postorder(e):
+        t = type(n)
+        if t is Var:
+            push(x)
+        elif t is Const:
+            push(constant(n.value))
+        elif t in binary:
+            b = pop()
+            stack[-1] = binary[t](stack[-1], b)
+        elif t is Call:
+            stack[-1] = call(n.func, stack[-1])
+        elif t is Neg:
+            stack[-1] = neg(stack[-1])
+        elif t is Pow:
+            stack[-1] = power(stack[-1], n.exponent)
+        else:
+            raise TypeError(f"not an Expr node: {n!r}")
+    return stack[0]
+
+
+# --------------------------------------------------------------------------
 # printer
 # --------------------------------------------------------------------------
 
@@ -353,62 +415,31 @@ def _fmt_const(w: complex) -> tuple[str, int]:
     return f"({_fmt_float(re_)}{sign}{imag_part})", _PREC_ATOM
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_UNARY
-    if isinstance(e, Pow):
-        return _PREC_POW
-    if isinstance(e, Const):
-        return _fmt_const(e.value)[1]
-    return _PREC_ATOM
+def _paren(p: tuple[str, int], prec: int) -> str:
+    """Text of a (text, precedence) pair, in parentheses if below ``prec``."""
+    return p[0] if p[1] >= prec else f"({p[0]})"
 
 
-def _fmt(e: Expr) -> str:
-    if isinstance(e, Var):
-        return "z"
-    if isinstance(e, Const):
-        return _fmt_const(e.value)[0]
-    if isinstance(e, Call):
-        return f"{e.func}({_fmt(e.arg)})"
-    if isinstance(e, Neg):
-        inner = _fmt(e.operand)
-        if _prec(e.operand) < _PREC_UNARY:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Pow):
-        base = _fmt(e.base)
-        if _prec(e.base) < _PREC_ATOM:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, Add):
-        return _fmt_binary(e.left, "+", e.right, _PREC_ADD)
-    if isinstance(e, Sub):
-        return _fmt_binary(e.left, "-", e.right, _PREC_ADD)
-    if isinstance(e, Mul):
-        return _fmt_binary(e.left, "*", e.right, _PREC_MUL)
-    if isinstance(e, Div):
-        return _fmt_binary(e.left, "/", e.right, _PREC_MUL)
-    raise TypeError(f"not an Expr node: {e!r}")
+def _infix(op: str, prec: int):
+    # left associative: an equal-precedence right operand gets parentheses
+    return lambda a, b: (f"{_paren(a, prec)}{op}{_paren(b, prec + 1)}", prec)
 
 
-def _fmt_binary(left: Expr, op: str, right: Expr, prec: int) -> str:
-    ls = _fmt(left)
-    if _prec(left) < prec:
-        ls = f"({ls})"
-    rs = _fmt(right)
-    if _prec(right) <= prec:  # left-assoc: parenthesize equal-prec right side
-        rs = f"({rs})"
-    return f"{ls}{op}{rs}"
+_PRINT_RULES = (
+    lambda _: ("z", _PREC_ATOM),
+    _fmt_const,
+    _infix("+", _PREC_ADD), _infix("-", _PREC_ADD),
+    _infix("*", _PREC_MUL), _infix("/", _PREC_MUL),
+    lambda a: ("-" + _paren(a, _PREC_UNARY), _PREC_UNARY),
+    lambda a, k: (f"{_paren(a, _PREC_ATOM)}^{k}", _PREC_POW),
+    lambda name, a: (f"{name}({a[0]})", _PREC_ATOM),
+)
 
 
 def format_expr(e: Expr) -> str:
     """Canonical minimal-parentheses rendering; ``parse(format_expr(e))``
     is structurally equal to ``e`` for parser-producible trees."""
-    return _fmt(e)
+    return _fold(e, None, _PRINT_RULES)[0]
 
 
 # --------------------------------------------------------------------------
@@ -416,83 +447,39 @@ def format_expr(e: Expr) -> str:
 # --------------------------------------------------------------------------
 
 
-def _eval0(e: Expr, c: complex) -> complex:
-    if isinstance(e, Var):
-        return c
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Add):
-        return _eval0(e.left, c) + _eval0(e.right, c)
-    if isinstance(e, Sub):
-        return _eval0(e.left, c) - _eval0(e.right, c)
-    if isinstance(e, Mul):
-        return _eval0(e.left, c) * _eval0(e.right, c)
-    if isinstance(e, Div):
-        num = _eval0(e.left, c)
-        den = _eval0(e.right, c)
-        if abs(den) <= fw.POLE_FLOOR:
-            raise PoleError(f"division by a value at a pole: |value| = {abs(den):.3e}")
-        return num / den
-    if isinstance(e, Neg):
-        return -_eval0(e.operand, c)
-    if isinstance(e, Pow):
-        v = _eval0(e.base, c)
-        if e.exponent < 0 and abs(v) <= fw.POLE_FLOOR:
-            raise PoleError(f"negative power at a pole: |value| = {abs(v):.3e}")
-        return v ** e.exponent
-    if isinstance(e, Call):
-        v = _eval0(e.arg, c)
-        p = PRIMITIVES[e.func]
-        p.check_domain(v, order=0)
-        try:
-            return p.value(v)
-        except (ValueError, OverflowError) as exc:  # cmath domain failures
-            raise DomainError(str(exc)) from None
-    raise TypeError(f"not an Expr node: {e!r}")
+def _div0(num: complex, den: complex) -> complex:
+    if abs(den) <= fw.POLE_FLOOR:
+        raise PoleError(f"division by a value at a pole: |value| = {abs(den):.3e}")
+    return num / den
 
 
-def _eval1(e: Expr, c: complex) -> WirtingerJet:
-    if isinstance(e, Var):
-        return fw.seed_variable(c)
-    if isinstance(e, Const):
-        return fw.constant(e.value)
-    if isinstance(e, Add):
-        return fw.add(_eval1(e.left, c), _eval1(e.right, c))
-    if isinstance(e, Sub):
-        return fw.sub(_eval1(e.left, c), _eval1(e.right, c))
-    if isinstance(e, Mul):
-        return fw.mul(_eval1(e.left, c), _eval1(e.right, c))
-    if isinstance(e, Div):
-        return fw.div(_eval1(e.left, c), _eval1(e.right, c))
-    if isinstance(e, Neg):
-        return fw.neg(_eval1(e.operand, c))
-    if isinstance(e, Pow):
-        return fw.power_int(_eval1(e.base, c), e.exponent)
-    if isinstance(e, Call):
-        return fw.apply_primitive(e.func, _eval1(e.arg, c))
-    raise TypeError(f"not an Expr node: {e!r}")
+def _pow0(v: complex, k: int) -> complex:
+    if k < 0 and abs(v) <= fw.POLE_FLOOR:
+        raise PoleError(f"negative power at a pole: |value| = {abs(v):.3e}")
+    return v ** k
 
 
-def _eval2(e: Expr, c: complex) -> SecondOrderJet:
-    if isinstance(e, Var):
-        return so.seed_variable2(c)
-    if isinstance(e, Const):
-        return so.constant2(e.value)
-    if isinstance(e, Add):
-        return so.add2(_eval2(e.left, c), _eval2(e.right, c))
-    if isinstance(e, Sub):
-        return so.sub2(_eval2(e.left, c), _eval2(e.right, c))
-    if isinstance(e, Mul):
-        return so.mul2(_eval2(e.left, c), _eval2(e.right, c))
-    if isinstance(e, Div):
-        return so.div2(_eval2(e.left, c), _eval2(e.right, c))
-    if isinstance(e, Neg):
-        return so.neg2(_eval2(e.operand, c))
-    if isinstance(e, Pow):
-        return so.power_int2(_eval2(e.base, c), e.exponent)
-    if isinstance(e, Call):
-        return so.apply_primitive2(e.func, _eval2(e.arg, c))
-    raise TypeError(f"not an Expr node: {e!r}")
+def _call0(name: str, v: complex) -> complex:
+    p = PRIMITIVES[name]
+    p.check_domain(v, order=0)
+    try:
+        return p.value(v)
+    except (ValueError, OverflowError) as exc:  # cmath domain failures
+        raise DomainError(str(exc)) from None
+
+
+_ORDER0 = (lambda c: c, lambda k: k, operator.add, operator.sub,
+           operator.mul, _div0, operator.neg, _pow0, _call0)
+
+# The jet rules are looked up on their modules at every evaluation, so a
+# caller that rebinds them (a profiler, a test double) is honoured.
+_RULES = {
+    0: lambda: _ORDER0,
+    1: lambda: (fw.seed_variable, fw.constant, fw.add, fw.sub, fw.mul,
+                fw.div, fw.neg, fw.power_int, fw.apply_primitive),
+    2: lambda: (so.seed_variable2, so.constant2, so.add2, so.sub2, so.mul2,
+                so.div2, so.neg2, so.power_int2, so.apply_primitive2),
+}
 
 
 def eval_jet(e, c: complex, order: int = 1):
@@ -507,27 +494,13 @@ def eval_jet(e, c: complex, order: int = 1):
     c = complex(c)
     if not cmath.isfinite(c):
         raise DomainError(f"non-finite evaluation point: {c!r}")
-    if order == 0:
-        return _eval0(e, c)
-    if order == 1:
-        return _eval1(e, c)
-    if order == 2:
-        return _eval2(e, c)
-    raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    return _fold(e, c, _RULES[order]())
 
 
 def contains_variable(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return contains_variable(e.left) or contains_variable(e.right)
-    if isinstance(e, Neg):
-        return contains_variable(e.operand)
-    if isinstance(e, Pow):
-        return contains_variable(e.base)
-    if isinstance(e, Call):
-        return contains_variable(e.arg)
-    return False
+    return any(type(n) is Var for n in _postorder(e))
 
 
 def parse_complex(text: str) -> complex:
@@ -536,4 +509,7 @@ def parse_complex(text: str) -> complex:
     e = parse(text)
     if contains_variable(e):
         raise ExprSyntaxError("expected a constant, found the variable z", 0)
-    return _eval0(e, 0j)
+    return _fold(e, 0j, _ORDER0)
+
+
+

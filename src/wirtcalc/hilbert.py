@@ -34,7 +34,7 @@ from . import expr as ex
 from . import forward as fw
 from .errors import DimensionMismatch, DomainError, StepTooSmall
 from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, MIN_STEP, HolomorphyReport,
-                      holomorphy_report, wirtinger_pair)
+                      fd_partials, holomorphy_report, wirtinger_pair)
 
 HVec = np.ndarray
 
@@ -69,10 +69,20 @@ def inner(f: HVec, g: HVec) -> complex:
     return complex(np.vdot(g, f))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FunctionalJet(fw.WirtingerJet):
     """Scalar value of a functional plus its two gradient vectors, held in
-    the ``dz``/``dzc`` slots as frozen 1-D complex128 arrays."""
+    the ``dz``/``dzc`` slots as frozen 1-D complex128 arrays.  Equality
+    compares all three slots; like their arrays, jets are unhashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value == other.value
+                and np.array_equal(self.dz, other.dz)
+                and np.array_equal(self.dzc, other.dzc))
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
@@ -157,21 +167,16 @@ def squared_distance(w: HVec) -> Functional:
 
 def fd_gradients(T: Callable[[HVec], complex], c: HVec,
                  step: float = DEFAULT_STEP) -> tuple[HVec, HVec]:
-    """Coordinate-wise central differences of T along the real and imaginary
-    unit directions; returns the complex-valued pair (grad1, grad2)."""
+    """``fd_partials`` of T along each coordinate's real and imaginary unit
+    directions; returns the complex-valued pair (grad1, grad2)."""
     if step < MIN_STEP:
         raise StepTooSmall(f"step {step:g} below {MIN_STEP:g}")
     c = np.asarray(c, dtype=np.complex128)
     n = c.shape[0]
-    s = float(step)
     g1 = np.empty(n, dtype=np.complex128)
     g2 = np.empty(n, dtype=np.complex128)
-    for j in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[j] = s
-        g1[j] = (complex(T(c + e)) - complex(T(c - e))) / (2.0 * s)
-        e[j] = 1j * s
-        g2[j] = (complex(T(c + e)) - complex(T(c - e))) / (2.0 * s)
+    for j, e_j in enumerate(np.eye(n, dtype=np.complex128)):
+        g1[j], g2[j] = fd_partials(lambda t: complex(T(c + t * e_j)), 0j, step)
     return _freeze(g1), _freeze(g2)
 
 

@@ -29,8 +29,6 @@ PUBLIC_NAMES = [
     # second order
     "HessianBlock", "SecondOrderJet", "hessian_is_real_consistent",
     "propagate_second_order", "second_order_taylor",
-    # submodules
-    "errors", "expr", "fdcheck", "forward", "hilbert", "optimize", "second",
 ]
 
 

@@ -118,6 +118,18 @@ def test_classify_conjugate(capsys):
     assert rep["conj_cr_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("expr,at,step", [
+    ("z*conj(z)", "2", "1e-5"),
+    ("exp(z^3)", "1+1i", "0.25"),
+    ("sin(z)/conj(z)", "0.3-0.7i", "1e-4"),
+])
+def test_check_and_classify_report_the_same_fd_pair(capsys, expr, at, step):
+    _, chk, _ = run_json(capsys, "check", expr, "--at", at, "--step", step)
+    _, cls, _ = run_json(capsys, "classify", expr, "--at", at, "--step", step)
+    assert (chk["fd_w"], chk["fd_cw"]) == (cls["fd_w"], cls["fd_cw"])
+    assert chk["classification"] == cls["classification"]
+
+
 def test_minimize_quadratic(capsys):
     code, rep, _ = run_json(capsys, "minimize", "(z-2)*conj(z-2)",
                             "--from", "0", "--mu", "0.5", "--tol", "1e-8")

@@ -146,6 +146,55 @@ def test_eval_rejects_bad_order():
         eval_jet("z", 0, order=3)
 
 
+# the parser caps nesting, not length: trees far deeper than the
+# interpreter's recursion limit must evaluate and print
+CHAIN_TERMS = 3000
+
+
+def test_long_chain_evaluates_at_every_order():
+    e = parse("+".join(["z"] * CHAIN_TERMS))
+    c = 0.25 + 0.5j
+    assert eval_jet(e, c, order=0) == CHAIN_TERMS * c
+    j1 = eval_jet(e, c, order=1)
+    assert (j1.value, j1.dz, j1.dzc) == (CHAIN_TERMS * c, CHAIN_TERMS, 0)
+    j2 = eval_jet(e, c, order=2)
+    assert (j2.value, j2.dz, j2.dzc) == (j1.value, j1.dz, j1.dzc)
+    assert (j2.dzz, j2.dzzc, j2.dzcz, j2.dzczc) == (0, 0, 0, 0)
+
+
+def test_long_chain_round_trips_as_text():
+    # compared as text: the dataclass == on such a tree recurses itself
+    text = "+".join(["z"] * CHAIN_TERMS)
+    assert format_expr(parse(text)) == text
+    mixed = "-".join(f"{k}*z^2" for k in range(1, CHAIN_TERMS))
+    assert format_expr(parse(mixed)) == mixed
+
+
+def test_parse_complex_long_constant_chain():
+    assert parse_complex("+".join(["1"] * 1500)) == 1500
+
+
+def test_deep_hand_built_nest_evaluates():
+    e = Var()
+    for k in range(5000):
+        e = Neg(e) if k % 2 else Call("conj", e)
+    c = 1.5 - 0.5j
+    assert eval_jet(e, c, order=0) == c
+    j1 = eval_jet(e, c, order=1)
+    assert (j1.value, j1.dz, j1.dzc) == (c, 1, 0)
+    assert eval_jet(e, c, order=2).value == c
+    assert format_expr(e) == "-conj(" * 2500 + "z" + ")" * 2500
+
+
+def test_unknown_node_raises_type_error():
+    for bad in (object(), Add(Var(), object()), Neg("z")):
+        for order in (0, 1, 2):
+            with pytest.raises(TypeError, match="not an Expr node"):
+                eval_jet(bad, 1j, order=order)
+        with pytest.raises(TypeError, match="not an Expr node"):
+            format_expr(bad)
+
+
 @pytest.mark.parametrize("expr", CORPUS)
 def test_value_slot_identical_across_orders(expr):
     for c in sample_points(37, 10):

@@ -195,6 +195,23 @@ def test_power_int_zero_keeps_the_jet_kind(np_rng):
     assert np.array_equal(j.grad_fc, np.zeros(3))
 
 
+def test_functional_jet_equality(np_rng):
+    w, c = rand_vec(np_rng, 3), rand_vec(np_rng, 3)
+    a = hb.ip_functional("fw", w, c)
+    assert a == hb.ip_functional("fw", w, c)
+    assert hb.functional_constant(1, 2) == hb.functional_constant(1, 2)
+    assert a != hb.ip_functional("wf", w, c)                 # gradients
+    assert a != hb.FunctionalJet(a.value + 1, a.dz, a.dzc)    # value
+    assert a != hb.FunctionalJet(a.value, a.dz, a.dz)         # dzc slot
+    assert hb.functional_constant(1, 2) != hb.functional_constant(1, 3)
+    # a functional jet never equals a scalar jet, in either order
+    one = hb.functional_constant(1, 1)
+    assert one != fw.constant(1) and fw.constant(1) != one
+    assert not one == fw.WirtingerJet(1, 0j, 0j)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_jet_recip_pole(np_rng):
     j = hb.functional_constant(0.0, 3)
     with pytest.raises(PoleError):
