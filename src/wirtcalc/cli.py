@@ -12,7 +12,8 @@ Complex literals use the expression grammar itself (``1+2i``, ``-3i``).
 Output is a JSON record on stdout (schema version 1); numbers are emitted
 as [re, im] pairs.  Exit codes: 0 success, 1 residual above tolerance or
 iteration budget exhausted, 2 malformed expression, 3 domain/pole error,
-4 diverged or non-real cost.  Set WIRT_LOG=debug for diagnostics.
+4 diverged or non-real cost, 5 line search stalled.  Set WIRT_LOG=debug for
+diagnostics.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from . import __version__
 from .errors import (DomainError, ExprSyntaxError, NonRealCost, PoleError,
                      UnsupportedPrimitive, WirtcalcError)
 from .expr import eval_jet, format_expr, parse, parse_complex
-from .fdcheck import DEFAULT_STEP, DEFAULT_TOL, classify
+from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, classify, fd_wirtinger,
+                      holomorphy_report)
 from .optimize import (DescentConfig, Termination, build_least_squares,
                        steepest_descent_hilbert, steepest_descent_scalar)
 
@@ -37,6 +39,7 @@ EXIT_FAIL = 1
 EXIT_SYNTAX = 2
 EXIT_DOMAIN = 3
 EXIT_DIVERGED = 4
+EXIT_STALLED = 5
 
 CHECK_DEFAULT_TOL = 1e-6
 
@@ -88,8 +91,8 @@ def cmd_check(args) -> int:
     at = parse_complex(args.at)
     e = parse(args.expr)
     j = eval_jet(e, at, order=1)
-    verdict = classify(e, at, step=args.step)
-    w, cw = verdict.w, verdict.cw
+    w, cw = fd_wirtinger(e, at, args.step)
+    verdict = holomorphy_report(w, cw, abs(w), abs(cw), DEFAULT_TOL)
     res_dz = abs(j.dz - w) / (1.0 + abs(j.dz))
     res_dzc = abs(j.dzc - cw) / (1.0 + abs(j.dzc))
     ok = res_dz < args.tol and res_dzc < args.tol
@@ -147,6 +150,8 @@ def _termination_exit(term: Termination) -> int:
         return EXIT_OK
     if term is Termination.MAX_ITER:
         return EXIT_FAIL
+    if term is Termination.STALLED:
+        return EXIT_STALLED
     return EXIT_DIVERGED
 
 

@@ -17,8 +17,10 @@ names: exp log sin cos sqrt conj re im abs abs2 arg.
 The parser folds constants in exactly three places so that the printer's
 canonical output re-parses to a structurally identical tree: a unary minus
 in front of a literal, the two-token complex literal ``a+bi``, and a power
-with constant base.  Build ``Const(-5)`` rather than ``Neg(Const(5))`` when
-constructing trees by hand, for the same reason.
+with constant base (left unfolded when it overflows or divides by zero, so
+that evaluation reports it).  Build ``Const(-5)`` rather than
+``Neg(Const(5))`` when constructing trees by hand, for the same reason.
+Number literals that overflow to inf are syntax errors.
 
 ASTs are immutable; parsing, printing and evaluation are pure functions.
 Printing and evaluation fold one non-recursive post-order walk, so the
@@ -143,6 +145,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 val = float(text[start:i])
             except ValueError:
                 raise ExprSyntaxError("malformed number", start) from None
+            if val == float("inf"):
+                raise ExprSyntaxError("number out of range", start)
             # trailing 'i' marks an imaginary literal unless it opens a name
             if (i < n and text[i] == "i"
                     and not (i + 1 < n and (text[i + 1].isalnum()
@@ -257,7 +261,10 @@ class _Parser:
             exp_expr = self.unary(depth + 1)  # right assoc, allows -k
             k = self._as_int_exponent(exp_expr, off)
             if isinstance(base, Const):
-                return Const(base.value ** k)
+                try:
+                    return Const(base.value ** k)
+                except ArithmeticError:  # 0^-1, 1e200^2
+                    pass
             return Pow(base, k)
         return base
 
@@ -447,29 +454,9 @@ def format_expr(e: Expr) -> str:
 # --------------------------------------------------------------------------
 
 
-def _div0(num: complex, den: complex) -> complex:
-    if abs(den) <= fw.POLE_FLOOR:
-        raise PoleError(f"division by a value at a pole: |value| = {abs(den):.3e}")
-    return num / den
-
-
-def _pow0(v: complex, k: int) -> complex:
-    if k < 0 and abs(v) <= fw.POLE_FLOOR:
-        raise PoleError(f"negative power at a pole: |value| = {abs(v):.3e}")
-    return v ** k
-
-
-def _call0(name: str, v: complex) -> complex:
-    p = PRIMITIVES[name]
-    p.check_domain(v, order=0)
-    try:
-        return p.value(v)
-    except (ValueError, OverflowError) as exc:  # cmath domain failures
-        raise DomainError(str(exc)) from None
-
-
 _ORDER0 = (lambda c: c, lambda k: k, operator.add, operator.sub,
-           operator.mul, _div0, operator.neg, _pow0, _call0)
+           operator.mul, operator.truediv, operator.neg, operator.pow,
+           lambda name, v: PRIMITIVES[name].value(v))
 
 # The jet rules are looked up on their modules at every evaluation, so a
 # caller that rebinds them (a profiler, a test double) is honoured.
@@ -487,7 +474,10 @@ def eval_jet(e, c: complex, order: int = 1):
 
     order 0 returns the plain complex value, order 1 a WirtingerJet and
     order 2 a SecondOrderJet; the value slot is bitwise identical across
-    orders.
+    orders.  Every slot of the result is finite: this is the one place
+    where evaluation failures become library errors.  A division by zero
+    anywhere in the tree raises PoleError; an overflow, a cmath domain
+    failure or an inf/nan slot in the result raises DomainError.
     """
     if isinstance(e, str):
         e = parse(e)
@@ -496,7 +486,16 @@ def eval_jet(e, c: complex, order: int = 1):
         raise DomainError(f"non-finite evaluation point: {c!r}")
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    return _fold(e, c, _RULES[order]())
+    try:
+        r = _fold(e, c, _RULES[order]())
+    except ZeroDivisionError as exc:
+        raise PoleError(f"division at a pole: {exc}") from None
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"{type(exc).__name__}: {exc}") from None
+    slots = (r,) if order == 0 else [getattr(r, f) for f in r.__slots__]
+    if not all(map(cmath.isfinite, slots)):
+        raise DomainError(f"non-finite result at {c!r}")
+    return r
 
 
 def contains_variable(e: Expr) -> bool:
@@ -505,11 +504,12 @@ def contains_variable(e: Expr) -> bool:
 
 def parse_complex(text: str) -> complex:
     """Parse a variable-free expression (``1+2i``, ``-3i``, ``0.5``) into a
-    complex number.  Shares the expression grammar."""
+    complex number.  Shares the expression grammar and ``eval_jet``'s
+    errors."""
     e = parse(text)
     if contains_variable(e):
         raise ExprSyntaxError("expected a constant, found the variable z", 0)
-    return _fold(e, 0j, _ORDER0)
+    return eval_jet(e, 0j, order=0)
 
 
 

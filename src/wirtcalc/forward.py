@@ -18,6 +18,11 @@ be shared freely between threads.  Jets do not remember their base point:
 combining jets seeded at different points is a caller error that is not
 detected.
 
+``recip``, ``div`` and ``power_int`` raise PoleError when what they divide
+by is 0 (numpy slots would turn it into inf silently), and
+``apply_primitive`` raises DomainError where a primitive or its partials
+fail; overflow and inf/nan slots are left to ``expr.eval_jet``.
+
 The non-holomorphic entries of the primitive table (conj, re, im, abs, abs2,
 arg) are the single source of conjugate mass in the whole engine; they are
 cross-checked against the finite-difference oracle in the test suite before
@@ -31,9 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import DimensionMismatch, DomainError, PoleError
-
-#: |value| at or below which reciprocals/quotients raise PoleError.
-POLE_FLOOR = 1e-300
 
 
 def _require_finite(w: complex, what: str = "value") -> complex:
@@ -131,25 +133,26 @@ def conj(a: WirtingerJet) -> WirtingerJet:
     )
 
 
-def recip(a: WirtingerJet, floor: float = POLE_FLOOR) -> WirtingerJet:
-    """Jet of ``1/a``; raises PoleError when |a| is at or below ``floor``."""
+def recip(a: WirtingerJet) -> WirtingerJet:
+    """Jet of ``1/a``; raises PoleError when ``a.value**2`` is 0."""
     v = a.value
-    if abs(v) <= floor:
-        raise PoleError(f"reciprocal at a pole: |value| = {abs(v):.3e}")
     v2 = v * v
+    if v2 == 0:
+        raise PoleError(f"reciprocal at a pole: value = {v!r}")
     return a.__class__(1.0 / v, -a.dz / v2, -a.dzc / v2)
 
 
-def div(a: WirtingerJet, b: WirtingerJet, floor: float = POLE_FLOOR) -> WirtingerJet:
-    """Quotient rule in both derivative slots."""
+def div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
+    """Quotient rule in both derivative slots; raises PoleError when
+    ``b.value**2`` is 0."""
     cls = a.__class__
     if cls is not b.__class__ or (cls is not WirtingerJet
                                   and a.dz.shape != b.dz.shape):
         raise _mismatch(a, b)
     v = b.value
-    if abs(v) <= floor:
-        raise PoleError(f"division by a value at a pole: |value| = {abs(v):.3e}")
     v2 = v * v
+    if v2 == 0:
+        raise PoleError(f"division by a value at a pole: value = {v!r}")
     return cls(
         a.value / v,
         (a.dz * v - a.value * b.dz) / v2,
@@ -157,16 +160,17 @@ def div(a: WirtingerJet, b: WirtingerJet, floor: float = POLE_FLOOR) -> Wirtinge
     )
 
 
-def power_int(a: WirtingerJet, k: int, floor: float = POLE_FLOOR) -> WirtingerJet:
+def power_int(a: WirtingerJet, k: int) -> WirtingerJet:
     """Integer power ``a**k`` (holomorphic; k may be negative away from 0)."""
     v = a.value
     if k == 0:
         # a**0 is 1 identically: exact zero slots, whatever a's slots hold
         zero = 0.0 + 0.0j if a.__class__ is WirtingerJet else [0j] * len(a.dz)
         return a.__class__(v ** 0, zero, zero)
-    if k < 0 and abs(v) <= floor:
-        raise PoleError(f"negative power at a pole: |value| = {abs(v):.3e}")
-    g = k * v ** (k - 1)
+    try:
+        g = k * v ** (k - 1)
+    except ZeroDivisionError:
+        raise PoleError(f"negative power at a pole: value = {v!r}") from None
     return a.__class__(v ** k, g * a.dz, g * a.dzc)
 
 
@@ -188,20 +192,15 @@ def chain(value: complex, gz: complex, gzc: complex,
 # primitive table
 # --------------------------------------------------------------------------
 
-def _check_nonzero(v: complex, name: str) -> None:
-    if v == 0:
-        raise DomainError(f"{name} not defined at 0")
-
-
 @dataclass(frozen=True)
 class Primitive:
     """One entry of the primitive table.
 
     ``partials(v)`` returns the pair (g_z, g_zc) at the point ``v`` and
     ``second_partials(v)`` the quadruple (g_zz, g_zzc, g_zcz, g_zczc), or is
-    None when the primitive is not supported at second order.
-    ``zero_excluded_from_order`` is the lowest derivative order at which the
-    point 0 falls outside the domain (None: 0 is always allowed).
+    None when the primitive is not supported at second order.  ``v`` is
+    outside the domain where one of them raises: sqrt, abs and arg, whose
+    partials divide by zero at 0, are not differentiable there.
     """
 
     name: str
@@ -209,16 +208,17 @@ class Primitive:
     value: Callable[[complex], complex]
     partials: Callable[[complex], tuple[complex, complex]]
     second_partials: Optional[Callable[[complex], tuple[complex, complex, complex, complex]]]
-    zero_excluded_from_order: Optional[int] = None  # None: 0 is fine at all orders
-
-    def check_domain(self, v: complex, order: int) -> None:
-        if self.zero_excluded_from_order is not None and order >= self.zero_excluded_from_order:
-            _check_nonzero(v, self.name)
 
 
 def _abs_partials(v: complex) -> tuple[complex, complex]:
     m = abs(v)
     return v.conjugate() / (2.0 * m), v / (2.0 * m)
+
+
+def _arg_value(v: complex) -> complex:
+    if v == 0:  # cmath.phase(0) is 0, but arg has no value at 0
+        raise DomainError("arg not defined at 0")
+    return complex(cmath.phase(v), 0.0)
 
 
 def _arg_partials(v: complex) -> tuple[complex, complex]:
@@ -249,7 +249,6 @@ PRIMITIVES: dict[str, Primitive] = {
         "log", True, cmath.log,
         lambda v: (1.0 / v, 0.0j),
         lambda v: (-1.0 / (v * v), 0.0j, 0.0j, 0.0j),
-        zero_excluded_from_order=0,
     ),
     "sin": Primitive(
         "sin", True, cmath.sin,
@@ -265,7 +264,6 @@ PRIMITIVES: dict[str, Primitive] = {
         "sqrt", True, cmath.sqrt,
         _sqrt_partials,
         _sqrt_second,
-        zero_excluded_from_order=1,
     ),
     "conj": Primitive(
         "conj", False, lambda v: v.conjugate(),
@@ -286,7 +284,6 @@ PRIMITIVES: dict[str, Primitive] = {
         "abs", False, lambda v: complex(abs(v), 0.0),
         _abs_partials,
         None,  # second-order table intentionally absent
-        zero_excluded_from_order=1,
     ),
     "abs2": Primitive(
         "abs2", False, lambda v: complex(v.real * v.real + v.imag * v.imag, 0.0),
@@ -294,10 +291,9 @@ PRIMITIVES: dict[str, Primitive] = {
         lambda v: (0.0j, 1.0 + 0.0j, 1.0 + 0.0j, 0.0j),
     ),
     "arg": Primitive(
-        "arg", False, lambda v: complex(cmath.phase(v), 0.0),
+        "arg", False, _arg_value,
         _arg_partials,
         _arg_second,
-        zero_excluded_from_order=0,
     ),
 }
 
@@ -306,10 +302,10 @@ def apply_primitive(name: str, a: WirtingerJet) -> WirtingerJet:
     """Chain rule for one primitive applied on top of a jet."""
     p = PRIMITIVES[name]
     v = a.value
-    p.check_domain(v, order=1)
     try:
         value = p.value(v)
         gz, gzc = p.partials(v)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"{name}: {exc}") from None
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(
+            f"{name} outside its domain at {v!r}: {exc}") from None
     return chain(value, gz, gzc, a)

@@ -24,8 +24,8 @@ import numpy as np
 from . import expr as ex
 from . import forward as fw
 from . import hilbert as hb
-from .errors import (DimensionMismatch, EmptyData, NonRealCost,
-                     SingularHessian)
+from .errors import (DimensionMismatch, DomainError, EmptyData, NonRealCost,
+                     PoleError, SingularHessian)
 from .second import propagate_second_order
 
 log = logging.getLogger("wirtcalc.optimize")
@@ -41,6 +41,7 @@ class Termination(enum.Enum):
     CONVERGED = "Converged"
     MAX_ITER = "MaxIter"
     DIVERGED = "Diverged"
+    STALLED = "Stalled"         # the line search found no decrease
 
 
 @dataclass
@@ -110,7 +111,14 @@ def _descend(value_of: Callable, value_and_grad: Callable,
     x = x0
     initial_cost = None
     for k in range(cfg.max_iter + 1):
-        jet = value_and_grad(x)
+        try:
+            jet = value_and_grad(x)
+        except (DomainError, PoleError):
+            if k == 0:
+                raise
+            # the step left the cost's domain or overflowed it
+            trace.termination = Termination.DIVERGED
+            return trace
         tol_imag = IMAG_TOL_START if k == 0 else IMAG_TOL_DRIFT
         cost = _check_real(jet[0], tol_imag)
         grad = jet[1]
@@ -136,14 +144,18 @@ def _descend(value_of: Callable, value_and_grad: Callable,
             accepted = False
             for _ in range(60):
                 candidate = move(x, t, grad)
-                c_new = _check_real(value_of(candidate), IMAG_TOL_DRIFT)
+                try:
+                    c_new = _check_real(value_of(candidate), IMAG_TOL_DRIFT)
+                except (DomainError, PoleError):
+                    c_new = np.inf      # no cost there: shrink the step
                 if c_new <= cost - cfg.armijo_c * t * gn * gn:
                     x = candidate
                     accepted = True
                     break
                 t *= cfg.shrink
             if not accepted:
-                break  # line search stalled; report MaxIter
+                trace.termination = Termination.STALLED
+                return trace
     trace.termination = Termination.MAX_ITER
     return trace
 

@@ -7,18 +7,20 @@ A ``SecondOrderJet`` stores the six derivative slots
 as a flat record.  Both mixed slots are kept: for twice-differentiable
 inputs they agree and the gap is a free smoothness diagnostic.
 
-The rules below are the first-order rules differentiated once more.  The
-``abs`` primitive is rejected here (UnsupportedPrimitive): it is smooth away
-from 0 but its second-order table is deliberately left out to keep this
-module small enough to verify line by line against second differences.
+The rules below are the first-order rules differentiated once more, with
+no pole checks: ``expr.eval_jet`` reports their ZeroDivisionError at a pole
+as PoleError.  The ``abs`` primitive is rejected here
+(UnsupportedPrimitive): it is smooth away from 0 but its second-order table
+is deliberately left out to keep this module small enough to verify line by
+line against second differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, PoleError, UnsupportedPrimitive
-from .forward import POLE_FLOOR, PRIMITIVES, WirtingerJet, _require_finite
+from .errors import DomainError, UnsupportedPrimitive
+from .forward import PRIMITIVES, WirtingerJet, _require_finite
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,23 +105,8 @@ def mul2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
     )
 
 
-def conj2(a: SecondOrderJet) -> SecondOrderJet:
-    """Conjugation swaps dz<->dzc and dzz<->dzczc, mirrors the mixed slots."""
-    return SecondOrderJet(
-        a.value.conjugate(),
-        a.dzc.conjugate(),
-        a.dz.conjugate(),
-        a.dzczc.conjugate(),
-        a.dzcz.conjugate(),
-        a.dzzc.conjugate(),
-        a.dzz.conjugate(),
-    )
-
-
-def recip2(a: SecondOrderJet, floor: float = POLE_FLOOR) -> SecondOrderJet:
+def recip2(a: SecondOrderJet) -> SecondOrderJet:
     v = a.value
-    if abs(v) <= floor:
-        raise PoleError(f"reciprocal at a pole: |value| = {abs(v):.3e}")
     v2 = v * v
     v3 = v2 * v
     return SecondOrderJet(
@@ -133,11 +120,8 @@ def recip2(a: SecondOrderJet, floor: float = POLE_FLOOR) -> SecondOrderJet:
     )
 
 
-def div2(a: SecondOrderJet, b: SecondOrderJet,
-         floor: float = POLE_FLOOR) -> SecondOrderJet:
+def div2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
     v = b.value
-    if abs(v) <= floor:
-        raise PoleError(f"division by a value at a pole: |value| = {abs(v):.3e}")
     av = a.value
     v2 = v * v
     v3 = v2 * v
@@ -156,13 +140,10 @@ def div2(a: SecondOrderJet, b: SecondOrderJet,
     )
 
 
-def power_int2(a: SecondOrderJet, k: int,
-               floor: float = POLE_FLOOR) -> SecondOrderJet:
+def power_int2(a: SecondOrderJet, k: int) -> SecondOrderJet:
     v = a.value
     if k == 0:
         return SecondOrderJet(v ** 0, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
-    if k < 0 and abs(v) <= floor:
-        raise PoleError(f"negative power at a pole: |value| = {abs(v):.3e}")
     g = k * v ** (k - 1)
     gg = _ZERO if k == 1 else k * (k - 1) * v ** (k - 2)
     return SecondOrderJet(
@@ -182,13 +163,13 @@ def apply_primitive2(name: str, a: SecondOrderJet) -> SecondOrderJet:
     if p.second_partials is None:
         raise UnsupportedPrimitive(f"{name} has no second-order rule")
     v = a.value
-    p.check_domain(v, order=2)
     try:
         value = p.value(v)
         gz, gzc = p.partials(v)
         gzz, gzzc, gzcz, gzczc = p.second_partials(v)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"{name}: {exc}") from None
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(
+            f"{name} outside its domain at {v!r}: {exc}") from None
 
     A, B = a.dz, a.dzc
     Ac, Bc = A.conjugate(), B.conjugate()

@@ -50,6 +50,18 @@ def test_diff_pole_exits_3(capsys):
     assert "pole" in err.lower()
 
 
+def test_diff_overflow_exits_3_without_traceback(capsys):
+    code, _, err = run(capsys, "diff", "z^64", "--at", "1e10")
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_diff_infinite_literal_exits_2_with_offset(capsys):
+    code, _, err = run(capsys, "diff", "1e400*z", "--at", "1")
+    assert code == 2
+    assert "offset 0" in err
+
+
 def test_diff_syntax_error_exits_2_with_offset(capsys):
     code, out, err = run(capsys, "diff", "z +", "--at", "0")
     assert code == 2
@@ -111,6 +123,17 @@ def test_check_exits_1_when_residual_above_tol(capsys):
     assert rep["ok"] is False
 
 
+def test_check_evaluates_the_jet_once(capsys, monkeypatch):
+    from wirtcalc import forward as fw
+    seeds = []
+    seed = fw.seed_variable
+    monkeypatch.setattr(fw, "seed_variable",
+                        lambda c: seeds.append(c) or seed(c))
+    code, rep, _ = run_json(capsys, "check", "z*conj(z)", "--at", "2")
+    assert code == 0 and rep["classification"] == "Neither"
+    assert len(seeds) == 1      # one order-1 evaluation, not two
+
+
 def test_classify_conjugate(capsys):
     code, rep, _ = run_json(capsys, "classify", "conj(z)", "--at", "1-1i")
     assert code == 0
@@ -157,6 +180,15 @@ def test_minimize_max_iter_exits_1(capsys):
                             "--max-iter", "5")
     assert code == 1
     assert rep["termination"] == "MaxIter"
+
+
+def test_minimize_stalled_line_search_exits_5(capsys):
+    code, rep, _ = run_json(capsys, "minimize", "abs(z-1)", "--from", "0.3i",
+                            "--mu", "0.5", "--tol", "1e-12", "--max-iter",
+                            "200", "--backtrack")
+    assert code == 5
+    assert rep["termination"] == "Stalled"
+    assert rep["iterations"] < 200
 
 
 def test_minimize_backtracking(capsys):

@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import random
 import time
 
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS, CORPUS_SECOND_ORDER, random_ast, sample_points
 from wirtcalc import expr as ex
-from wirtcalc.errors import (ArityError, ExprSyntaxError, PoleError,
-                             UnknownIdentifier)
+from wirtcalc.errors import (ArityError, DomainError, ExprSyntaxError,
+                             PoleError, UnknownIdentifier, WirtcalcError)
 from wirtcalc.expr import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var,
                            eval_jet, format_expr, parse, parse_complex)
 
@@ -81,6 +83,25 @@ def test_parse_exponent_errors():
     parse("z^64")  # boundary is inclusive
 
 
+def test_parse_rejects_infinite_literal():
+    for text, offset in (("1e400*z", 0), ("z+1e999i", 2)):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+
+
+def test_parse_keeps_a_failing_constant_power_unfolded():
+    # folding would raise; the tree keeps the power and evaluation reports it
+    for text, error in (("0^-1", PoleError), ("1e200^2", DomainError)):
+        e = parse(text)
+        assert isinstance(e, Pow) and isinstance(e.base, Const)
+        assert parse(format_expr(e)) == e
+        with pytest.raises(error):
+            eval_jet(e, 1, order=0)
+        with pytest.raises(error):
+            parse_complex(text)
+
+
 def test_parse_rejects_non_ascii():
     with pytest.raises(ExprSyntaxError):
         parse("z + α")
@@ -139,6 +160,50 @@ def test_eval_pole():
         eval_jet("1/z", 0, order=0)
     with pytest.raises(PoleError):
         eval_jet("z^-3", 0, order=1)
+
+
+# zeros, values whose square underflows or overflows, and ordinary points
+CONTRACT_POINTS = [0j, -0j, 1e-200, -1e-200, 1e200, 1e200j, 1e10 + 1e9j,
+                   1e-320, 1e-301, 0.7 + 0.3j, -1.2 + 0.8j]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 62))
+def test_eval_is_finite_or_a_library_error(seed):
+    e = random_ast(random.Random(seed), 6)
+    for c in CONTRACT_POINTS:
+        values = []
+        for order in (0, 1, 2):
+            try:
+                r = eval_jet(e, c, order)
+            except WirtcalcError:
+                continue
+            slots = ([r] if order == 0 else
+                     [getattr(r, f.name) for f in dataclasses.fields(r)])
+            assert all(map(cmath.isfinite, slots)), (format_expr(e), c, order)
+            values.append(slots[0])
+        assert all(v == values[0] for v in values), (format_expr(e), c)
+
+
+@pytest.mark.parametrize("expr,at,order,error", [
+    ("z^64", 1e10, 1, DomainError),             # the power overflows
+    ("1/z", 1e-200, 1, PoleError),              # v*v underflows to 0
+    ("1/z", 1e-200, 2, PoleError),
+    ("z^-3", 1e-120, 1, PoleError),
+    ("exp(700)*exp(700)", 1, 0, DomainError),   # inf value
+    ("z*z", 1e200, 1, DomainError),             # inf value, finite dz
+    ("abs2(z)", 1e200, 2, DomainError),
+])
+def test_eval_reports_arithmetic_failure(expr, at, order, error):
+    with pytest.raises(error):
+        eval_jet(expr, at, order)
+
+
+def test_eval_needs_no_pole_floor():
+    assert eval_jet("1/z", 1e-200, order=0) == 1e200
+    assert eval_jet("z/z", 1e-301, order=0) == 1
+    j = eval_jet("z/z", 1e-150, order=1)
+    assert (j.value, j.dz, j.dzc) == (1, 0, 0)
 
 
 def test_eval_rejects_bad_order():

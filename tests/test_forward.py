@@ -102,13 +102,6 @@ def test_recip_golden():
         fw.recip(fw.seed_variable(0))
 
 
-def test_recip_floor_is_configurable():
-    tiny = fw.seed_variable(1e-3)
-    fw.recip(tiny)  # fine with the default floor
-    with pytest.raises(PoleError):
-        fw.recip(tiny, floor=1e-2)
-
-
 def test_div_by_constant_one(rng):
     j = random_jet(rng)
     assert fw.div(j, fw.constant(1)) == j

@@ -90,6 +90,30 @@ def test_scalar_descent_max_iter():
     assert trace.iterations == 10
 
 
+def test_scalar_descent_reports_a_stalled_line_search():
+    # |z-1| has a kink at its minimum: near it no step length decreases
+    # the cost enough, so the line search gives up before max_iter
+    cfg = DescentConfig(mu=0.5, tol=1e-12, max_iter=200,
+                        step_mode="backtracking")
+    trace = steepest_descent_scalar("abs(z-1)", 0.3j, cfg)
+    assert trace.termination is Termination.STALLED
+    assert trace.iterations < cfg.max_iter
+    assert abs(trace.final - 1) < 1e-12
+
+
+def test_scalar_descent_step_into_overflow():
+    # the first step lands at -1e200, where the cost overflows
+    fixed = DescentConfig(mu=1e200, tol=1e-8, max_iter=100)
+    trace = steepest_descent_scalar("z*conj(z)", 1, fixed)
+    assert trace.termination is Termination.DIVERGED
+    # every trial step overflows, so backtracking rejects them all
+    backtracking = DescentConfig(mu=1e300, tol=1e-8, max_iter=100,
+                                 step_mode="backtracking")
+    trace = steepest_descent_scalar("z*conj(z)", 1, backtracking)
+    assert trace.termination is Termination.STALLED
+    assert trace.final == 1
+
+
 def test_scalar_descent_rejects_non_real_cost():
     cfg = DescentConfig(mu=0.1, tol=1e-8, max_iter=10)
     with pytest.raises(NonRealCost):
