@@ -1,6 +1,14 @@
 """Derivatives with respect to z and z* for complex-valued functions,
 holomorphy classification, Hilbert-space gradients, and steepest descent
-on complex domains."""
+on complex domains.
+
+The scalar calculus (jets, the order-2 block, holomorphy verdicts, scalar
+descent and Newton steps) is pure ``cmath``: ``import wirtcalc`` does not
+load numpy.  The Hilbert-space names (``FunctionalJet``, ``hvec``,
+``inner``, ``fd_gradients``, ...) are resolved on first access, which
+imports ``wirtcalc.hilbert`` and numpy; so does the first call of
+``build_least_squares`` or ``steepest_descent_hilbert``.
+"""
 
 __version__ = "0.1.0"
 
@@ -14,10 +22,6 @@ from .fdcheck import (HolomorphyReport, Verdict, classify, fd_partials,
 from .forward import (PRIMITIVES, WirtingerJet, add, apply_primitive, conj,
                       constant, div, linear_combine, mul, power_int, recip,
                       seed_variable, sub)
-from .hilbert import (FunctionalJet, GradientStack, classify_functional,
-                      fd_gradients, fd_wirtinger_gradients,
-                      functional_constant, hvec, inner, ip_functional,
-                      outer_chain, squared_distance, stack_vector_operator)
 from .optimize import (DescentConfig, DescentTrace, Termination,
                        build_least_squares, newton_step_scalar,
                        steepest_descent_hilbert, steepest_descent_scalar)
@@ -42,3 +46,24 @@ __all__ = [
     "hessian_is_real_consistent", "propagate_second_order",
     "second_order_taylor",
 ]
+
+#: names of ``hilbert`` (which needs numpy), bound on first access
+_HILBERT_NAMES = frozenset({
+    "FunctionalJet", "GradientStack", "classify_functional", "fd_gradients",
+    "fd_wirtinger_gradients", "functional_constant", "hvec", "inner",
+    "ip_functional", "outer_chain", "squared_distance",
+    "stack_vector_operator",
+})
+
+
+def __getattr__(name):
+    # not cached in the package namespace: each access reads the current
+    # attribute of ``hilbert``
+    if name in _HILBERT_NAMES:
+        from . import hilbert
+        return getattr(hilbert, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _HILBERT_NAMES)

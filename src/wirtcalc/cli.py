@@ -14,6 +14,8 @@ as [re, im] pairs.  Exit codes: 0 success, 1 residual above tolerance or
 iteration budget exhausted, 2 malformed expression, 3 domain/pole error,
 4 diverged or non-real cost, 5 line search stalled.  Set WIRT_LOG=debug for
 diagnostics.
+
+Only ``minimize --data`` loads numpy; the other commands run on ``cmath``.
 """
 
 from __future__ import annotations
@@ -168,9 +170,8 @@ def cmd_minimize(args) -> int:
     if args.data:
         X, d = _load_data_file(args.data)
         program = build_least_squares(X, d, widely_linear=args.widely_linear)
-        import numpy as np
-        f0 = np.zeros(program.n_params, dtype=complex)
-        trace = steepest_descent_hilbert(program, f0, cfg)
+        trace = steepest_descent_hilbert(program, [0j] * program.n_params,
+                                         cfg)
         report["data"] = args.data
         report["widely_linear"] = bool(args.widely_linear)
         report["final"] = [_pair(complex(w)) for w in trace.final]
@@ -178,8 +179,9 @@ def cmd_minimize(args) -> int:
         if args.expr is None:
             raise ExprSyntaxError("minimize needs an expression or --data", 0)
         z0 = parse_complex(getattr(args, "from"))
-        trace = steepest_descent_scalar(args.expr, z0, cfg)
-        report["expr"] = format_expr(parse(args.expr))
+        e = parse(args.expr)
+        trace = steepest_descent_scalar(e, z0, cfg)
+        report["expr"] = format_expr(e)
         report["from"] = _pair(z0)
         report["final"] = _pair(trace.final)
     report["termination"] = trace.termination.value

@@ -9,6 +9,11 @@ because for real-valued costs that slot is the direction of maximal
 increase.  Stationarity of real costs is symmetric: the two derivative
 slots are conjugates of each other, so driving one below the threshold
 drives both.
+
+The scalar path (``steepest_descent_scalar``, ``newton_step_scalar``) runs
+on ``cmath`` alone.  numpy and ``hilbert`` are imported by the Hilbert-space
+path only, when ``steepest_descent_hilbert`` or ``build_least_squares``
+first runs.
 """
 
 from __future__ import annotations
@@ -16,17 +21,20 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from . import expr as ex
 from . import forward as fw
-from . import hilbert as hb
 from .errors import (DimensionMismatch, DomainError, EmptyData, NonRealCost,
                      PoleError, SingularHessian)
 from .second import propagate_second_order
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import hilbert as hb
 
 log = logging.getLogger("wirtcalc.optimize")
 
@@ -91,7 +99,7 @@ class DescentTrace:
             if isinstance(x, complex):
                 point = {"z": [x.real, x.imag]}
             else:
-                point = {"f": [[w.real, w.imag] for w in np.asarray(x)]}
+                point = {"f": [[w.real, w.imag] for w in x]}
             yield json.dumps({"iter": k, **point, "cost": cost,
                               "grad_norm": gn})
 
@@ -129,7 +137,7 @@ def _descend(value_of: Callable, value_and_grad: Callable,
         log.debug("iter %d: cost=%.6e grad_norm=%.6e", k, cost, gn)
         if initial_cost is None:
             initial_cost = cost
-        if not np.isfinite(cost) or cost > DIVERGENCE_FACTOR * abs(initial_cost) + 1e-30:
+        if not math.isfinite(cost) or cost > DIVERGENCE_FACTOR * abs(initial_cost) + 1e-30:
             trace.termination = Termination.DIVERGED
             return trace
         if gn < cfg.tol:
@@ -147,7 +155,7 @@ def _descend(value_of: Callable, value_and_grad: Callable,
                 try:
                     c_new = _check_real(value_of(candidate), IMAG_TOL_DRIFT)
                 except (DomainError, PoleError):
-                    c_new = np.inf      # no cost there: shrink the step
+                    c_new = math.inf    # no cost there: shrink the step
                 if c_new <= cost - cfg.armijo_c * t * gn * gn:
                     x = candidate
                     accepted = True
@@ -182,6 +190,9 @@ def steepest_descent_scalar(cost: Union[str, ex.Expr], z0: complex,
 def steepest_descent_hilbert(cost: hb.Functional, f0: hb.HVec,
                              cfg: DescentConfig) -> DescentTrace:
     """Minimize a real-valued functional program from the vector ``f0``."""
+    import numpy as np
+
+    from . import hilbert as hb
     f0 = hb.hvec(f0)
 
     def value_and_grad(f):
@@ -212,11 +223,16 @@ class LeastSquaresProgram:
     Calling the program evaluates value and both gradients with matrix
     arithmetic; ``eval_assembled`` builds the same jet sample-by-sample from
     the inner-product rules and the product-with-conjugate algebra, and the
-    test suite pins the two paths together.
+    test suite pins the two paths together.  The methods import numpy and
+    ``hilbert`` when called, so a process that builds no program loads
+    neither.
     """
 
     def __init__(self, X: Sequence, d: Sequence[complex],
                  widely_linear: bool = False):
+        import numpy as np
+
+        from . import hilbert as hb
         rows = [hb.hvec(x) for x in X]
         if not rows:
             raise EmptyData("least squares needs at least one sample")
@@ -240,6 +256,7 @@ class LeastSquaresProgram:
         return self._W.shape[1]
 
     def residuals(self, c: hb.HVec) -> np.ndarray:
+        import numpy as np
         c = np.asarray(c, dtype=np.complex128)
         if c.shape[0] != self.n_params:
             raise DimensionMismatch(
@@ -247,6 +264,9 @@ class LeastSquaresProgram:
         return self._d - self._W @ np.conj(c)
 
     def __call__(self, c: hb.HVec) -> hb.FunctionalJet:
+        import numpy as np
+
+        from . import hilbert as hb
         r = self.residuals(c)
         value = complex(np.vdot(r, r).real)
         grad_f = -(np.conj(self._W).T @ r)
@@ -254,6 +274,9 @@ class LeastSquaresProgram:
         return hb.FunctionalJet(value, grad_f, grad_fc)
 
     def eval_assembled(self, c: hb.HVec) -> hb.FunctionalJet:
+        import numpy as np
+
+        from . import hilbert as hb
         c = np.asarray(c, dtype=np.complex128)
         total = hb.functional_constant(0.0, self.n_params)
         for k in range(self._W.shape[0]):

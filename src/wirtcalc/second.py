@@ -105,21 +105,6 @@ def mul2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
     )
 
 
-def recip2(a: SecondOrderJet) -> SecondOrderJet:
-    v = a.value
-    v2 = v * v
-    v3 = v2 * v
-    return SecondOrderJet(
-        1.0 / v,
-        -a.dz / v2,
-        -a.dzc / v2,
-        -a.dzz / v2 + 2.0 * a.dz * a.dz / v3,
-        -a.dzzc / v2 + 2.0 * a.dz * a.dzc / v3,
-        -a.dzcz / v2 + 2.0 * a.dzc * a.dz / v3,
-        -a.dzczc / v2 + 2.0 * a.dzc * a.dzc / v3,
-    )
-
-
 def div2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
     v = b.value
     av = a.value

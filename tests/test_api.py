@@ -1,5 +1,14 @@
 """Snapshot of the package's public names: adding or removing one must be a
-deliberate edit of this list."""
+deliberate edit of this list.  Also pins what importing the package costs:
+the scalar calculus and the scalar CLI commands never load numpy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import wirtcalc
 
@@ -34,3 +43,71 @@ PUBLIC_NAMES = [
 
 def test_public_api_snapshot():
     assert sorted(wirtcalc.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_every_public_name_resolves():
+    listed = dir(wirtcalc)
+    for name in wirtcalc.__all__:
+        assert getattr(wirtcalc, name) is not None, name
+        assert name in listed, name
+
+
+def test_star_import_binds_every_public_name():
+    ns = {}
+    exec("from wirtcalc import *", ns)
+    for name in wirtcalc.__all__:
+        assert ns[name] is getattr(wirtcalc, name), name
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wirtcalc.no_such_name
+    assert not hasattr(wirtcalc, "no_such_name")
+
+
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    wirtcalc; return its stdout parsed as JSON."""
+    src = str(Path(wirtcalc.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+        os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("module", ["wirtcalc", "wirtcalc.cli"])
+def test_import_does_not_load_numpy(module):
+    code = f"import json, sys, {module}; print(json.dumps('numpy' in sys.modules))"
+    assert fresh_python(code) is False
+
+
+RUN_CLI = """
+import contextlib, io, json, sys
+from wirtcalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "z^2", "--at", "1+1i"],
+    ["hessian", "z*conj(z)", "--at", "1+2i"],
+    ["check", "z*conj(z)", "--at", "2"],
+    ["classify", "conj(z)", "--at", "1-1i"],
+    ["minimize", "(z-2)*conj(z-2)", "--from", "0", "--mu", "0.5"],
+], ids=lambda argv: argv[0])
+def test_scalar_commands_do_not_load_numpy(argv):
+    assert fresh_python(RUN_CLI, json.dumps(argv)) == [0, False]
+
+
+def test_minimize_data_loads_numpy(tmp_path):
+    path = tmp_path / "lsq.json"
+    path.write_text(json.dumps({
+        "X": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [1.0, 0.0]]],
+        "d": [[0.5, -1.0], [1.0, 0.0]],
+    }))
+    argv = ["minimize", "--data", str(path), "--mu", "0.2"]
+    assert fresh_python(RUN_CLI, json.dumps(argv)) == [0, True]

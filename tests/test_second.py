@@ -153,7 +153,7 @@ def test_div2_consistent_with_mul_recip(rng):
         if abs(b.value) < 0.1:
             continue
         d = so.div2(a, b)
-        m = so.mul2(a, so.recip2(b))
+        m = so.mul2(a, so.power_int2(b, -1))
         for slot in ("value", "dz", "dzc", "dzz", "dzzc", "dzcz", "dzczc"):
             x, y = getattr(d, slot), getattr(m, slot)
             assert abs(x - y) < 1e-10 * (1 + abs(y))
