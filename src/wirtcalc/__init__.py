@@ -14,37 +14,34 @@ __version__ = "0.1.0"
 
 from .errors import (ArityError, DimensionMismatch, DomainError, EmptyData,
                      ExprSyntaxError, NonRealCost, PoleError, SingularHessian,
-                     StepTooSmall, UnknownIdentifier, UnsupportedPrimitive,
-                     WirtcalcError)
+                     StepTooSmall, UnknownIdentifier, WirtcalcError)
 from .expr import Expr, eval_jet, format_expr, parse, parse_complex
 from .fdcheck import (HolomorphyReport, Verdict, classify, fd_partials,
                       fd_wirtinger)
 from .forward import (PRIMITIVES, WirtingerJet, add, apply_primitive, conj,
-                      constant, div, linear_combine, mul, power_int, recip,
+                      constant, div, linear_combine, mul, power_int,
                       seed_variable, sub)
 from .optimize import (DescentConfig, DescentTrace, Termination,
                        build_least_squares, newton_step_scalar,
                        steepest_descent_hilbert, steepest_descent_scalar)
-from .second import (HessianBlock, SecondOrderJet, hessian_is_real_consistent,
-                     propagate_second_order, second_order_taylor)
+from .second import (SecondOrderJet, hessian_is_real_consistent,
+                     second_order_taylor)
 
 __all__ = [
     "ArityError", "DimensionMismatch", "DomainError", "EmptyData",
     "ExprSyntaxError", "NonRealCost", "PoleError", "SingularHessian",
-    "StepTooSmall", "UnknownIdentifier", "UnsupportedPrimitive",
-    "WirtcalcError", "Expr", "eval_jet", "format_expr", "parse",
-    "parse_complex", "HolomorphyReport", "Verdict", "classify", "fd_partials",
-    "fd_wirtinger", "PRIMITIVES", "WirtingerJet", "add", "apply_primitive",
-    "conj", "constant", "div", "linear_combine", "mul", "power_int", "recip",
-    "seed_variable", "sub", "FunctionalJet", "GradientStack",
-    "classify_functional", "fd_gradients", "fd_wirtinger_gradients",
-    "functional_constant", "hvec", "inner", "ip_functional", "outer_chain",
-    "squared_distance", "stack_vector_operator", "DescentConfig",
-    "DescentTrace", "Termination", "build_least_squares",
-    "newton_step_scalar", "steepest_descent_hilbert",
-    "steepest_descent_scalar", "HessianBlock", "SecondOrderJet",
-    "hessian_is_real_consistent", "propagate_second_order",
-    "second_order_taylor",
+    "StepTooSmall", "UnknownIdentifier", "WirtcalcError", "Expr",
+    "eval_jet", "format_expr", "parse", "parse_complex", "HolomorphyReport",
+    "Verdict", "classify", "fd_partials", "fd_wirtinger", "PRIMITIVES",
+    "WirtingerJet", "add", "apply_primitive", "conj", "constant", "div",
+    "linear_combine", "mul", "power_int", "seed_variable", "sub",
+    "FunctionalJet", "GradientStack", "classify_functional", "fd_gradients",
+    "fd_wirtinger_gradients", "functional_constant", "hvec", "inner",
+    "ip_functional", "outer_chain", "squared_distance",
+    "stack_vector_operator", "DescentConfig", "DescentTrace", "Termination",
+    "build_least_squares", "newton_step_scalar", "steepest_descent_hilbert",
+    "steepest_descent_scalar", "SecondOrderJet",
+    "hessian_is_real_consistent", "second_order_taylor",
 ]
 
 #: names of ``hilbert`` (which needs numpy), bound on first access

@@ -11,9 +11,9 @@ Commands::
 Complex literals use the expression grammar itself (``1+2i``, ``-3i``).
 Output is a JSON record on stdout (schema version 1); numbers are emitted
 as [re, im] pairs.  Exit codes: 0 success, 1 residual above tolerance or
-iteration budget exhausted, 2 malformed expression, 3 domain/pole error,
-4 diverged or non-real cost, 5 line search stalled.  Set WIRT_LOG=debug for
-diagnostics.
+iteration budget exhausted, 2 malformed expression or data file, 3
+domain/pole error, 4 diverged or non-real cost, 5 line search stalled.
+Set WIRT_LOG=debug for diagnostics.
 
 Only ``minimize --data`` loads numpy; the other commands run on ``cmath``.
 """
@@ -28,8 +28,8 @@ import os
 import sys
 
 from . import __version__
-from .errors import (DomainError, ExprSyntaxError, NonRealCost, PoleError,
-                     UnsupportedPrimitive, WirtcalcError)
+from .errors import (DimensionMismatch, DomainError, EmptyData,
+                     ExprSyntaxError, NonRealCost, PoleError, WirtcalcError)
 from .expr import eval_jet, format_expr, parse, parse_complex
 from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, classify, fd_wirtinger,
                       holomorphy_report)
@@ -38,7 +38,7 @@ from .optimize import (DescentConfig, Termination, build_least_squares,
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_SYNTAX = 2
+EXIT_MALFORMED = 2
 EXIT_DOMAIN = 3
 EXIT_DIVERGED = 4
 EXIT_STALLED = 5
@@ -139,12 +139,33 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _complex_list(entries, key: str) -> list[complex]:
+    if not isinstance(entries, list):
+        raise DimensionMismatch(
+            f"data file: {key!r} entry {entries!r} is not a list of "
+            f"[re, im] pairs")
+    out = []
+    for w in entries:
+        if not (isinstance(w, list) and len(w) == 2
+                and all(isinstance(x, (int, float)) for x in w)):
+            raise DimensionMismatch(
+                f"data file: {key!r} entry {w!r} is not an [re, im] pair")
+        out.append(complex(w[0], w[1]))
+    return out
+
+
 def _load_data_file(path: str):
+    """``{"X": [[[re, im], ...], ...], "d": [[re, im], ...]}`` as the sample
+    rows and targets; raises EmptyData for a missing or empty key and
+    DimensionMismatch for an entry that is not an [re, im] pair."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    X = [[complex(re, im) for re, im in row] for row in payload["X"]]
-    d = [complex(re, im) for re, im in payload["d"]]
-    return X, d
+    for key in ("X", "d"):
+        if not (isinstance(payload, dict) and isinstance(payload.get(key), list)
+                and payload[key]):
+            raise EmptyData(f"data file needs a non-empty {key!r} list")
+    X = [_complex_list(row, "X") for row in payload["X"]]
+    return X, _complex_list(payload["d"], "d")
 
 
 def _termination_exit(term: Termination) -> int:
@@ -258,16 +279,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExprSyntaxError as exc:
+    except (ExprSyntaxError, EmptyData, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except (DomainError, PoleError, UnsupportedPrimitive) as exc:
+        return EXIT_MALFORMED
+    except (DomainError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except NonRealCost as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (WirtcalcError, OSError, KeyError, ValueError) as exc:
+    except (WirtcalcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

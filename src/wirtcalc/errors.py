@@ -14,10 +14,6 @@ class PoleError(WirtcalcError):
     """A reciprocal or quotient was evaluated at (or too close to) a pole."""
 
 
-class UnsupportedPrimitive(WirtcalcError):
-    """The primitive has no rule table at the requested derivative order."""
-
-
 class ExprSyntaxError(WirtcalcError):
     """Malformed expression text.  ``offset`` is the byte offset of the
     first character that could not be consumed."""

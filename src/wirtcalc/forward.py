@@ -18,8 +18,9 @@ be shared freely between threads.  Jets do not remember their base point:
 combining jets seeded at different points is a caller error that is not
 detected.
 
-``recip``, ``div`` and ``power_int`` raise PoleError when what they divide
-by is 0 (numpy slots would turn it into inf silently), and
+``div`` and ``power_int`` raise PoleError when what they divide by is 0
+(numpy slots would turn it into inf silently; a reciprocal is ``div`` with
+a unit numerator), and
 ``apply_primitive`` raises DomainError where a primitive or its partials
 fail; overflow and inf/nan slots are left to ``expr.eval_jet``.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DimensionMismatch, DomainError, PoleError
 
@@ -133,15 +134,6 @@ def conj(a: WirtingerJet) -> WirtingerJet:
     )
 
 
-def recip(a: WirtingerJet) -> WirtingerJet:
-    """Jet of ``1/a``; raises PoleError when ``a.value**2`` is 0."""
-    v = a.value
-    v2 = v * v
-    if v2 == 0:
-        raise PoleError(f"reciprocal at a pole: value = {v!r}")
-    return a.__class__(1.0 / v, -a.dz / v2, -a.dzc / v2)
-
-
 def div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     """Quotient rule in both derivative slots; raises PoleError when
     ``b.value**2`` is 0."""
@@ -197,22 +189,30 @@ class Primitive:
     """One entry of the primitive table.
 
     ``partials(v)`` returns the pair (g_z, g_zc) at the point ``v`` and
-    ``second_partials(v)`` the quadruple (g_zz, g_zzc, g_zcz, g_zczc), or is
-    None when the primitive is not supported at second order.  ``v`` is
-    outside the domain where one of them raises: sqrt, abs and arg, whose
-    partials divide by zero at 0, are not differentiable there.
+    ``second_partials(v)`` the quadruple (g_zz, g_zzc, g_zcz, g_zczc).
+    ``v`` is outside the domain where one of them raises: sqrt, abs and
+    arg, whose partials divide by zero at 0, are not differentiable there.
     """
 
     name: str
-    holomorphic: bool
     value: Callable[[complex], complex]
     partials: Callable[[complex], tuple[complex, complex]]
-    second_partials: Optional[Callable[[complex], tuple[complex, complex, complex, complex]]]
+    second_partials: Callable[[complex], tuple[complex, complex, complex, complex]]
 
 
 def _abs_partials(v: complex) -> tuple[complex, complex]:
     m = abs(v)
     return v.conjugate() / (2.0 * m), v / (2.0 * m)
+
+
+def _abs_second(v: complex) -> tuple[complex, complex, complex, complex]:
+    # -conj(v)^2/(4|v|^3), 1/(4|v|), 1/(4|v|), -v^2/(4|v|^3), written with
+    # the phase u = v/|v| so that no power of v overflows
+    m = abs(v)
+    u = v / m
+    uc = u.conjugate()
+    q = 0.25 / m
+    return -q * uc * uc, complex(q), complex(q), -q * u * u
 
 
 def _arg_value(v: complex) -> complex:
@@ -241,57 +241,57 @@ def _sqrt_second(v: complex) -> tuple[complex, complex, complex, complex]:
 
 PRIMITIVES: dict[str, Primitive] = {
     "exp": Primitive(
-        "exp", True, cmath.exp,
+        "exp", cmath.exp,
         lambda v: (cmath.exp(v), 0.0j),
         lambda v: (cmath.exp(v), 0.0j, 0.0j, 0.0j),
     ),
     "log": Primitive(
-        "log", True, cmath.log,
+        "log", cmath.log,
         lambda v: (1.0 / v, 0.0j),
         lambda v: (-1.0 / (v * v), 0.0j, 0.0j, 0.0j),
     ),
     "sin": Primitive(
-        "sin", True, cmath.sin,
+        "sin", cmath.sin,
         lambda v: (cmath.cos(v), 0.0j),
         lambda v: (-cmath.sin(v), 0.0j, 0.0j, 0.0j),
     ),
     "cos": Primitive(
-        "cos", True, cmath.cos,
+        "cos", cmath.cos,
         lambda v: (-cmath.sin(v), 0.0j),
         lambda v: (-cmath.cos(v), 0.0j, 0.0j, 0.0j),
     ),
     "sqrt": Primitive(
-        "sqrt", True, cmath.sqrt,
+        "sqrt", cmath.sqrt,
         _sqrt_partials,
         _sqrt_second,
     ),
     "conj": Primitive(
-        "conj", False, lambda v: v.conjugate(),
+        "conj", lambda v: v.conjugate(),
         lambda v: (0.0j, 1.0 + 0.0j),
         lambda v: (0.0j, 0.0j, 0.0j, 0.0j),
     ),
     "re": Primitive(
-        "re", False, lambda v: complex(v.real, 0.0),
+        "re", lambda v: complex(v.real, 0.0),
         lambda v: (0.5 + 0.0j, 0.5 + 0.0j),
         lambda v: (0.0j, 0.0j, 0.0j, 0.0j),
     ),
     "im": Primitive(
-        "im", False, lambda v: complex(v.imag, 0.0),
+        "im", lambda v: complex(v.imag, 0.0),
         lambda v: (-0.5j, 0.5j),
         lambda v: (0.0j, 0.0j, 0.0j, 0.0j),
     ),
     "abs": Primitive(
-        "abs", False, lambda v: complex(abs(v), 0.0),
+        "abs", lambda v: complex(abs(v), 0.0),
         _abs_partials,
-        None,  # second-order table intentionally absent
+        _abs_second,
     ),
     "abs2": Primitive(
-        "abs2", False, lambda v: complex(v.real * v.real + v.imag * v.imag, 0.0),
+        "abs2", lambda v: complex(v.real * v.real + v.imag * v.imag, 0.0),
         lambda v: (v.conjugate(), v),
         lambda v: (0.0j, 1.0 + 0.0j, 1.0 + 0.0j, 0.0j),
     ),
     "arg": Primitive(
-        "arg", False, _arg_value,
+        "arg", _arg_value,
         _arg_partials,
         _arg_second,
     ),

@@ -29,7 +29,6 @@ from . import expr as ex
 from . import forward as fw
 from .errors import (DimensionMismatch, DomainError, EmptyData, NonRealCost,
                      PoleError, SingularHessian)
-from .second import propagate_second_order
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,6 +42,9 @@ IMAG_TOL_START = 1e-10
 IMAG_TOL_DRIFT = 1e-8
 #: a run whose cost exceeds this multiple of the initial cost has diverged
 DIVERGENCE_FACTOR = 10.0
+#: backtracking: step shrink factor and Armijo sufficient-decrease constant
+SHRINK = 0.5
+ARMIJO_C = 1e-4
 
 
 class Termination(enum.Enum):
@@ -58,16 +60,10 @@ class DescentConfig:
     tol: float = 1e-8
     max_iter: int = 1000
     step_mode: str = "fixed"          # "fixed" | "backtracking"
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if not 0 < self.shrink < 1:
-            raise ValueError(f"shrink must be in (0, 1), got {self.shrink}")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError(f"armijo_c must be in (0, 1), got {self.armijo_c}")
         if self.step_mode not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step_mode {self.step_mode!r}")
         if self.max_iter < 0:
@@ -111,16 +107,17 @@ def _check_real(value: complex, tol: float) -> float:
     return value.real
 
 
-def _descend(value_of: Callable, value_and_grad: Callable,
-             move: Callable, grad_norm_of: Callable,
+def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
              x0, cfg: DescentConfig) -> DescentTrace:
-    """Shared loop: scalar and Hilbert descent differ only in the callbacks."""
+    """Shared loop: scalar and Hilbert descent differ only in the callbacks.
+    ``jet_of(x)`` returns a jet whose ``dzc`` slot is the gradient to step
+    against; ``value_of(x)`` the bare cost, for the line search."""
     trace = DescentTrace()
     x = x0
     initial_cost = None
     for k in range(cfg.max_iter + 1):
         try:
-            jet = value_and_grad(x)
+            jet = jet_of(x)
         except (DomainError, PoleError):
             if k == 0:
                 raise
@@ -128,8 +125,8 @@ def _descend(value_of: Callable, value_and_grad: Callable,
             trace.termination = Termination.DIVERGED
             return trace
         tol_imag = IMAG_TOL_START if k == 0 else IMAG_TOL_DRIFT
-        cost = _check_real(jet[0], tol_imag)
-        grad = jet[1]
+        cost = _check_real(jet.value, tol_imag)
+        grad = jet.dzc
         gn = grad_norm_of(grad)
         trace.iterates.append(x)
         trace.costs.append(cost)
@@ -146,21 +143,21 @@ def _descend(value_of: Callable, value_and_grad: Callable,
         if k == cfg.max_iter:
             break
         if cfg.step_mode == "fixed":
-            x = move(x, cfg.mu, grad)
+            x = x - cfg.mu * grad
         else:
             t = cfg.mu
             accepted = False
             for _ in range(60):
-                candidate = move(x, t, grad)
+                candidate = x - t * grad
                 try:
                     c_new = _check_real(value_of(candidate), IMAG_TOL_DRIFT)
                 except (DomainError, PoleError):
                     c_new = math.inf    # no cost there: shrink the step
-                if c_new <= cost - cfg.armijo_c * t * gn * gn:
+                if c_new <= cost - ARMIJO_C * t * gn * gn:
                     x = candidate
                     accepted = True
                     break
-                t *= cfg.shrink
+                t *= SHRINK
             if not accepted:
                 trace.termination = Termination.STALLED
                 return trace
@@ -172,15 +169,9 @@ def steepest_descent_scalar(cost: Union[str, ex.Expr], z0: complex,
                             cfg: DescentConfig) -> DescentTrace:
     """Minimize a real-valued expression in z, z* from the point ``z0``."""
     e = ex.parse(cost) if isinstance(cost, str) else cost
-
-    def value_and_grad(z):
-        j = ex.eval_jet(e, z, order=1)
-        return j.value, j.dzc
-
     return _descend(
         value_of=lambda z: ex.eval_jet(e, z, order=0),
-        value_and_grad=value_and_grad,
-        move=lambda z, t, g: z - t * g,
+        jet_of=lambda z: ex.eval_jet(e, z, order=1),
         grad_norm_of=abs,
         x0=complex(z0),
         cfg=cfg,
@@ -194,15 +185,9 @@ def steepest_descent_hilbert(cost: hb.Functional, f0: hb.HVec,
 
     from . import hilbert as hb
     f0 = hb.hvec(f0)
-
-    def value_and_grad(f):
-        j = cost(f)
-        return j.value, j.grad_fc
-
     return _descend(
         value_of=lambda f: cost(f).value,
-        value_and_grad=value_and_grad,
-        move=lambda f, t, g: f - t * g,
+        jet_of=cost,
         grad_norm_of=lambda g: float(np.linalg.norm(g)),
         x0=f0,
         cfg=cfg,
@@ -311,7 +296,7 @@ def newton_step_scalar(cost: Union[str, ex.Expr], z: complex) -> complex:
     conjugate; a violation (like a singular or non-real block) raises
     SingularHessian and callers should fall back to a gradient step.
     """
-    j = propagate_second_order(cost, complex(z))
+    j = ex.eval_jet(cost, complex(z), order=2)
     _check_real(j.value, IMAG_TOL_DRIFT)
     scale = max(abs(j.dzz), abs(j.dzzc), abs(j.dzcz), abs(j.dzczc))
     if scale == 0.0:

@@ -4,22 +4,22 @@ A ``SecondOrderJet`` stores the six derivative slots
 
     dz, dzc, dzz (d2/dz2), dzzc (d2/dz dz*), dzcz (d2/dz* dz), dzczc (d2/dz*2)
 
-as a flat record.  Both mixed slots are kept: for twice-differentiable
-inputs they agree and the gap is a free smoothness diagnostic.
+as a flat record; the last four are the 2x2 block ``matrix``.  Both mixed
+slots are kept: for twice-differentiable inputs they agree and the gap is a
+free smoothness diagnostic.  ``expr.eval_jet(e, c, order=2)`` builds one.
 
 The rules below are the first-order rules differentiated once more, with
 no pole checks: ``expr.eval_jet`` reports their ZeroDivisionError at a pole
-as PoleError.  The ``abs`` primitive is rejected here
-(UnsupportedPrimitive): it is smooth away from 0 but its second-order table
-is deliberately left out to keep this module small enough to verify line by
-line against second differences.
+as PoleError.  Every primitive of ``forward.PRIMITIVES`` has its second
+partials, so every expression the parser accepts has an order-2 jet away
+from poles and domain boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedPrimitive
+from .errors import DomainError
 from .forward import PRIMITIVES, WirtingerJet, _require_finite
 
 
@@ -40,22 +40,6 @@ class SecondOrderJet:
     def mixed_symmetry_gap(self) -> float:
         """|dzzc - dzcz|; ~0 for twice-differentiable inputs."""
         return abs(self.dzzc - self.dzcz)
-
-
-@dataclass(frozen=True, slots=True)
-class HessianBlock:
-    """Gradient pair plus the 2x2 matrix of second partials at a point."""
-
-    dz: complex
-    dzc: complex
-    dzz: complex
-    dzzc: complex
-    dzcz: complex
-    dzczc: complex
-
-    @classmethod
-    def from_jet(cls, j: SecondOrderJet) -> "HessianBlock":
-        return cls(j.dz, j.dzc, j.dzz, j.dzzc, j.dzcz, j.dzczc)
 
     @property
     def matrix(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -145,8 +129,6 @@ def power_int2(a: SecondOrderJet, k: int) -> SecondOrderJet:
 def apply_primitive2(name: str, a: SecondOrderJet) -> SecondOrderJet:
     """Chain rule carried to second order for one primitive."""
     p = PRIMITIVES[name]
-    if p.second_partials is None:
-        raise UnsupportedPrimitive(f"{name} has no second-order rule")
     v = a.value
     try:
         value = p.value(v)
@@ -176,13 +158,6 @@ def apply_primitive2(name: str, a: SecondOrderJet) -> SecondOrderJet:
     )
 
 
-def propagate_second_order(expr, c: complex) -> SecondOrderJet:
-    """Evaluate an expression into a second-order jet at ``c``."""
-    from .expr import eval_jet  # local import: expr builds on this module
-
-    return eval_jet(expr, c, order=2)
-
-
 def second_order_taylor(jet: SecondOrderJet, h: complex) -> complex:
     """Quadratic model value at displacement ``h`` from the jet's base point:
 
@@ -195,12 +170,12 @@ def second_order_taylor(jet: SecondOrderJet, h: complex) -> complex:
     return jet.value + jet.dz * h + jet.dzc * hc + 0.5 * quad
 
 
-def hessian_is_real_consistent(block: HessianBlock,
+def hessian_is_real_consistent(jet: SecondOrderJet,
                                tol: float = 1e-10) -> bool:
     """Checks the structure a real-valued function must produce: dzzc real,
     dzz the conjugate of dzczc, and (dz)* = dzc."""
-    scale = 1.0 + max(abs(block.dzz), abs(block.dzzc), abs(block.dzcz),
-                      abs(block.dzczc))
-    return (abs(block.dzzc.imag) <= tol * scale
-            and abs(block.dzz - block.dzczc.conjugate()) <= tol * scale
-            and abs(block.dz.conjugate() - block.dzc) <= tol * (1.0 + abs(block.dz)))
+    scale = 1.0 + max(abs(jet.dzz), abs(jet.dzzc), abs(jet.dzcz),
+                      abs(jet.dzczc))
+    return (abs(jet.dzzc.imag) <= tol * scale
+            and abs(jet.dzz - jet.dzczc.conjugate()) <= tol * scale
+            and abs(jet.dz.conjugate() - jet.dzc) <= tol * (1.0 + abs(jet.dz)))

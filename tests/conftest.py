@@ -33,9 +33,6 @@ CORPUS = [
     "exp(i*z) + conj(z)^3",
 ]
 
-# entries with a full second-order rule table (everything except abs)
-CORPUS_SECOND_ORDER = [e for e in CORPUS if "abs(" not in e]
-
 CONJUGATION_FREE = [
     "z^2",
     "1/z",

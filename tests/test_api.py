@@ -16,15 +16,14 @@ PUBLIC_NAMES = [
     # errors
     "ArityError", "DimensionMismatch", "DomainError", "EmptyData",
     "ExprSyntaxError", "NonRealCost", "PoleError", "SingularHessian",
-    "StepTooSmall", "UnknownIdentifier", "UnsupportedPrimitive",
-    "WirtcalcError",
+    "StepTooSmall", "UnknownIdentifier", "WirtcalcError",
     # expressions
     "Expr", "eval_jet", "format_expr", "parse", "parse_complex",
     # finite-difference oracle and holomorphy verdicts
     "HolomorphyReport", "Verdict", "classify", "fd_partials", "fd_wirtinger",
     # first-order jet rules (scalar and Hilbert-space jets)
     "PRIMITIVES", "WirtingerJet", "add", "apply_primitive", "conj",
-    "constant", "div", "linear_combine", "mul", "power_int", "recip",
+    "constant", "div", "linear_combine", "mul", "power_int",
     "seed_variable", "sub",
     # Hilbert space
     "FunctionalJet", "GradientStack", "classify_functional", "fd_gradients",
@@ -36,8 +35,7 @@ PUBLIC_NAMES = [
     "newton_step_scalar", "steepest_descent_hilbert",
     "steepest_descent_scalar",
     # second order
-    "HessianBlock", "SecondOrderJet", "hessian_is_real_consistent",
-    "propagate_second_order", "second_order_taylor",
+    "SecondOrderJet", "hessian_is_real_consistent", "second_order_taylor",
 ]
 
 

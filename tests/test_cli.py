@@ -91,9 +91,16 @@ def test_hessian_alias_matches_diff(capsys):
     assert rep1["hessian"] == rep2["hessian"]
 
 
-def test_diff_abs_order2_unsupported_exits_3(capsys):
-    code, _, err = run(capsys, "diff", "abs(z)", "--at", "1+1i", "--order", "2")
-    assert code == 3
+def test_diff_abs_order2_exits_0(capsys):
+    code, rep, _ = run_json(capsys, "diff", "abs(z)", "--at", "1+1i",
+                            "--order", "2")
+    assert code == 0
+    want = 1 / (4 * math.sqrt(2))
+    for slot in ("dzzc", "dzcz"):
+        re, im = rep["hessian"][slot]
+        assert abs(re - want) <= 1e-15 and im == 0.0
+    code, _, err = run(capsys, "diff", "abs(z)", "--at", "0", "--order", "2")
+    assert code == 3 and err.startswith("error: ")
 
 
 def test_check_neither_but_accurate(capsys):
@@ -222,6 +229,22 @@ def test_minimize_data_file(capsys, tmp_path, np_rng):
     assert rep["termination"] == "Converged"
     got = np.array([complex(re, im) for re, im in rep["final"]])
     assert np.linalg.norm(got - np.concatenate([a0, b0])) < 1e-6
+
+
+@pytest.mark.parametrize("payload, names", [
+    ({"X": [[[1, 0]]]}, "'d'"),
+    ({"X": [], "d": [[1, 0]]}, "'X'"),
+    ({"X": [[[1]]], "d": [[1, 0]]}, "[1]"),
+    ({"X": [[[1, 0]]], "d": [[1, 0, 2]]}, "[1, 0, 2]"),
+    ({"X": ["row"], "d": [[1, 0]]}, "'row'"),
+], ids=["no-d", "empty-X", "short-pair", "long-pair", "row-not-list"])
+def test_minimize_malformed_data_file_exits_2(capsys, tmp_path, payload,
+                                              names):
+    path = tmp_path / "lsq.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "minimize", "--data", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: data file") and names in err
 
 
 def test_minimize_without_expression_or_data_fails(capsys):

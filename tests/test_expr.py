@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, CORPUS_SECOND_ORDER, random_ast, sample_points
+from conftest import CORPUS, random_ast, sample_points
 from wirtcalc import expr as ex
 from wirtcalc.errors import (ArityError, DomainError, ExprSyntaxError,
                              PoleError, UnknownIdentifier, WirtcalcError)
@@ -265,8 +265,7 @@ def test_value_slot_identical_across_orders(expr):
     for c in sample_points(37, 10):
         v0 = eval_jet(expr, c, order=0)
         assert eval_jet(expr, c, order=1).value == v0
-        if expr in CORPUS_SECOND_ORDER:
-            assert eval_jet(expr, c, order=2).value == v0
+        assert eval_jet(expr, c, order=2).value == v0
 
 
 def test_parse_complex():

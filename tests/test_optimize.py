@@ -44,10 +44,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DescentConfig(mu=0)
     with pytest.raises(ValueError):
-        DescentConfig(shrink=1.0)
-    with pytest.raises(ValueError):
-        DescentConfig(armijo_c=0)
-    with pytest.raises(ValueError):
         DescentConfig(step_mode="bisect")
 
 

@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from conftest import (CORPUS_SECOND_ORDER, REAL_COSTS, fd_second_partials,
-                      rel_err, sample_points)
+from conftest import (CORPUS, REAL_COSTS, fd_second_partials, rel_err,
+                      sample_points)
 from wirtcalc import second as so
-from wirtcalc.errors import PoleError, UnsupportedPrimitive
+from wirtcalc.errors import DomainError, PoleError
 from wirtcalc.expr import eval_jet, parse
-from wirtcalc.second import (HessianBlock, hessian_is_real_consistent,
-                             propagate_second_order, second_order_taylor)
+from wirtcalc.second import hessian_is_real_consistent, second_order_taylor
 
 
 def random_jet2(rng):
@@ -19,26 +18,26 @@ def random_jet2(rng):
 
 def test_quadratic_golden():
     for c in sample_points(3, 5):
-        j = propagate_second_order("z^2", c)
+        j = eval_jet("z^2", c, order=2)
         assert j.dzz == 2 + 0j
         assert j.dzzc == 0 and j.dzcz == 0 and j.dzczc == 0
 
 
 def test_modulus_squared_golden():
     for c in sample_points(5, 5):
-        j = propagate_second_order("z*conj(z)", c)
+        j = eval_jet("z*conj(z)", c, order=2)
         assert j.dzzc == 1 + 0j and j.dzcz == 1 + 0j
         assert j.dzz == 0 and j.dzczc == 0
 
 
 def test_conjugate_quadratic_golden():
     for c in sample_points(7, 5):
-        j = propagate_second_order("conj(z)^2", c)
+        j = eval_jet("conj(z)^2", c, order=2)
         assert j.dzczc == 2 + 0j
         assert j.dzz == 0 and j.dzzc == 0 and j.dzcz == 0
 
 
-@pytest.mark.parametrize("expr", CORPUS_SECOND_ORDER)
+@pytest.mark.parametrize("expr", CORPUS)
 def test_first_order_slice_is_bitwise_identical(expr):
     for c in sample_points(11, 10):
         j2 = eval_jet(expr, c, order=2)
@@ -46,7 +45,7 @@ def test_first_order_slice_is_bitwise_identical(expr):
         assert j2.first_order() == j1
 
 
-@pytest.mark.parametrize("expr", CORPUS_SECOND_ORDER)
+@pytest.mark.parametrize("expr", CORPUS)
 def test_second_partials_against_second_differences(expr):
     for c in sample_points(13, 8):
         j = eval_jet(expr, c, order=2)
@@ -57,33 +56,38 @@ def test_second_partials_against_second_differences(expr):
         assert rel_err(j.dzczc, dzczc) < 1e-4
 
 
-@pytest.mark.parametrize("expr", CORPUS_SECOND_ORDER)
+@pytest.mark.parametrize("expr", CORPUS)
 def test_mixed_partial_symmetry(expr):
     for c in sample_points(17, 10):
         j = eval_jet(expr, c, order=2)
         assert abs(j.dzzc - j.dzcz) <= 1e-10 * (1 + abs(j.dzzc))
 
 
-def test_abs_is_rejected_at_second_order():
-    with pytest.raises(UnsupportedPrimitive):
-        propagate_second_order("abs(z)", 1 + 1j)
-    with pytest.raises(UnsupportedPrimitive):
-        so.apply_primitive2("abs", so.seed_variable2(1 + 1j))
+def test_abs_second_order_golden():
+    j = eval_jet("abs(z)", 1 + 1j, order=2)
+    want = 1 / (4 * 2 ** 0.5)
+    assert abs(j.dzzc - want) <= 1e-15 and abs(j.dzcz - want) <= 1e-15
+    # -conj(z)^2 / (4|z|^3) and -z^2 / (4|z|^3), with z^2 = 2i, |z|^3 = 2^1.5
+    assert abs(j.dzz - 2j / (4 * 2 ** 1.5)) <= 1e-15
+    assert abs(j.dzczc + 2j / (4 * 2 ** 1.5)) <= 1e-15
+    assert j == so.apply_primitive2("abs", so.seed_variable2(1 + 1j))
+    with pytest.raises(DomainError):
+        eval_jet("abs(z)", 0, order=2)
 
 
 def test_pole_propagates():
     with pytest.raises(PoleError):
-        propagate_second_order("1/z", 0)
+        eval_jet("1/z", 0, order=2)
 
 
 def test_taylor_exact_on_quadratic():
-    j = propagate_second_order("z^2", 0)
+    j = eval_jet("z^2", 0, order=2)
     h = 1 + 1j
     assert second_order_taylor(j, h) == (1 + 1j) ** 2
 
 
 def test_taylor_exact_on_modulus_squared(rng):
-    j = propagate_second_order("z*conj(z)", 0)
+    j = eval_jet("z*conj(z)", 0, order=2)
     for _ in range(10):
         h = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         model = second_order_taylor(j, h)
@@ -91,7 +95,7 @@ def test_taylor_exact_on_modulus_squared(rng):
 
 
 def test_taylor_cubic_remainder_for_exp():
-    j = propagate_second_order("exp(z)", 0)
+    j = eval_jet("exp(z)", 0, order=2)
     model = second_order_taylor(j, 0.01)
     assert abs(model - cmath.exp(0.01)) <= 2e-7
 
@@ -100,7 +104,7 @@ def test_second_order_remainder_decays_cubically():
     rng = random.Random(31)
     failures = 0
     trials = 0
-    for expr in CORPUS_SECOND_ORDER:
+    for expr in CORPUS:
         for c in sample_points(19, 3):
             j = eval_jet(expr, c, order=2)
             theta = rng.uniform(0, 2 * cmath.pi)
@@ -126,8 +130,7 @@ def test_hessian_block_real_structure(expr):
     e = parse(expr)
     for c in sample_points(23, 50):
         j = eval_jet(e, c, order=2)
-        block = HessianBlock.from_jet(j)
-        assert hessian_is_real_consistent(block)
+        assert hessian_is_real_consistent(j)
         scale = 1 + max(abs(j.dzz), abs(j.dzczc))
         assert abs(j.dzzc.imag) <= 1e-10 * scale
         assert abs(j.dzz - j.dzczc.conjugate()) <= 1e-10 * scale
@@ -135,9 +138,8 @@ def test_hessian_block_real_structure(expr):
 
 
 def test_hessian_block_matrix_layout():
-    j = propagate_second_order("z*conj(z)", 0.5 + 0.5j)
-    block = HessianBlock.from_jet(j)
-    assert block.matrix == ((j.dzz, j.dzzc), (j.dzcz, j.dzczc))
+    j = eval_jet("z*conj(z)", 0.5 + 0.5j, order=2)
+    assert j.matrix == ((j.dzz, j.dzzc), (j.dzcz, j.dzczc))
 
 
 def test_conj2_involution(rng):
