@@ -8,10 +8,12 @@ z* held formally constant and ``dzc`` the derivative with z held constant:
 
 The derivative slots may also hold arrays: ``hilbert.FunctionalJet`` is a
 ``WirtingerJet`` whose slots are the gradient vectors of a functional on
-C^n, and every rule here builds its result as ``a.__class__(...)``, so one
-rule set serves scalar and Hilbert-space jets.  The binary rules raise
-DimensionMismatch unless both operands are scalar jets or both are vector
-jets of the same dimension.
+C^n, and every rule here builds its result with its operand's ``_fresh``
+hook, so one rule set serves scalar and Hilbert-space jets.  For a scalar
+jet the hook is the class itself; for a functional jet it freezes the
+arrays the rule has just computed in place of copying them.  The binary
+rules raise DimensionMismatch unless both operands are scalar jets or both
+are vector jets of the same dimension.
 
 Everything here is a pure function of its inputs; jets are immutable and can
 be shared freely between threads.  Jets do not remember their base point:
@@ -55,6 +57,10 @@ class WirtingerJet:
     dzc: complex
 
 
+# result constructor of the rules; hilbert.FunctionalJet has its own
+WirtingerJet._fresh = WirtingerJet
+
+
 def _mismatch(a: WirtingerJet, b: WirtingerJet) -> DimensionMismatch:
     a_dim, b_dim = (f"{j.__class__.__name__}{getattr(j.dz, 'shape', ())}"
                     for j in (a, b))
@@ -85,7 +91,7 @@ def linear_combine(alpha: complex, a: WirtingerJet,
         raise _mismatch(a, b)
     alpha = complex(alpha)
     beta = complex(beta)
-    return cls(
+    return cls._fresh(
         alpha * a.value + beta * b.value,
         alpha * a.dz + beta * b.dz,
         alpha * a.dzc + beta * b.dzc,
@@ -97,7 +103,7 @@ def add(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     if cls is not b.__class__ or (cls is not WirtingerJet
                                   and a.dz.shape != b.dz.shape):
         raise _mismatch(a, b)
-    return cls(a.value + b.value, a.dz + b.dz, a.dzc + b.dzc)
+    return cls._fresh(a.value + b.value, a.dz + b.dz, a.dzc + b.dzc)
 
 
 def sub(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
@@ -105,11 +111,11 @@ def sub(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     if cls is not b.__class__ or (cls is not WirtingerJet
                                   and a.dz.shape != b.dz.shape):
         raise _mismatch(a, b)
-    return cls(a.value - b.value, a.dz - b.dz, a.dzc - b.dzc)
+    return cls._fresh(a.value - b.value, a.dz - b.dz, a.dzc - b.dzc)
 
 
 def neg(a: WirtingerJet) -> WirtingerJet:
-    return a.__class__(-a.value, -a.dz, -a.dzc)
+    return a._fresh(-a.value, -a.dz, -a.dzc)
 
 
 def mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
@@ -118,7 +124,7 @@ def mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     if cls is not b.__class__ or (cls is not WirtingerJet
                                   and a.dz.shape != b.dz.shape):
         raise _mismatch(a, b)
-    return cls(
+    return cls._fresh(
         a.value * b.value,
         a.dz * b.value + a.value * b.dz,
         a.dzc * b.value + a.value * b.dzc,
@@ -127,7 +133,7 @@ def mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
 
 def conj(a: WirtingerJet) -> WirtingerJet:
     """Jet of the conjugated function: swaps and conjugates the two slots."""
-    return a.__class__(
+    return a._fresh(
         a.value.conjugate(),
         a.dzc.conjugate(),
         a.dz.conjugate(),
@@ -145,7 +151,7 @@ def div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     v2 = v * v
     if v2 == 0:
         raise PoleError(f"division by a value at a pole: value = {v!r}")
-    return cls(
+    return cls._fresh(
         a.value / v,
         (a.dz * v - a.value * b.dz) / v2,
         (a.dzc * v - a.value * b.dzc) / v2,
@@ -157,13 +163,14 @@ def power_int(a: WirtingerJet, k: int) -> WirtingerJet:
     v = a.value
     if k == 0:
         # a**0 is 1 identically: exact zero slots, whatever a's slots hold
+        # (a list for a vector jet, which the checking constructor converts)
         zero = 0.0 + 0.0j if a.__class__ is WirtingerJet else [0j] * len(a.dz)
         return a.__class__(v ** 0, zero, zero)
     try:
         g = k * v ** (k - 1)
     except ZeroDivisionError:
         raise PoleError(f"negative power at a pole: value = {v!r}") from None
-    return a.__class__(v ** k, g * a.dz, g * a.dzc)
+    return a._fresh(v ** k, g * a.dz, g * a.dzc)
 
 
 def chain(value: complex, gz: complex, gzc: complex,
@@ -173,7 +180,7 @@ def chain(value: complex, gz: complex, gzc: complex,
     The conjugate cross terms use (dA*/dz) = (dA/dz*)* and its mirror, so a
     single (gz, gzc) pair of the outer function suffices.
     """
-    return a.__class__(
+    return a._fresh(
         value,
         gz * a.dz + gzc * a.dzc.conjugate(),
         gz * a.dzc + gzc * a.dz.conjugate(),
@@ -201,8 +208,10 @@ class Primitive:
 
 
 def _abs_partials(v: complex) -> tuple[complex, complex]:
-    m = abs(v)
-    return v.conjugate() / (2.0 * m), v / (2.0 * m)
+    # conj(v)/(2|v|), v/(2|v|) from the phase u = v/|v|: 2|v| overflows
+    # for |v| above about 9e307
+    u = v / abs(v)
+    return u.conjugate() / 2, u / 2
 
 
 def _abs_second(v: complex) -> tuple[complex, complex, complex, complex]:

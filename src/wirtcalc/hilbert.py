@@ -1,8 +1,11 @@
 """Finite-dimensional complex Hilbert space: functionals on C^n carrying a
 scalar value plus a pair of gradient vectors.
 
-Vectors are 1-D ``complex128`` numpy arrays; ``hvec`` copies and freezes its
-input so every value handed around is immutable.  The inner product is
+Vectors are 1-D ``complex128`` numpy arrays, frozen so every value handed
+around is immutable.  An array a caller passes in is copied where it enters
+(``hvec``, the ``FunctionalJet`` constructor, ``ip_functional``) and never
+frozen or shared; the arrays a rule of ``forward`` computes for its result
+are new, so they are frozen in place instead of copied.  The inner product is
 linear in the FIRST argument and conjugate-linear in the second,
 
     inner(f, g) = sum_k f_k * conj(g_k),
@@ -94,6 +97,18 @@ class FunctionalJet(fw.WirtingerJet):
         object.__setattr__(self, "dz", _freeze(gf))
         object.__setattr__(self, "dzc", _freeze(gfc))
 
+    @staticmethod
+    def _fresh(value, dz, dzc) -> FunctionalJet:
+        """Jet from slot arrays nothing else holds: 1-D complex128 of one
+        shape, such as a ``forward`` rule computes from frozen slots.  They
+        are frozen in place; the constructor's copy and checks are for
+        arrays a caller passes in."""
+        j = object.__new__(FunctionalJet)
+        object.__setattr__(j, "value", complex(value))
+        object.__setattr__(j, "dz", _freeze(dz))
+        object.__setattr__(j, "dzc", _freeze(dzc))
+        return j
+
     @property
     def grad_f(self) -> np.ndarray:
         return self.dz
@@ -108,8 +123,8 @@ class FunctionalJet(fw.WirtingerJet):
 
 
 def functional_constant(k: complex, n: int) -> FunctionalJet:
-    z = np.zeros(n, dtype=np.complex128)
-    return FunctionalJet(k, z, z)
+    return FunctionalJet._fresh(k, np.zeros(n, dtype=np.complex128),
+                                np.zeros(n, dtype=np.complex128))
 
 
 def ip_functional(kind: str, w: HVec, c: HVec) -> FunctionalJet:
@@ -120,18 +135,21 @@ def ip_functional(kind: str, w: HVec, c: HVec) -> FunctionalJet:
     kind 'fcw' : f -> inner(f*, w)  gradients (0, conj(w))
     kind 'wfc' : f -> inner(w, f*)  gradients (w, 0)
     """
-    w = np.asarray(w)
+    w = np.asarray(w, dtype=np.complex128)
     c = np.asarray(c)
     _check_same_dim(w, c)
+    if w.ndim != 1:
+        raise DimensionMismatch(f"expected 1-D vectors, got shape {w.shape}")
+    # every slot array is made here: w itself may be the caller's array
     zero = np.zeros_like(w)
     if kind == "fw":
-        return FunctionalJet(inner(c, w), np.conj(w), zero)
+        return FunctionalJet._fresh(inner(c, w), np.conj(w), zero)
     if kind == "wf":
-        return FunctionalJet(inner(w, c), zero, w)
+        return FunctionalJet._fresh(inner(w, c), zero, w.copy())
     if kind == "fcw":
-        return FunctionalJet(inner(np.conj(c), w), zero, np.conj(w))
+        return FunctionalJet._fresh(inner(np.conj(c), w), zero, np.conj(w))
     if kind == "wfc":
-        return FunctionalJet(inner(w, np.conj(c)), w, zero)
+        return FunctionalJet._fresh(inner(w, np.conj(c)), w.copy(), zero)
     raise ValueError(f"unknown inner-product kind {kind!r}")
 
 

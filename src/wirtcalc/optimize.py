@@ -205,12 +205,13 @@ class LeastSquaresProgram:
     (widely linear stacks the sample with its conjugate so the parameter
     holds both filter halves).
 
-    Calling the program evaluates value and both gradients with matrix
-    arithmetic; ``eval_assembled`` builds the same jet sample-by-sample from
-    the inner-product rules and the product-with-conjugate algebra, and the
-    test suite pins the two paths together.  The methods import numpy and
-    ``hilbert`` when called, so a process that builds no program loads
-    neither.
+    Calling the program takes two matrix-vector products, the residual
+    ``r = d - W conj(c)`` and ``grad_fc = -W^T conj(r)``; ``grad_f`` is its
+    conjugate ``-W^H r``, as for every real-valued cost.  ``eval_assembled``
+    builds the same jet sample-by-sample from the inner-product rules and
+    the product-with-conjugate algebra, and the test suite pins the two
+    paths together.  The methods import numpy and ``hilbert`` when called,
+    so a process that builds no program loads neither.
     """
 
     def __init__(self, X: Sequence, d: Sequence[complex],
@@ -254,9 +255,8 @@ class LeastSquaresProgram:
         from . import hilbert as hb
         r = self.residuals(c)
         value = complex(np.vdot(r, r).real)
-        grad_f = -(np.conj(self._W).T @ r)
         grad_fc = -(self._W.T @ np.conj(r))
-        return hb.FunctionalJet(value, grad_f, grad_fc)
+        return hb.FunctionalJet(value, np.conj(grad_fc), grad_fc)
 
     def eval_assembled(self, c: hb.HVec) -> hb.FunctionalJet:
         import numpy as np

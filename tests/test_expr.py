@@ -297,15 +297,32 @@ def _fuzz_inputs(rng, count):
             yield "".join(rng.choice(tokens) for _ in range(n))
 
 
-def test_fuzz_parser_smoke():
-    rng = random.Random(404)
-    for text in _fuzz_inputs(rng, 10_000):
+#: wall-time bound on parsing one fuzz input
+PARSE_BOUND_S = 0.01
+
+
+def _parse_seconds(text: str) -> float:
+    """Wall time to parse ``text`` (a syntax error counts as a parse).  A
+    time over PARSE_BOUND_S is measured up to twice more and the fastest
+    kept: a descheduled process or a GC pause slows one call, while a
+    parser that is slow on the input is slow on every call."""
+    best = float("inf")
+    for _ in range(3):
         start = time.perf_counter()
         try:
             parse(text)
         except ExprSyntaxError:
             pass
-        assert time.perf_counter() - start < 0.01
+        best = min(best, time.perf_counter() - start)
+        if best < PARSE_BOUND_S:
+            break
+    return best
+
+
+def test_fuzz_parser_smoke():
+    rng = random.Random(404)
+    for text in _fuzz_inputs(rng, 10_000):
+        assert _parse_seconds(text) < PARSE_BOUND_S
 
 
 def test_deep_nesting_is_rejected_not_crashing():

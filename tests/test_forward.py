@@ -145,6 +145,16 @@ def test_primitive_domain_errors():
             fw.apply_primitive(name, zero)
 
 
+def test_abs_partials_beyond_twice_the_largest_float():
+    # 2|v| overflows here; the partials are conj(u)/2 and u/2, u = v/|v|
+    v = 1e308 + 1e308j
+    u = v / abs(v)
+    for order in (1, 2):
+        j = eval_jet("abs(z)", v, order=order)
+        for got, want in ((j.dz, u.conjugate() / 2), (j.dzc, u / 2)):
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+
 @pytest.mark.parametrize("name", sorted(fw.PRIMITIVES))
 def test_primitive_table_against_fd(name):
     expr = f"{name}(z)"

@@ -180,11 +180,45 @@ def test_jet_dimension_mismatch(np_rng):
     results = [op(a, b) for op in rules] + [
         fw.neg(a), fw.conj(a), fw.power_int(a, 0),
         fw.power_int(a, -2), fw.apply_primitive("sin", a),
-        hb.outer_chain("z*conj(z)", a)]
+        hb.outer_chain("z*conj(z)", a), hb.functional_constant(2, 3)]
     for j in results:
         assert isinstance(j, hb.FunctionalJet) and j.dim == 3
-        for slot in (j.dz, j.dzc):
-            assert slot.dtype == np.complex128 and not slot.flags.writeable
+        assert_frozen_slots(j)
+    with pytest.raises(DimensionMismatch):
+        hb.ip_functional("fw", np.ones((2, 2)), np.ones((2, 2)))
+
+
+def assert_frozen_slots(j):
+    for slot in (j.dz, j.dzc):
+        assert slot.dtype == np.complex128 and slot.ndim == 1
+        assert not slot.flags.writeable
+
+
+def test_constructor_copies_caller_arrays(np_rng):
+    a = np_rng.standard_normal(3) + 1j * np_rng.standard_normal(3)
+    b = np_rng.standard_normal(3) + 1j * np_rng.standard_normal(3)
+    j = hb.FunctionalJet(1 + 0j, a, b)
+    assert_frozen_slots(j)
+    for arr in (a, b):
+        assert arr.flags.writeable
+        assert not any(np.shares_memory(arr, s) for s in (j.dz, j.dzc))
+
+
+@pytest.mark.parametrize("kind", ["fw", "wf", "fcw", "wfc"])
+def test_ip_functional_leaves_caller_arrays_alone(kind, np_rng):
+    w = np_rng.standard_normal(4) + 1j * np_rng.standard_normal(4)
+    c = np_rng.standard_normal(4) + 1j * np_rng.standard_normal(4)
+    j = hb.ip_functional(kind, w, c)
+    assert_frozen_slots(j)
+    for arr in (w, c):
+        assert arr.flags.writeable
+        assert not any(np.shares_memory(arr, s) for s in (j.dz, j.dzc))
+    # float and int coordinates give complex128 slots with the same values
+    for real_w in (w.real.copy(), np.arange(1, 5)):
+        j = hb.ip_functional(kind, real_w, c.real.copy())
+        assert_frozen_slots(j)
+        assert j == hb.ip_functional(kind, real_w.astype(complex),
+                                     c.real.astype(complex))
 
 
 def test_power_int_zero_keeps_the_jet_kind(np_rng):

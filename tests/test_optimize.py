@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from test_hilbert import assert_frozen_slots
 from wirtcalc import hilbert as hb
 from wirtcalc.errors import (DimensionMismatch, EmptyData, NonRealCost,
                              SingularHessian)
@@ -242,6 +243,22 @@ def test_assembled_matches_vectorized(np_rng):
             assert abs(fast.value - ref.value) <= 1e-12 * (1 + abs(ref.value))
             assert np.linalg.norm(fast.grad_f - ref.grad_f) <= 1e-10
             assert np.linalg.norm(fast.grad_fc - ref.grad_fc) <= 1e-10
+
+
+def test_least_squares_gradients_are_a_conjugate_pair(np_rng):
+    X, a0, b0, d = wl_problem(np_rng, n=3, m=8)
+    for wl in (False, True):
+        prog = build_least_squares(list(X), list(d), widely_linear=wl)
+        W = np.hstack([X, np.conj(X)]) if wl else X
+        c = (np_rng.standard_normal(prog.n_params)
+             + 1j * np_rng.standard_normal(prog.n_params))
+        jet = prog(c)
+        assert np.array_equal(jet.grad_f, np.conj(jet.grad_fc))
+        want = -(np.conj(W).T @ (d - W @ np.conj(c)))
+        assert (np.linalg.norm(jet.grad_f - want)
+                <= 1e-13 * np.linalg.norm(want))
+        assert_frozen_slots(jet)
+        assert_frozen_slots(prog.eval_assembled(c))
 
 
 def test_least_squares_jet_matches_fd(np_rng):
