@@ -156,10 +156,20 @@ def _complex_list(entries, key: str) -> list[complex]:
 
 def _load_data_file(path: str):
     """``{"X": [[[re, im], ...], ...], "d": [[re, im], ...]}`` as the sample
-    rows and targets; raises EmptyData for a missing or empty key and
-    DimensionMismatch for an entry that is not an [re, im] pair."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    rows and targets; raises ExprSyntaxError for a file that is not UTF-8
+    JSON, EmptyData for a missing or empty key and DimensionMismatch for an
+    entry that is not an [re, im] pair."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ExprSyntaxError(f"data file {path!r} is not UTF-8: {exc.reason}",
+                              exc.start) from None
+    except json.JSONDecodeError as exc:
+        raise ExprSyntaxError(f"data file {path!r} is not valid JSON: "
+                              f"{exc.msg} at line {exc.lineno} column "
+                              f"{exc.colno}", exc.pos) from None
     for key in ("X", "d"):
         if not (isinstance(payload, dict) and isinstance(payload.get(key), list)
                 and payload[key]):

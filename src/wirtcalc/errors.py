@@ -15,8 +15,9 @@ class PoleError(WirtcalcError):
 
 
 class ExprSyntaxError(WirtcalcError):
-    """Malformed expression text.  ``offset`` is the byte offset of the
-    first character that could not be consumed."""
+    """Malformed expression text, or a data file that is not UTF-8 JSON.
+    ``offset`` is the offset of the first character (for a file that is
+    not UTF-8, the first byte) that could not be consumed."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")

@@ -9,11 +9,17 @@ z* held formally constant and ``dzc`` the derivative with z held constant:
 The derivative slots may also hold arrays: ``hilbert.FunctionalJet`` is a
 ``WirtingerJet`` whose slots are the gradient vectors of a functional on
 C^n, and every rule here builds its result with its operand's ``_fresh``
-hook, so one rule set serves scalar and Hilbert-space jets.  For a scalar
-jet the hook is the class itself; for a functional jet it freezes the
-arrays the rule has just computed in place of copying them.  The binary
-rules raise DimensionMismatch unless both operands are scalar jets or both
-are vector jets of the same dimension.
+hook, so one rule set serves scalar and Hilbert-space jets.  The hook is a
+slot filler: it makes the instance with ``object.__new__`` and stores each
+slot through the slot descriptor, skipping the dataclass ``__init__``; for
+a functional jet it also freezes the arrays the rule has just computed in
+place of copying them.  A result equals, prints and pickles like the
+publicly constructed jet with the same slots, and is frozen like it; the
+public constructors are unchanged: ``FunctionalJet(...)`` keeps its
+conversion, shape checks and copies for arrays a caller passes in.
+
+The binary rules raise DimensionMismatch unless both operands are scalar
+jets or both are vector jets of the same dimension.
 
 Everything here is a pure function of its inputs; jets are immutable and can
 be shared freely between threads.  Jets do not remember their base point:
@@ -57,8 +63,26 @@ class WirtingerJet:
     dzc: complex
 
 
+# Rule results skip the dataclass __init__ (which sets each field through
+# object.__setattr__): a filler makes the instance and stores each slot with
+# its descriptor's __set__.  Unrolled, because a loop over the setters costs
+# as much as the __init__ it replaces.
+_new = object.__new__
+_set_value = WirtingerJet.value.__set__
+_set_dz = WirtingerJet.dz.__set__
+_set_dzc = WirtingerJet.dzc.__set__
+
+
+def _fill(value, dz, dzc) -> WirtingerJet:
+    j = _new(WirtingerJet)
+    _set_value(j, value)
+    _set_dz(j, dz)
+    _set_dzc(j, dzc)
+    return j
+
+
 # result constructor of the rules; hilbert.FunctionalJet has its own
-WirtingerJet._fresh = WirtingerJet
+WirtingerJet._fresh = staticmethod(_fill)
 
 
 def _mismatch(a: WirtingerJet, b: WirtingerJet) -> DimensionMismatch:

@@ -5,7 +5,11 @@ Vectors are 1-D ``complex128`` numpy arrays, frozen so every value handed
 around is immutable.  An array a caller passes in is copied where it enters
 (``hvec``, the ``FunctionalJet`` constructor, ``ip_functional``) and never
 frozen or shared; the arrays a rule of ``forward`` computes for its result
-are new, so they are frozen in place instead of copied.  The inner product is
+are new, so they are frozen in place instead of copied.  Rule results
+(``forward``'s rules, ``ip_functional``, ``functional_constant``) come from
+``FunctionalJet._fresh``, the slot filler of ``forward`` plus that freeze;
+the public ``FunctionalJet(value, dz, dzc)`` keeps its conversion, shape
+checks and copies.  The inner product is
 linear in the FIRST argument and conjugate-linear in the second,
 
     inner(f, g) = sum_k f_k * conj(g_k),
@@ -38,6 +42,7 @@ from . import forward as fw
 from .errors import DimensionMismatch, DomainError, StepTooSmall
 from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, MIN_STEP, HolomorphyReport,
                       fd_partials, holomorphy_report, wirtinger_pair)
+from .forward import _new, _set_dz, _set_dzc, _set_value
 
 HVec = np.ndarray
 
@@ -45,7 +50,7 @@ Functional = Callable[[HVec], "FunctionalJet"]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -101,12 +106,15 @@ class FunctionalJet(fw.WirtingerJet):
     def _fresh(value, dz, dzc) -> FunctionalJet:
         """Jet from slot arrays nothing else holds: 1-D complex128 of one
         shape, such as a ``forward`` rule computes from frozen slots.  They
-        are frozen in place; the constructor's copy and checks are for
-        arrays a caller passes in."""
-        j = object.__new__(FunctionalJet)
-        object.__setattr__(j, "value", complex(value))
-        object.__setattr__(j, "dz", _freeze(dz))
-        object.__setattr__(j, "dzc", _freeze(dzc))
+        are frozen in place and stored by the slot filler of ``forward``;
+        the constructor's copy and checks are for arrays a caller passes
+        in."""
+        j = _new(FunctionalJet)
+        _set_value(j, complex(value))
+        dz.setflags(write=False)
+        _set_dz(j, dz)
+        dzc.setflags(write=False)
+        _set_dzc(j, dzc)
         return j
 
     @property
@@ -137,19 +145,22 @@ def ip_functional(kind: str, w: HVec, c: HVec) -> FunctionalJet:
     """
     w = np.asarray(w, dtype=np.complex128)
     c = np.asarray(c)
-    _check_same_dim(w, c)
-    if w.ndim != 1:
-        raise DimensionMismatch(f"expected 1-D vectors, got shape {w.shape}")
-    # every slot array is made here: w itself may be the caller's array
-    zero = np.zeros_like(w)
+    if w.ndim != 1 or c.shape != w.shape:
+        raise DimensionMismatch(
+            f"expected two 1-D vectors of one dimension, got shapes "
+            f"{w.shape} and {c.shape}")
+    # every slot array is made here: w itself may be the caller's array;
+    # each value is the inner(...) of the docstring, vdot(g, f) for
+    # inner(f, g)
+    zero = np.zeros(w.shape[0], dtype=np.complex128)
     if kind == "fw":
-        return FunctionalJet._fresh(inner(c, w), np.conj(w), zero)
+        return FunctionalJet._fresh(np.vdot(w, c), np.conj(w), zero)
     if kind == "wf":
-        return FunctionalJet._fresh(inner(w, c), zero, w.copy())
+        return FunctionalJet._fresh(np.vdot(c, w), zero, w.copy())
     if kind == "fcw":
-        return FunctionalJet._fresh(inner(np.conj(c), w), zero, np.conj(w))
+        return FunctionalJet._fresh(np.vdot(w, np.conj(c)), zero, np.conj(w))
     if kind == "wfc":
-        return FunctionalJet._fresh(inner(w, np.conj(c)), w.copy(), zero)
+        return FunctionalJet._fresh(np.vdot(np.conj(c), w), w.copy(), zero)
     raise ValueError(f"unknown inner-product kind {kind!r}")
 
 

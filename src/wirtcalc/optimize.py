@@ -18,6 +18,7 @@ first runs.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import json
 import logging
@@ -111,13 +112,23 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
              x0, cfg: DescentConfig) -> DescentTrace:
     """Shared loop: scalar and Hilbert descent differ only in the callbacks.
     ``jet_of(x)`` returns a jet whose ``dzc`` slot is the gradient to step
-    against; ``value_of(x)`` the bare cost, for the line search."""
+    against; ``value_of(x)`` the bare cost, for the line search.
+
+    The trace records finite costs and gradient norms only.  A cost or
+    gradient that is out of its domain or not finite raises DomainError
+    at the start and ends the run as DIVERGED later, without recording
+    the iterate."""
     trace = DescentTrace()
     x = x0
     initial_cost = None
     for k in range(cfg.max_iter + 1):
         try:
             jet = jet_of(x)
+            grad = jet.dzc
+            gn = grad_norm_of(grad)
+            if not (cmath.isfinite(jet.value) and math.isfinite(gn)):
+                raise DomainError(f"cost {jet.value!r} or gradient norm "
+                                  f"{gn!r} is not finite")
         except (DomainError, PoleError):
             if k == 0:
                 raise
@@ -126,15 +137,13 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
             return trace
         tol_imag = IMAG_TOL_START if k == 0 else IMAG_TOL_DRIFT
         cost = _check_real(jet.value, tol_imag)
-        grad = jet.dzc
-        gn = grad_norm_of(grad)
         trace.iterates.append(x)
         trace.costs.append(cost)
         trace.grad_norms.append(gn)
         log.debug("iter %d: cost=%.6e grad_norm=%.6e", k, cost, gn)
         if initial_cost is None:
             initial_cost = cost
-        if not math.isfinite(cost) or cost > DIVERGENCE_FACTOR * abs(initial_cost) + 1e-30:
+        if cost > DIVERGENCE_FACTOR * abs(initial_cost) + 1e-30:
             trace.termination = Termination.DIVERGED
             return trace
         if gn < cfg.tol:
@@ -185,13 +194,16 @@ def steepest_descent_hilbert(cost: hb.Functional, f0: hb.HVec,
 
     from . import hilbert as hb
     f0 = hb.hvec(f0)
-    return _descend(
-        value_of=lambda f: cost(f).value,
-        jet_of=cost,
-        grad_norm_of=lambda g: float(np.linalg.norm(g)),
-        x0=f0,
-        cfg=cfg,
-    )
+    # the loop checks every cost and gradient norm it records, so numpy's
+    # overflow and invalid-value warnings would only repeat that check
+    with np.errstate(all="ignore"):
+        return _descend(
+            value_of=lambda f: cost(f).value,
+            jet_of=cost,
+            grad_norm_of=lambda g: float(np.linalg.norm(g)),
+            x0=f0,
+            cfg=cfg,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -231,6 +243,8 @@ class LeastSquaresProgram:
         if d.shape[0] != len(rows):
             raise DimensionMismatch(
                 f"{len(rows)} samples but {d.shape[0]} targets")
+        if not np.all(np.isfinite(d)):
+            raise DomainError("a least-squares target is not finite")
         self.widely_linear = bool(widely_linear)
         self.n_features = n
         base = np.vstack(rows)
@@ -256,7 +270,8 @@ class LeastSquaresProgram:
         r = self.residuals(c)
         value = complex(np.vdot(r, r).real)
         grad_fc = -(self._W.T @ np.conj(r))
-        return hb.FunctionalJet(value, np.conj(grad_fc), grad_fc)
+        # both slot arrays are new: frozen in place, not copied
+        return hb.FunctionalJet._fresh(value, np.conj(grad_fc), grad_fc)
 
     def eval_assembled(self, c: hb.HVec) -> hb.FunctionalJet:
         import numpy as np

@@ -7,6 +7,10 @@ A ``SecondOrderJet`` stores the six derivative slots
 as a flat record; the last four are the 2x2 block ``matrix``.  Both mixed
 slots are kept: for twice-differentiable inputs they agree and the gap is a
 free smoothness diagnostic.  ``expr.eval_jet(e, c, order=2)`` builds one.
+The rules build their results with a slot filler (``object.__new__`` plus
+the seven slot descriptors) instead of the dataclass ``__init__``; the
+result equals, prints and pickles like ``SecondOrderJet(...)`` of the same
+slots and is frozen like it; that public constructor is unchanged.
 
 The rules below are the first-order rules differentiated once more, with
 no pole checks: ``expr.eval_jet`` reports their ZeroDivisionError at a pole
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .forward import PRIMITIVES, WirtingerJet, _require_finite
+from .forward import PRIMITIVES, WirtingerJet, _new, _require_finite
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,6 +52,29 @@ class SecondOrderJet:
 
 _ZERO = 0.0 + 0.0j
 
+# The rules build their results with a slot filler instead of the dataclass
+# __init__, which sets the 7 fields through object.__setattr__; see
+# forward._fill.  Unrolled, like it.
+_set_value = SecondOrderJet.value.__set__
+_set_dz = SecondOrderJet.dz.__set__
+_set_dzc = SecondOrderJet.dzc.__set__
+_set_dzz = SecondOrderJet.dzz.__set__
+_set_dzzc = SecondOrderJet.dzzc.__set__
+_set_dzcz = SecondOrderJet.dzcz.__set__
+_set_dzczc = SecondOrderJet.dzczc.__set__
+
+
+def _fill(value, dz, dzc, dzz, dzzc, dzcz, dzczc) -> SecondOrderJet:
+    j = _new(SecondOrderJet)
+    _set_value(j, value)
+    _set_dz(j, dz)
+    _set_dzc(j, dzc)
+    _set_dzz(j, dzz)
+    _set_dzzc(j, dzzc)
+    _set_dzcz(j, dzcz)
+    _set_dzczc(j, dzczc)
+    return j
+
 
 def seed_variable2(c: complex) -> SecondOrderJet:
     return SecondOrderJet(_require_finite(c, "seed point"), 1.0 + 0.0j,
@@ -60,25 +87,25 @@ def constant2(k: complex) -> SecondOrderJet:
 
 
 def add2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
-    return SecondOrderJet(a.value + b.value, a.dz + b.dz, a.dzc + b.dzc,
-                          a.dzz + b.dzz, a.dzzc + b.dzzc,
-                          a.dzcz + b.dzcz, a.dzczc + b.dzczc)
+    return _fill(a.value + b.value, a.dz + b.dz, a.dzc + b.dzc,
+                 a.dzz + b.dzz, a.dzzc + b.dzzc,
+                 a.dzcz + b.dzcz, a.dzczc + b.dzczc)
 
 
 def sub2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
-    return SecondOrderJet(a.value - b.value, a.dz - b.dz, a.dzc - b.dzc,
-                          a.dzz - b.dzz, a.dzzc - b.dzzc,
-                          a.dzcz - b.dzcz, a.dzczc - b.dzczc)
+    return _fill(a.value - b.value, a.dz - b.dz, a.dzc - b.dzc,
+                 a.dzz - b.dzz, a.dzzc - b.dzzc,
+                 a.dzcz - b.dzcz, a.dzczc - b.dzczc)
 
 
 def neg2(a: SecondOrderJet) -> SecondOrderJet:
-    return SecondOrderJet(-a.value, -a.dz, -a.dzc,
-                          -a.dzz, -a.dzzc, -a.dzcz, -a.dzczc)
+    return _fill(-a.value, -a.dz, -a.dzc,
+                 -a.dzz, -a.dzzc, -a.dzcz, -a.dzczc)
 
 
 def mul2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
     av, bv = a.value, b.value
-    return SecondOrderJet(
+    return _fill(
         av * bv,
         a.dz * bv + av * b.dz,
         a.dzc * bv + av * b.dzc,
@@ -96,7 +123,7 @@ def div2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
     v3 = v2 * v
     nz = a.dz * v - av * b.dz     # numerator of d(a/b)/dz
     nzc = a.dzc * v - av * b.dzc
-    return SecondOrderJet(
+    return _fill(
         av / v,
         nz / v2,
         nzc / v2,
@@ -112,10 +139,10 @@ def div2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
 def power_int2(a: SecondOrderJet, k: int) -> SecondOrderJet:
     v = a.value
     if k == 0:
-        return SecondOrderJet(v ** 0, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+        return _fill(v ** 0, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
     g = k * v ** (k - 1)
     gg = _ZERO if k == 1 else k * (k - 1) * v ** (k - 2)
-    return SecondOrderJet(
+    return _fill(
         v ** k,
         g * a.dz,
         g * a.dzc,
@@ -147,7 +174,7 @@ def apply_primitive2(name: str, a: SecondOrderJet) -> SecondOrderJet:
     q_z = gzcz * A + gzczc * Bc
     q_zc = gzcz * B + gzczc * Ac
 
-    return SecondOrderJet(
+    return _fill(
         value,
         gz * A + gzc * Bc,
         gz * B + gzc * Ac,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -237,14 +238,37 @@ def test_minimize_data_file(capsys, tmp_path, np_rng):
     ({"X": [[[1]]], "d": [[1, 0]]}, "[1]"),
     ({"X": [[[1, 0]]], "d": [[1, 0, 2]]}, "[1, 0, 2]"),
     ({"X": ["row"], "d": [[1, 0]]}, "'row'"),
-], ids=["no-d", "empty-X", "short-pair", "long-pair", "row-not-list"])
+    (b'{"X": [[[1,0]]], "d": [[1,0]', "not valid JSON: Expecting ','"),
+    (b"\xff\xfe", "not UTF-8"),
+], ids=["no-d", "empty-X", "short-pair", "long-pair", "row-not-list",
+        "truncated-json", "not-utf8"])
 def test_minimize_malformed_data_file_exits_2(capsys, tmp_path, payload,
                                               names):
     path = tmp_path / "lsq.json"
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+        names = f"{str(path)!r} is {names}"
+    else:
+        path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "minimize", "--data", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: data file") and names in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"X": [[[1, 0]]], "d": [[math.nan, 0]]},
+    {"X": [[[1, 0]], [[0, 1]]], "d": [[1, 0], [0, math.inf]]},
+    # finite data whose cost overflows at the start
+    {"X": [[[1, 0]], [[0, 1]]], "d": [[1e200, 0], [3e200, 1]]},
+], ids=["nan-target", "inf-target", "cost-overflow"])
+def test_minimize_non_finite_data_exits_3(capsys, tmp_path, payload):
+    path = tmp_path / "lsq.json"
+    path.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no numpy overflow warning
+        code, out, err = run(capsys, "minimize", "--data", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "not finite" in err
 
 
 def test_minimize_without_expression_or_data_fails(capsys):

@@ -1,13 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from test_hilbert import assert_frozen_slots
 from wirtcalc import hilbert as hb
-from wirtcalc.errors import (DimensionMismatch, EmptyData, NonRealCost,
-                             SingularHessian)
+from wirtcalc.errors import (DimensionMismatch, DomainError, EmptyData,
+                             NonRealCost, SingularHessian)
 from wirtcalc.optimize import (DescentConfig, DescentTrace, Termination,
                                build_least_squares, newton_step_scalar,
                                steepest_descent_hilbert,
@@ -230,6 +231,33 @@ def test_least_squares_validation():
     prog = build_least_squares([[1 + 0j, 0j]], [0j])
     with pytest.raises(DimensionMismatch):
         prog(np.zeros(3, dtype=complex))
+    for bad in (math.nan, complex(0, math.inf), -math.inf):
+        with pytest.raises(DomainError):
+            build_least_squares([[1 + 0j], [1j]], [1 + 0j, bad])
+
+
+def test_hilbert_descent_rejects_an_overflowing_start():
+    # |d|^2 overflows, so the cost at the start is inf
+    prog = build_least_squares([[1 + 0j], [1j]], [1e200 + 0j, 3e200 + 1j])
+    cfg = DescentConfig(mu=0.1, tol=1e-8, max_iter=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no numpy overflow warning
+        with pytest.raises(DomainError):
+            steepest_descent_hilbert(prog, np.zeros(1, dtype=complex), cfg)
+
+
+def test_hilbert_descent_step_into_overflow():
+    # the first step lands at 1e200, where the cost overflows: the run
+    # diverges and keeps only the finite start
+    prog = build_least_squares([[1 + 0j]], [1 + 0j])
+    cfg = DescentConfig(mu=1e200, tol=1e-8, max_iter=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = steepest_descent_hilbert(prog, np.zeros(1, dtype=complex),
+                                         cfg)
+    assert trace.termination is Termination.DIVERGED
+    assert trace.iterations == 0
+    assert trace.costs == [1.0] and trace.grad_norms == [1.0]
 
 
 def test_assembled_matches_vectorized(np_rng):
