@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 from .errors import (ArityError, DimensionMismatch, DomainError, EmptyData,
                      ExprSyntaxError, NonRealCost, PoleError, SingularHessian,
                      StepTooSmall, UnknownIdentifier, WirtcalcError)
-from .expr import Expr, eval_jet, format_expr, parse, parse_complex
+from .expr import (Expr, compile_expr, eval_jet, format_expr, parse,
+                   parse_complex)
 from .fdcheck import (HolomorphyReport, Verdict, classify, fd_partials,
                       fd_wirtinger)
 from .forward import (PRIMITIVES, WirtingerJet, add, apply_primitive, conj,
@@ -31,17 +32,17 @@ __all__ = [
     "ArityError", "DimensionMismatch", "DomainError", "EmptyData",
     "ExprSyntaxError", "NonRealCost", "PoleError", "SingularHessian",
     "StepTooSmall", "UnknownIdentifier", "WirtcalcError", "Expr",
-    "eval_jet", "format_expr", "parse", "parse_complex", "HolomorphyReport",
-    "Verdict", "classify", "fd_partials", "fd_wirtinger", "PRIMITIVES",
-    "WirtingerJet", "add", "apply_primitive", "conj", "constant", "div",
-    "linear_combine", "mul", "power_int", "seed_variable", "sub",
+    "compile_expr", "eval_jet", "format_expr", "parse", "parse_complex",
+    "HolomorphyReport", "Verdict", "classify", "fd_partials", "fd_wirtinger",
+    "PRIMITIVES", "WirtingerJet", "add", "apply_primitive", "conj", "constant",
+    "div", "linear_combine", "mul", "power_int", "seed_variable", "sub",
     "FunctionalJet", "GradientStack", "classify_functional", "fd_gradients",
     "fd_wirtinger_gradients", "functional_constant", "hvec", "inner",
     "ip_functional", "outer_chain", "squared_distance",
     "stack_vector_operator", "DescentConfig", "DescentTrace", "Termination",
     "build_least_squares", "newton_step_scalar", "steepest_descent_hilbert",
-    "steepest_descent_scalar", "SecondOrderJet",
-    "hessian_is_real_consistent", "second_order_taylor",
+    "steepest_descent_scalar", "SecondOrderJet", "hessian_is_real_consistent",
+    "second_order_taylor",
 ]
 
 #: names of ``hilbert`` (which needs numpy), bound on first access

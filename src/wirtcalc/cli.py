@@ -30,7 +30,7 @@ import sys
 from . import __version__
 from .errors import (DimensionMismatch, DomainError, EmptyData,
                      ExprSyntaxError, NonRealCost, PoleError, WirtcalcError)
-from .expr import eval_jet, format_expr, parse, parse_complex
+from .expr import compile_expr, eval_jet, format_expr, parse_complex
 from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, classify, fd_wirtinger,
                       holomorphy_report)
 from .optimize import (DescentConfig, Termination, build_least_squares,
@@ -61,7 +61,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _jet_report(expr_text: str, at: complex, order: int) -> dict:
-    e = parse(expr_text)
+    e = compile_expr(expr_text)
     report = {
         "schema": 1,
         "command": "diff",
@@ -91,7 +91,7 @@ def cmd_diff(args) -> int:
 
 def cmd_check(args) -> int:
     at = parse_complex(args.at)
-    e = parse(args.expr)
+    e = compile_expr(args.expr)
     j = eval_jet(e, at, order=1)
     w, cw = fd_wirtinger(e, at, args.step)
     verdict = holomorphy_report(w, cw, abs(w), abs(cw), DEFAULT_TOL)
@@ -120,7 +120,7 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     at = parse_complex(args.at)
-    e = parse(args.expr)
+    e = compile_expr(args.expr)
     rep = classify(e, at, step=args.step, tol=args.tol)
     report = {
         "schema": 1,
@@ -170,6 +170,9 @@ def _load_data_file(path: str):
         raise ExprSyntaxError(f"data file {path!r} is not valid JSON: "
                               f"{exc.msg} at line {exc.lineno} column "
                               f"{exc.colno}", exc.pos) from None
+    except (RecursionError, ValueError) as exc:  # too deep; too many digits
+        raise ExprSyntaxError(f"data file {path!r} is not readable JSON: "
+                              f"{exc}", 0) from None
     for key in ("X", "d"):
         if not (isinstance(payload, dict) and isinstance(payload.get(key), list)
                 and payload[key]):
@@ -210,7 +213,7 @@ def cmd_minimize(args) -> int:
         if args.expr is None:
             raise ExprSyntaxError("minimize needs an expression or --data", 0)
         z0 = parse_complex(getattr(args, "from"))
-        e = parse(args.expr)
+        e = compile_expr(args.expr)
         trace = steepest_descent_scalar(e, z0, cfg)
         report["expr"] = format_expr(e)
         report["from"] = _pair(z0)

@@ -23,9 +23,11 @@ that evaluation reports it).  Build ``Const(-5)`` rather than
 Number literals that overflow to inf are syntax errors.
 
 ASTs are immutable; parsing, printing and evaluation are pure functions.
-Printing and evaluation fold one non-recursive post-order walk, so the
-parser's nesting cap (200) and |k| <= 64 are the only size limits: a
-chain such as ``z+z+...+z`` of any length prints and evaluates.
+``compile_expr`` walks a tree once, without recursion, into a ``Tape`` of
+flat instructions that printing and evaluation replay in one loop.  So the
+nesting cap (200) and |k| <= 64 are the only size limits: a chain such as
+``z+z+...+z`` of any length prints and evaluates.  A caller that evaluates
+one expression at many points compiles it once and passes the tape.
 """
 
 from __future__ import annotations
@@ -330,61 +332,80 @@ def parse(text: str) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# tree walk
+# tape
 # --------------------------------------------------------------------------
 
-_BINARY = frozenset((Add, Sub, Mul, Div))
+# An instruction's code indexes a rule tuple (variable, constant, add, sub,
+# mul, div, neg, power, call).  Instructions without payload are shared.
+_BINARY = {Add: (2, None), Sub: (3, None), Mul: (4, None), Div: (5, None)}
 
 
-def _postorder(e: Expr) -> list:
-    """Every node of ``e``, children before parents and left before right,
-    walked without recursion.  This is the only code that knows which
-    fields hold a node's children; anything else is listed as a leaf."""
-    nodes, stack = [], [e]
+@dataclass(frozen=True, eq=False)
+class Tape:
+    """``tree`` compiled for repeated evaluation: its post-order as
+    ``(code, payload)`` instructions, the payload being a constant's value,
+    a power's exponent or a call's name.  ``==`` is identity."""
+
+    tree: Expr
+    ops: tuple
+
+
+def compile_expr(e) -> Tape:
+    """Tape of ``e`` (text, AST or tape, returned as is), built in one walk
+    without recursion; the only code that knows which fields hold children."""
+    if isinstance(e, Tape):
+        return e
+    if isinstance(e, str):
+        e = parse(e)
+    ops, stack = [], [e]
+    emit, push = ops.append, stack.append
     while stack:
         n = stack.pop()
-        nodes.append(n)
         t = type(n)
-        if t in _BINARY:
-            stack.append(n.left)
-            stack.append(n.right)
-        elif t is Neg:
-            stack.append(n.operand)
-        elif t is Pow:
-            stack.append(n.base)
+        if t is Var:
+            emit((0, None))
+        elif t is Const:
+            emit((1, n.value))
+        elif t in _BINARY:
+            emit(_BINARY[t])
+            push(n.left)
+            push(n.right)
         elif t is Call:
-            stack.append(n.arg)
-    nodes.reverse()
-    return nodes
+            emit((8, n.func))
+            push(n.arg)
+        elif t is Neg:
+            emit((6, None))
+            push(n.operand)
+        elif t is Pow:
+            emit((7, n.exponent))
+            push(n.base)
+        else:
+            raise TypeError(f"not an Expr node: {n!r}")
+    ops.reverse()
+    return Tape(e, tuple(ops))
 
 
-def _fold(e: Expr, c, rules):
-    """Build a result for ``e`` bottom-up with ``rules`` = (variable,
-    constant, add, sub, mul, div, neg, power, call), one per node kind.
-    ``variable(c)`` is made once and shared by every occurrence of z;
-    ``power`` also takes the exponent and ``call`` the function name."""
-    variable, constant, add, sub, mul, div, neg, power, call = rules
-    binary = {Add: add, Sub: sub, Mul: mul, Div: div}
+def _run(tape: Tape, c, rules):
+    """Replay ``tape`` with ``rules``; ``variable(c)`` is made once and
+    shared by every occurrence of z."""
+    variable, constant, _, _, _, _, neg, power, call = rules
     x = variable(c)
     stack = []
     push, pop = stack.append, stack.pop
-    for n in _postorder(e):
-        t = type(n)
-        if t is Var:
+    for code, p in tape.ops:
+        if code == 0:
             push(x)
-        elif t is Const:
-            push(constant(n.value))
-        elif t in binary:
+        elif code == 1:
+            push(constant(p))
+        elif code < 6:
             b = pop()
-            stack[-1] = binary[t](stack[-1], b)
-        elif t is Call:
-            stack[-1] = call(n.func, stack[-1])
-        elif t is Neg:
+            stack[-1] = rules[code](stack[-1], b)
+        elif code == 6:
             stack[-1] = neg(stack[-1])
-        elif t is Pow:
-            stack[-1] = power(stack[-1], n.exponent)
+        elif code == 7:
+            stack[-1] = power(stack[-1], p)
         else:
-            raise TypeError(f"not an Expr node: {n!r}")
+            stack[-1] = call(p, stack[-1])
     return stack[0]
 
 
@@ -443,16 +464,16 @@ _PRINT_RULES = (
 )
 
 
-def format_expr(e: Expr) -> str:
-    """Canonical minimal-parentheses rendering; ``parse(format_expr(e))``
-    is structurally equal to ``e`` for parser-producible trees."""
-    return _fold(e, None, _PRINT_RULES)[0]
+def format_expr(e) -> str:
+    """Canonical minimal-parentheses rendering of an AST (or tape);
+    ``parse(format_expr(e))`` is structurally equal to ``e`` for
+    parser-producible trees."""
+    return _run(compile_expr(e), None, _PRINT_RULES)[0]
 
 
 # --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
-
 
 _ORDER0 = (lambda c: c, lambda k: k, operator.add, operator.sub,
            operator.mul, operator.truediv, operator.neg, operator.pow,
@@ -470,7 +491,7 @@ _RULES = {
 
 
 def eval_jet(e, c: complex, order: int = 1):
-    """Evaluate expression ``e`` (AST or text) at the point ``c``.
+    """Evaluate expression ``e`` (text, AST or tape) at the point ``c``.
 
     order 0 returns the plain complex value, order 1 a WirtingerJet and
     order 2 a SecondOrderJet; the value slot is bitwise identical across
@@ -479,15 +500,14 @@ def eval_jet(e, c: complex, order: int = 1):
     anywhere in the tree raises PoleError; an overflow, a cmath domain
     failure or an inf/nan slot in the result raises DomainError.
     """
-    if isinstance(e, str):
-        e = parse(e)
+    tape = compile_expr(e)
     c = complex(c)
     if not cmath.isfinite(c):
         raise DomainError(f"non-finite evaluation point: {c!r}")
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     try:
-        r = _fold(e, c, _RULES[order]())
+        r = _run(tape, c, _RULES[order]())
     except ZeroDivisionError as exc:
         raise PoleError(f"division at a pole: {exc}") from None
     except (OverflowError, ValueError) as exc:
@@ -498,18 +518,18 @@ def eval_jet(e, c: complex, order: int = 1):
     return r
 
 
-def contains_variable(e: Expr) -> bool:
-    return any(type(n) is Var for n in _postorder(e))
+def contains_variable(e) -> bool:
+    return any(code == 0 for code, _ in compile_expr(e).ops)
 
 
 def parse_complex(text: str) -> complex:
     """Parse a variable-free expression (``1+2i``, ``-3i``, ``0.5``) into a
     complex number.  Shares the expression grammar and ``eval_jet``'s
     errors."""
-    e = parse(text)
-    if contains_variable(e):
+    tape = compile_expr(text)
+    if contains_variable(tape):
         raise ExprSyntaxError("expected a constant, found the variable z", 0)
-    return eval_jet(e, 0j, order=0)
+    return eval_jet(tape, 0j, order=0)
 
 
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import StepTooSmall
-from .expr import Expr, eval_jet
+from .expr import Expr, Tape, compile_expr, eval_jet
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
 MIN_STEP = 1e-12
 
-Evaluable = Union[Expr, str, Callable[[complex], complex]]
+Evaluable = Union[Expr, str, Tape, Callable[[complex], complex]]
 
 
 class Verdict(enum.Enum):
@@ -74,8 +74,8 @@ def wirtinger_pair(fx, fy):
 def _as_callable(f: Evaluable) -> Callable[[complex], complex]:
     if callable(f) and not isinstance(f, Expr):
         return f
-    expr = f
-    return lambda c: eval_jet(expr, c, order=0)
+    tape = compile_expr(f)
+    return lambda c: eval_jet(tape, c, order=0)
 
 
 def fd_partials(f: Evaluable, c: complex,
@@ -101,11 +101,12 @@ def classify(f: Evaluable, c: complex, step: float = DEFAULT_STEP,
              tol: float = DEFAULT_TOL) -> HolomorphyReport:
     """Threshold the finite-difference W/CW magnitudes at ``c``.
 
-    For expression inputs, an order-1 evaluation runs first so that
-    non-differentiable points (abs or arg at 0) surface an error instead of
-    a spurious verdict; opaque callables get no such precheck.
+    For expressions (text, AST or tape; compiled once), an order-1
+    evaluation runs first, so that non-differentiable points (abs or arg at
+    0) raise instead of giving a spurious verdict; callables get no check.
     """
-    if isinstance(f, (Expr, str)):
+    if isinstance(f, (Expr, str, Tape)):
+        f = compile_expr(f)
         eval_jet(f, c, order=1)
     w, cw = fd_wirtinger(f, c, step)
     return holomorphy_report(w, cw, abs(w), abs(cw), tol)

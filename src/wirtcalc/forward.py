@@ -93,12 +93,12 @@ def _mismatch(a: WirtingerJet, b: WirtingerJet) -> DimensionMismatch:
 
 def seed_variable(c: complex) -> WirtingerJet:
     """Jet of the identity function at ``c``: (c, 1, 0)."""
-    return WirtingerJet(_require_finite(c, "seed point"), 1.0 + 0.0j, 0.0 + 0.0j)
+    return _fill(_require_finite(c, "seed point"), 1.0 + 0.0j, 0.0 + 0.0j)
 
 
 def constant(k: complex) -> WirtingerJet:
     """Jet of the constant function ``k``: (k, 0, 0)."""
-    return WirtingerJet(_require_finite(k, "constant"), 0.0 + 0.0j, 0.0 + 0.0j)
+    return _fill(_require_finite(k, "constant"), 0.0 + 0.0j, 0.0 + 0.0j)
 
 
 # The binary rules check inline that both operands are scalar jets or both

@@ -102,6 +102,9 @@ class FunctionalJet(fw.WirtingerJet):
         object.__setattr__(self, "dz", _freeze(gf))
         object.__setattr__(self, "dzc", _freeze(gfc))
 
+    def __reduce__(self):  # numpy unpickles writeable arrays: re-freeze
+        return FunctionalJet, (self.value, self.dz, self.dzc)
+
     @staticmethod
     def _fresh(value, dz, dzc) -> FunctionalJet:
         """Jet from slot arrays nothing else holds: 1-D complex128 of one

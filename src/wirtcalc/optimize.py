@@ -24,7 +24,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import expr as ex
 from . import forward as fw
@@ -174,13 +174,14 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
     return trace
 
 
-def steepest_descent_scalar(cost: Union[str, ex.Expr], z0: complex,
+def steepest_descent_scalar(cost: str | ex.Expr | ex.Tape, z0: complex,
                             cfg: DescentConfig) -> DescentTrace:
-    """Minimize a real-valued expression in z, z* from the point ``z0``."""
-    e = ex.parse(cost) if isinstance(cost, str) else cost
+    """Minimize a real-valued expression in z, z* (text, AST or tape) from
+    the point ``z0``.  The cost is compiled once for the whole run."""
+    tape = ex.compile_expr(cost)
     return _descend(
-        value_of=lambda z: ex.eval_jet(e, z, order=0),
-        jet_of=lambda z: ex.eval_jet(e, z, order=1),
+        value_of=lambda z: ex.eval_jet(tape, z, order=0),
+        jet_of=lambda z: ex.eval_jet(tape, z, order=1),
         grad_norm_of=abs,
         x0=complex(z0),
         cfg=cfg,
@@ -300,7 +301,7 @@ DET_TOL = 1e-12
 NEWTON_CONJ_TOL = 1e-8
 
 
-def newton_step_scalar(cost: Union[str, ex.Expr], z: complex) -> complex:
+def newton_step_scalar(cost: str | ex.Expr | ex.Tape, z: complex) -> complex:
     """One Newton displacement for a real-valued cost: solve the 2x2 system
 
         [dzz  dzzc ] [dz_step ]     [dz ]
@@ -309,7 +310,8 @@ def newton_step_scalar(cost: Union[str, ex.Expr], z: complex) -> complex:
     from the quadratic model and return dz_step.  For a genuinely real cost
     the second row is the conjugate of the first, so the solved pair must be
     conjugate; a violation (like a singular or non-real block) raises
-    SingularHessian and callers should fall back to a gradient step.
+    SingularHessian and callers should fall back to a gradient step.  A
+    caller that steps repeatedly compiles ``cost`` (text, AST or tape) once.
     """
     j = ex.eval_jet(cost, complex(z), order=2)
     _check_real(j.value, IMAG_TOL_DRIFT)

@@ -77,13 +77,13 @@ def _fill(value, dz, dzc, dzz, dzzc, dzcz, dzczc) -> SecondOrderJet:
 
 
 def seed_variable2(c: complex) -> SecondOrderJet:
-    return SecondOrderJet(_require_finite(c, "seed point"), 1.0 + 0.0j,
-                          _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+    return _fill(_require_finite(c, "seed point"), 1.0 + 0.0j,
+                 _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
 
 
 def constant2(k: complex) -> SecondOrderJet:
-    return SecondOrderJet(_require_finite(k, "constant"), _ZERO,
-                          _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
+    return _fill(_require_finite(k, "constant"), _ZERO,
+                 _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
 
 
 def add2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:

@@ -18,7 +18,8 @@ PUBLIC_NAMES = [
     "ExprSyntaxError", "NonRealCost", "PoleError", "SingularHessian",
     "StepTooSmall", "UnknownIdentifier", "WirtcalcError",
     # expressions
-    "Expr", "eval_jet", "format_expr", "parse", "parse_complex",
+    "Expr", "compile_expr", "eval_jet", "format_expr", "parse",
+    "parse_complex",
     # finite-difference oracle and holomorphy verdicts
     "HolomorphyReport", "Verdict", "classify", "fd_partials", "fd_wirtinger",
     # first-order jet rules (scalar and Hilbert-space jets)

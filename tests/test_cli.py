@@ -240,8 +240,11 @@ def test_minimize_data_file(capsys, tmp_path, np_rng):
     ({"X": ["row"], "d": [[1, 0]]}, "'row'"),
     (b'{"X": [[[1,0]]], "d": [[1,0]', "not valid JSON: Expecting ','"),
     (b"\xff\xfe", "not UTF-8"),
+    (b"[" * 100_000, "not readable JSON: maximum recursion depth"),
+    (b'{"X": [[[1, 0]]], "d": [[' + b"9" * 5000 + b', 0]]}',
+     "not readable JSON: Exceeds the limit"),
 ], ids=["no-d", "empty-X", "short-pair", "long-pair", "row-not-list",
-        "truncated-json", "not-utf8"])
+        "truncated-json", "not-utf8", "nested-100k", "5000-digits"])
 def test_minimize_malformed_data_file_exits_2(capsys, tmp_path, payload,
                                               names):
     path = tmp_path / "lsq.json"

@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS, random_ast, sample_points
 from wirtcalc import expr as ex
+from wirtcalc import forward as fw
 from wirtcalc.errors import (ArityError, DomainError, ExprSyntaxError,
                              PoleError, UnknownIdentifier, WirtcalcError)
-from wirtcalc.expr import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var,
-                           eval_jet, format_expr, parse, parse_complex)
+from wirtcalc.expr import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Tape,
+                           Var, compile_expr, eval_jet, format_expr, parse,
+                           parse_complex)
+from wirtcalc.fdcheck import classify
+from wirtcalc.optimize import (DescentConfig, newton_step_scalar,
+                               steepest_descent_scalar)
 
 
 def test_parse_power():
@@ -167,20 +172,28 @@ CONTRACT_POINTS = [0j, -0j, 1e-200, -1e-200, 1e200, 1e200j, 1e10 + 1e9j,
                    1e-320, 1e-301, 0.7 + 0.3j, -1.2 + 0.8j]
 
 
+def _slots(r, order):
+    return ([r] if order == 0 else
+            [getattr(r, f.name) for f in dataclasses.fields(r)])
+
+
 @settings(max_examples=200)
 @given(st.integers(0, 2 ** 62))
 def test_eval_is_finite_or_a_library_error(seed):
     e = random_ast(random.Random(seed), 6)
+    tape = compile_expr(e)      # one tape, reused at every point and order
     for c in CONTRACT_POINTS:
         values = []
         for order in (0, 1, 2):
             try:
                 r = eval_jet(e, c, order)
-            except WirtcalcError:
+            except WirtcalcError as exc:
+                with pytest.raises(type(exc)):
+                    eval_jet(tape, c, order)
                 continue
-            slots = ([r] if order == 0 else
-                     [getattr(r, f.name) for f in dataclasses.fields(r)])
+            slots = _slots(r, order)
             assert all(map(cmath.isfinite, slots)), (format_expr(e), c, order)
+            assert repr(_slots(eval_jet(tape, c, order), order)) == repr(slots)
             values.append(slots[0])
         assert all(v == values[0] for v in values), (format_expr(e), c)
 
@@ -217,14 +230,15 @@ CHAIN_TERMS = 3000
 
 
 def test_long_chain_evaluates_at_every_order():
-    e = parse("+".join(["z"] * CHAIN_TERMS))
+    tree = parse("+".join(["z"] * CHAIN_TERMS))
     c = 0.25 + 0.5j
-    assert eval_jet(e, c, order=0) == CHAIN_TERMS * c
-    j1 = eval_jet(e, c, order=1)
-    assert (j1.value, j1.dz, j1.dzc) == (CHAIN_TERMS * c, CHAIN_TERMS, 0)
-    j2 = eval_jet(e, c, order=2)
-    assert (j2.value, j2.dz, j2.dzc) == (j1.value, j1.dz, j1.dzc)
-    assert (j2.dzz, j2.dzzc, j2.dzcz, j2.dzczc) == (0, 0, 0, 0)
+    for e in (tree, compile_expr(tree)):
+        assert eval_jet(e, c, order=0) == CHAIN_TERMS * c
+        j1 = eval_jet(e, c, order=1)
+        assert (j1.value, j1.dz, j1.dzc) == (CHAIN_TERMS * c, CHAIN_TERMS, 0)
+        j2 = eval_jet(e, c, order=2)
+        assert (j2.value, j2.dz, j2.dzc) == (j1.value, j1.dz, j1.dzc)
+        assert (j2.dzz, j2.dzzc, j2.dzcz, j2.dzczc) == (0, 0, 0, 0)
 
 
 def test_long_chain_round_trips_as_text():
@@ -328,3 +342,59 @@ def test_fuzz_parser_smoke():
 def test_deep_nesting_is_rejected_not_crashing():
     with pytest.raises(ExprSyntaxError):
         parse("(" * 5000 + "z" + ")" * 5000)
+
+
+# --------------------------------------------------------------------------
+# tapes
+# --------------------------------------------------------------------------
+
+def test_compile_accepts_text_ast_and_tape():
+    text = "z^3 - i*z + conj(z)^2"
+    tape = compile_expr(text)
+    assert isinstance(tape, Tape) and tape.tree == parse(text)
+    assert compile_expr(tape) is tape
+    assert compile_expr(parse(text)).ops == tape.ops
+    # post-order: children before parents, left before right
+    assert compile_expr("z*2+conj(z)").ops == (
+        (0, None), (1, 2 + 0j), (4, None), (0, None), (8, "conj"), (2, None))
+    assert format_expr(tape) == format_expr(parse(text))
+
+
+def test_tape_is_frozen():
+    tape = compile_expr("z*z")
+    for field in ("tree", "ops"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tape, field, None)
+
+
+def test_tape_run_looks_up_rebound_rules(monkeypatch):
+    tape = compile_expr("z*z + 1")
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return fw.WirtingerJet(a.value * b.value, 0j, 0j)
+
+    monkeypatch.setattr(fw, "mul", counting_mul)
+    j = eval_jet(tape, 3, order=1)
+    assert len(calls) == 1 and (j.value, j.dz) == (10, 0)
+
+
+DESCENT_COST = "abs2(z - (0.5-0.25i)) + 0.1*abs2(z)^2"
+NONHOLOMORPHIC = "z^2*conj(z) + exp(z)"
+
+
+@pytest.mark.parametrize("make", [str, parse, compile_expr],
+                         ids=["text", "ast", "tape"])
+def test_callers_agree_on_text_ast_and_tape(make):
+    cfg = DescentConfig(mu=0.2, max_iter=50)
+    trace = steepest_descent_scalar(make(DESCENT_COST), 1 + 1j, cfg)
+    want = steepest_descent_scalar(DESCENT_COST, 1 + 1j, cfg)
+    assert trace.iterations > 5
+    assert (trace.iterates, trace.costs, trace.grad_norms,
+            trace.termination) == (want.iterates, want.costs,
+                                   want.grad_norms, want.termination)
+    assert (newton_step_scalar(make(DESCENT_COST), 0.3j)
+            == newton_step_scalar(DESCENT_COST, 0.3j))
+    assert (classify(make(NONHOLOMORPHIC), 0.4 - 0.2j)
+            == classify(NONHOLOMORPHIC, 0.4 - 0.2j))

@@ -30,9 +30,12 @@ def assert_rule_result(j, cls, rule):
     for f in dataclasses.fields(j):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(j, f.name, 0j)
-    assert pickle.loads(pickle.dumps(j)) == j, rule
+    back = pickle.loads(pickle.dumps(j))
+    assert back == j, rule
     if cls is hb.FunctionalJet:
         assert_frozen_slots(j)
+        assert back.dz.flags.writeable is False, rule
+        assert back.dzc.flags.writeable is False, rule
 
 
 def forward_results(a, b):
