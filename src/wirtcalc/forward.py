@@ -8,18 +8,21 @@ z* held formally constant and ``dzc`` the derivative with z held constant:
 
 The derivative slots may also hold arrays: ``hilbert.FunctionalJet`` is a
 ``WirtingerJet`` whose slots are the gradient vectors of a functional on
-C^n, and every rule here builds its result with its operand's ``_fresh``
-hook, so one rule set serves scalar and Hilbert-space jets.  The hook is a
-slot filler: it makes the instance with ``object.__new__`` and stores each
-slot through the slot descriptor, skipping the dataclass ``__init__``; for
-a functional jet it also freezes the arrays the rule has just computed in
-place of copying them.  A result equals, prints and pickles like the
-publicly constructed jet with the same slots, and is frozen like it; the
-public constructors are unchanged: ``FunctionalJet(...)`` keeps its
-conversion, shape checks and copies for arrays a caller passes in.
+C^n, ``hilbert.JetStack`` holds m of them in (m,) and (n, m) slots that
+the rules broadcast over, and every rule here builds its result with its
+operand's ``_fresh`` hook, so one rule set serves all three kinds.  The
+hook is a slot filler: it makes the instance with ``object.__new__`` and
+stores each slot through the slot descriptor, skipping the dataclass
+``__init__``; for an array jet it also freezes the arrays the rule has
+just computed in place of copying them.  A result equals, prints and
+pickles like the publicly constructed jet with the same slots, and is
+frozen like it; the public constructors are unchanged:
+``FunctionalJet(...)`` keeps its conversion, shape checks and copies for
+arrays a caller passes in.
 
-The binary rules raise DimensionMismatch unless both operands are scalar
-jets or both are vector jets of the same dimension.
+The binary rules raise DimensionMismatch unless both operands are jets of
+one kind and dimension; ``div``, ``apply_primitive`` and scalar partials
+in ``chain`` take no JetStack, whose m values they would read as one.
 
 Everything here is a pure function of its inputs; jets are immutable and can
 be shared freely between threads.  Jets do not remember their base point:
@@ -169,7 +172,9 @@ def div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     ``b.value**2`` is 0."""
     cls = a.__class__
     if cls is not b.__class__ or (cls is not WirtingerJet
-                                  and a.dz.shape != b.dz.shape):
+                                  and (a.dz.shape != b.dz.shape
+                                       or a.dz.ndim != 1)):
+        # the pole test takes one value, and a JetStack holds m
         raise _mismatch(a, b)
     v = b.value
     v2 = v * v
@@ -187,9 +192,11 @@ def power_int(a: WirtingerJet, k: int) -> WirtingerJet:
     v = a.value
     if k == 0:
         # a**0 is 1 identically: exact zero slots, whatever a's slots hold
-        # (a list for a vector jet, which the checking constructor converts)
-        zero = 0.0 + 0.0j if a.__class__ is WirtingerJet else [0j] * len(a.dz)
-        return a.__class__(v ** 0, zero, zero)
+        if a.__class__ is WirtingerJet:
+            return _fill(v ** 0, 0.0 + 0.0j, 0.0 + 0.0j)
+        zero = a.dz.copy()
+        zero.fill(0)
+        return a._fresh(v ** 0, zero, zero.copy())
     try:
         g = k * v ** (k - 1)
     except ZeroDivisionError:
@@ -341,4 +348,7 @@ def apply_primitive(name: str, a: WirtingerJet) -> WirtingerJet:
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(
             f"{name} outside its domain at {v!r}: {exc}") from None
+    except TypeError:   # the m values of a hilbert.JetStack
+        raise DimensionMismatch(
+            f"{name} takes one value, got a {v.__class__.__name__}") from None
     return chain(value, gz, gzc, a)

@@ -7,10 +7,10 @@ around is immutable.  An array a caller passes in is copied where it enters
 frozen or shared; the arrays a rule of ``forward`` computes for its result
 are new, so they are frozen in place instead of copied.  Rule results
 (``forward``'s rules, ``ip_functional``, ``functional_constant``) come from
-``FunctionalJet._fresh``, the slot filler of ``forward`` plus that freeze;
-the public ``FunctionalJet(value, dz, dzc)`` keeps its conversion, shape
-checks and copies.  The inner product is
-linear in the FIRST argument and conjugate-linear in the second,
+``FunctionalJet._fresh`` or ``JetStack._fresh``, the slot filler of
+``forward`` plus that freeze; the public constructors keep their
+conversion, shape checks and copies.  The inner product is linear in the
+FIRST argument and conjugate-linear in the second,
 
     inner(f, g) = sum_k f_k * conj(g_k),
 
@@ -25,9 +25,11 @@ conj(w) with vanishing conjugate gradient.  A ``FunctionalJet`` is a
 
 so the scalar rules of ``forward`` (``add``, ``mul``, ``div``, ``conj``,
 ``apply_primitive``, ...) combine functional jets unchanged; the scalar
-calculus is the case n = 1.  ``fd_gradients`` is the independent oracle:
-coordinate-wise central differences along the real and imaginary unit
-directions.
+calculus is the case n = 1.  A ``JetStack`` of m functional jets lets a
+program that sums m terms (``squared_distance``, the assembled
+least-squares cost) apply each rule once over all of them.
+``fd_gradients`` is the independent oracle: coordinate-wise central
+differences along the real and imaginary unit directions.
 """
 
 from __future__ import annotations
@@ -85,25 +87,31 @@ class FunctionalJet(fw.WirtingerJet):
 
     __hash__ = None
 
+    # __eq__, __post_init__ and __reduce__ serve JetStack too
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.value == other.value
+        return (np.array_equal(self.value, other.value)
                 and np.array_equal(self.dz, other.dz)
                 and np.array_equal(self.dzc, other.dzc))
 
     def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-        gf = np.array(self.dz, dtype=np.complex128, copy=True)
-        gfc = np.array(self.dzc, dtype=np.complex128, copy=True)
-        if gf.ndim != 1 or gfc.shape != gf.shape:
+        value = np.array(self.value, dtype=np.complex128)
+        gf = np.array(self.dz, dtype=np.complex128)
+        gfc = np.array(self.dzc, dtype=np.complex128)
+        if (value.ndim != (self.__class__ is JetStack)
+                or gf.ndim != value.ndim + 1 or gf.shape[1:] != value.shape
+                or gfc.shape != gf.shape):
             raise DimensionMismatch(
-                f"gradient shapes differ: {gf.shape} vs {gfc.shape}")
+                f"slot shapes {value.shape}, {gf.shape} and {gfc.shape} do "
+                f"not make a {self.__class__.__name__}")
+        object.__setattr__(self, "value",
+                           _freeze(value) if value.ndim else complex(value))
         object.__setattr__(self, "dz", _freeze(gf))
         object.__setattr__(self, "dzc", _freeze(gfc))
 
     def __reduce__(self):  # numpy unpickles writeable arrays: re-freeze
-        return FunctionalJet, (self.value, self.dz, self.dzc)
+        return self.__class__, (self.value, self.dz, self.dzc)
 
     @staticmethod
     def _fresh(value, dz, dzc) -> FunctionalJet:
@@ -133,61 +141,119 @@ class FunctionalJet(fw.WirtingerJet):
         return self.dz.shape[0]
 
 
-def functional_constant(k: complex, n: int) -> FunctionalJet:
-    return FunctionalJet._fresh(k, np.zeros(n, dtype=np.complex128),
-                                np.zeros(n, dtype=np.complex128))
+@dataclass(frozen=True, slots=True, eq=False)
+class JetStack(fw.WirtingerJet):
+    """m functional jets on C^n at one point, in frozen complex128 slots:
+    ``value`` of shape (m,), ``dz``/``dzc`` of shape (n, m) with column k
+    holding jet k's gradients.  ``forward``'s add, sub, neg, mul, conj,
+    linear_combine, power_int and chain (given (m,) partials) broadcast over
+    the last axis: one call acts on all m jets.  Rules that need one value
+    (div, apply_primitive, outer_chain) raise DimensionMismatch, and so does
+    mixing with a FunctionalJet; a non-finite value raises DomainError."""
+
+    __hash__ = None
+    __eq__ = FunctionalJet.__eq__
+    __post_init__ = FunctionalJet.__post_init__
+    __reduce__ = FunctionalJet.__reduce__
+
+    @staticmethod
+    def _fresh(value, dz, dzc) -> JetStack:
+        """``FunctionalJet._fresh`` for stacks: slots frozen in place."""
+        if value.__class__ is not np.ndarray or value.shape != dz.shape[1:]:
+            raise DimensionMismatch(
+                f"a JetStack of {dz.shape[-1]} jets got the value {value!r}")
+        if not np.isfinite(value).all():
+            raise DomainError("a stacked jet has a non-finite value")
+        j = _new(JetStack)
+        value.setflags(write=False)
+        _set_value(j, value)
+        dz.setflags(write=False)
+        _set_dz(j, dz)
+        dzc.setflags(write=False)
+        _set_dzc(j, dzc)
+        return j
+
+    def total(self) -> FunctionalJet:
+        """The FunctionalJet of the sum of the m jets."""
+        return FunctionalJet._fresh(self.value.sum(), self.dz.sum(axis=1),
+                                    self.dzc.sum(axis=1))
 
 
-def ip_functional(kind: str, w: HVec, c: HVec) -> FunctionalJet:
+def functional_constant(k, n: int) -> FunctionalJet | JetStack:
+    """Jet of the constant functional ``k`` on C^n; a vector of m
+    constants gives their JetStack."""
+    k = np.array(k, dtype=np.complex128)
+    if k.ndim > 1:
+        raise DimensionMismatch(
+            f"expected a constant or a vector of them, got shape {k.shape}")
+    shape = (n,) + k.shape
+    return (JetStack if k.ndim else FunctionalJet)._fresh(
+        k, np.zeros(shape, dtype=np.complex128),
+        np.zeros(shape, dtype=np.complex128))
+
+
+def _vdot(a: np.ndarray, b: np.ndarray):
+    """np.vdot(a, b), row by row when one of the two is a row stack."""
+    if a.ndim == b.ndim:
+        return np.vdot(a, b)
+    return np.conj(a) @ b if a.ndim == 2 else b @ np.conj(a)
+
+
+def ip_functional(kind: str, w, c: HVec) -> FunctionalJet | JetStack:
     """Jet of one of the four inner-product functionals evaluated at ``c``.
 
     kind 'fw'  : f -> inner(f, w)   gradients (conj(w), 0)
     kind 'wf'  : f -> inner(w, f)   gradients (0, w)
     kind 'fcw' : f -> inner(f*, w)  gradients (0, conj(w))
     kind 'wfc' : f -> inner(w, f*)  gradients (w, 0)
+
+    A row stack ``w`` of shape (m, n) gives the JetStack of the m
+    functionals, one per row.
     """
     w = np.asarray(w, dtype=np.complex128)
-    c = np.asarray(c)
-    if w.ndim != 1 or c.shape != w.shape:
+    c = hvec(c)
+    if w.ndim not in (1, 2) or w.shape[-1:] != c.shape:
         raise DimensionMismatch(
-            f"expected two 1-D vectors of one dimension, got shapes "
-            f"{w.shape} and {c.shape}")
+            f"expected a vector or a row stack of dimension {c.shape[0]}, "
+            f"got shape {w.shape}")
     # every slot array is made here: w itself may be the caller's array;
     # each value is the inner(...) of the docstring, vdot(g, f) for
     # inner(f, g)
-    zero = np.zeros(w.shape[0], dtype=np.complex128)
+    cls = JetStack if w.ndim == 2 else FunctionalJet
+    wt = w.T
+    zero = np.zeros(wt.shape, dtype=np.complex128)
     if kind == "fw":
-        return FunctionalJet._fresh(np.vdot(w, c), np.conj(w), zero)
+        return cls._fresh(_vdot(w, c), np.conj(wt), zero)
     if kind == "wf":
-        return FunctionalJet._fresh(np.vdot(c, w), zero, w.copy())
+        return cls._fresh(_vdot(c, w), zero, wt.copy())
     if kind == "fcw":
-        return FunctionalJet._fresh(np.vdot(w, np.conj(c)), zero, np.conj(w))
+        return cls._fresh(_vdot(w, np.conj(c)), zero, np.conj(wt))
     if kind == "wfc":
-        return FunctionalJet._fresh(np.vdot(np.conj(c), w), w.copy(), zero)
+        return cls._fresh(_vdot(np.conj(c), w), wt.copy(), zero)
     raise ValueError(f"unknown inner-product kind {kind!r}")
 
 
 def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
     """Jet of S(T(f)) for a scalar outer function S given as an expression
     in z (and conj(z)); its scalar jet is evaluated at the value slot."""
+    if a.__class__ is JetStack:
+        raise DimensionMismatch("outer_chain takes one jet, not a JetStack")
     sj = ex.eval_jet(s, a.value, order=1)
     return fw.chain(sj.value, sj.dz, sj.dzc, a)
 
 
 def squared_distance(w: HVec) -> Functional:
-    """Program for f -> ||f - w||^2, assembled from coordinate projections
-    inner(f, e_j) and the product-with-conjugate rule."""
+    """Program for f -> ||f - w||^2 = sum_j |inner(f, e_j) - w_j|^2: the
+    coordinate projections inner(f, e_j) as one JetStack, the
+    product-with-conjugate rule applied once over all n terms, then their
+    total."""
     w = hvec(w)
     n = w.shape[0]
     basis = np.eye(n, dtype=np.complex128)
 
     def program(c: HVec) -> FunctionalJet:
-        total = functional_constant(0.0, n)
-        for j in range(n):
-            r = fw.sub(ip_functional("fw", basis[j], c),
-                       functional_constant(w[j], n))
-            total = fw.add(total, fw.mul(r, fw.conj(r)))
-        return total
+        r = fw.sub(ip_functional("fw", basis, c), functional_constant(w, n))
+        return fw.mul(r, fw.conj(r)).total()
 
     return program
 
@@ -203,7 +269,7 @@ def fd_gradients(T: Callable[[HVec], complex], c: HVec,
     directions; returns the complex-valued pair (grad1, grad2)."""
     if step < MIN_STEP:
         raise StepTooSmall(f"step {step:g} below {MIN_STEP:g}")
-    c = np.asarray(c, dtype=np.complex128)
+    c = hvec(c)
     n = c.shape[0]
     g1 = np.empty(n, dtype=np.complex128)
     g2 = np.empty(n, dtype=np.complex128)

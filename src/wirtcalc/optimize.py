@@ -221,10 +221,13 @@ class LeastSquaresProgram:
     Calling the program takes two matrix-vector products, the residual
     ``r = d - W conj(c)`` and ``grad_fc = -W^T conj(r)``; ``grad_f`` is its
     conjugate ``-W^H r``, as for every real-valued cost.  ``eval_assembled``
-    builds the same jet sample-by-sample from the inner-product rules and
-    the product-with-conjugate algebra, and the test suite pins the two
-    paths together.  The methods import numpy and ``hilbert`` when called,
-    so a process that builds no program loads neither.
+    builds the same jet from the inner-product rules and the
+    product-with-conjugate rule, each applied once to the ``JetStack`` of
+    all N samples' terms, and the test suite pins the two paths together.
+    A parameter that is not a finite vector of dimension ``n_params``
+    raises ``DimensionMismatch`` or ``DomainError``.  The methods import
+    numpy and ``hilbert`` when called, so a process that builds no program
+    loads neither.
     """
 
     def __init__(self, X: Sequence, d: Sequence[complex],
@@ -258,7 +261,9 @@ class LeastSquaresProgram:
 
     def residuals(self, c: hb.HVec) -> np.ndarray:
         import numpy as np
-        c = np.asarray(c, dtype=np.complex128)
+
+        from . import hilbert as hb
+        c = hb.hvec(c)
         if c.shape[0] != self.n_params:
             raise DimensionMismatch(
                 f"parameter has dimension {c.shape[0]}, need {self.n_params}")
@@ -275,16 +280,10 @@ class LeastSquaresProgram:
         return hb.FunctionalJet._fresh(value, np.conj(grad_fc), grad_fc)
 
     def eval_assembled(self, c: hb.HVec) -> hb.FunctionalJet:
-        import numpy as np
-
         from . import hilbert as hb
-        c = np.asarray(c, dtype=np.complex128)
-        total = hb.functional_constant(0.0, self.n_params)
-        for k in range(self._W.shape[0]):
-            ip = hb.ip_functional("wf", self._W[k], c)
-            r = fw.sub(hb.functional_constant(self._d[k], self.n_params), ip)
-            total = fw.add(total, fw.mul(r, fw.conj(r)))
-        return total
+        r = fw.sub(hb.functional_constant(self._d, self.n_params),
+                   hb.ip_functional("wf", self._W, c))
+        return fw.mul(r, fw.conj(r)).total()
 
 
 def build_least_squares(X: Sequence, d: Sequence[complex],

@@ -4,8 +4,9 @@ import pytest
 from wirtcalc import forward as fw
 from wirtcalc import hilbert as hb
 from wirtcalc.errors import (DimensionMismatch, DomainError, PoleError,
-                             StepTooSmall)
+                             StepTooSmall, WirtcalcError)
 from wirtcalc.fdcheck import Verdict
+from wirtcalc.optimize import build_least_squares
 
 
 def rand_vec(rng, n):
@@ -430,3 +431,229 @@ def test_stack_dimension_checks(np_rng):
             hb.functional_constant(1.0, 2),
             hb.functional_constant(1.0, 3),
         ])
+
+
+# --------------------------------------------------------------------------
+# stacked functional jets
+# --------------------------------------------------------------------------
+
+
+def rand_rows(rng, m, n):
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def stack_of(jets):
+    """The JetStack whose column k holds the slots of ``jets[k]``."""
+    return hb.JetStack([j.value for j in jets],
+                       np.column_stack([j.dz for j in jets]),
+                       np.column_stack([j.dzc for j in jets]))
+
+
+def assert_close(got, want, what, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    assert np.linalg.norm(got - want) <= tol * (1 + np.linalg.norm(want)), what
+
+
+def assert_columns(stack, jets, what):
+    """Column k of ``stack`` is ``jets[k]``; the total is their sum."""
+    assert stack.__class__ is hb.JetStack, what
+    assert stack.value.shape == (len(jets),), what
+    for k, j in enumerate(jets):
+        assert j.__class__ is hb.FunctionalJet, what
+        assert_close(stack.value[k], j.value, what)
+        assert_close(stack.dz[:, k], j.dz, what)
+        assert_close(stack.dzc[:, k], j.dzc, what)
+    total = stack.total()
+    assert total.__class__ is hb.FunctionalJet, what
+    assert_close(total.value, sum(j.value for j in jets), what)
+    assert_close(total.dz, sum(j.dz for j in jets), what)
+    assert_close(total.dzc, sum(j.dzc for j in jets), what)
+
+
+#: the rules that act on a JetStack column by column
+STACK_RULES = {
+    "add": fw.add,
+    "sub": fw.sub,
+    "neg": lambda a, b: fw.neg(a),
+    "mul": fw.mul,
+    "conj": lambda a, b: fw.conj(a),
+    "linear_combine": lambda a, b: fw.linear_combine(2 - 1j, a, 0.5j, b),
+    "power_int 0": lambda a, b: fw.power_int(a, 0),
+    "power_int 1": lambda a, b: fw.power_int(a, 1),
+    "power_int 3": lambda a, b: fw.power_int(a, 3),
+    "power_int -2": lambda a, b: fw.power_int(a, -2),
+    "apply_primitive conj": lambda a, b: fw.apply_primitive("conj", a),
+}
+
+
+def operand_stacks(np_rng, m, n):
+    """Two stacks of m jets on C^n with all four slots populated, and the
+    per-term jets they hold."""
+    W, V = rand_rows(np_rng, m, n), rand_rows(np_rng, m, n)
+    c = rand_vec(np_rng, n)
+    a = [fw.add(hb.ip_functional("fw", w, c), hb.ip_functional("wfc", v, c))
+         for w, v in zip(W, V)]
+    b = [fw.mul(hb.ip_functional("wf", v, c), hb.ip_functional("fcw", w, c))
+         for w, v in zip(W, V)]
+    return stack_of(a), stack_of(b), a, b
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_stack_rules_act_column_by_column(m, np_rng):
+    sa, sb, a, b = operand_stacks(np_rng, m, 3)
+    for name, rule in STACK_RULES.items():
+        assert_columns(rule(sa, sb), [rule(x, y) for x, y in zip(a, b)], name)
+    # chain with one pair of outer partials per column
+    vals = np.array([x.value for x in a])
+    got = fw.chain(np.exp(vals), np.exp(vals), 0.5 * vals, sa)
+    assert_columns(got, [fw.chain(np.exp(x.value), np.exp(x.value),
+                                  0.5 * x.value, x) for x in a], "chain")
+
+
+@pytest.mark.parametrize("kind", ["fw", "wf", "fcw", "wfc"])
+def test_stacked_rules_enter_through_the_public_names(kind, np_rng):
+    W, c = rand_rows(np_rng, 4, 3), rand_rows(np_rng, 1, 3)[0]
+    assert_columns(hb.ip_functional(kind, W, c),
+                   [hb.ip_functional(kind, w, c) for w in W], kind)
+    k = W[:, 0]
+    assert_columns(hb.functional_constant(k, 3),
+                   [hb.functional_constant(v, 3) for v in k], "constant")
+    for arr in (W, c, k):          # caller arrays are copied, not frozen
+        assert arr.flags.writeable
+    with pytest.raises(DimensionMismatch):
+        hb.functional_constant(np.ones((2, 2)), 3)
+    with pytest.raises(DimensionMismatch):
+        hb.ip_functional(kind, np.ones((2, 2, 3)), c)
+    with pytest.raises(DimensionMismatch):
+        hb.ip_functional(kind, W, np.ones(4))
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_stack_rules_that_need_one_value_raise(m, np_rng):
+    sa, sb, a, _ = operand_stacks(np_rng, m, 3)
+    calls = {
+        "div": lambda: fw.div(sa, sb),
+        "div by itself": lambda: fw.div(sa, sa),
+        "chain with scalar partials": lambda: fw.chain(1j, 2.0, 0.5j, sa),
+        "outer_chain": lambda: hb.outer_chain("z^2", sa),
+    }
+    for name in fw.PRIMITIVES:
+        if name != "conj":
+            calls[f"apply_primitive {name}"] = (
+                lambda name=name: fw.apply_primitive(name, sa))
+    one = a[0]
+    other = operand_stacks(np_rng, m + 1, 3)[0]
+    wider = operand_stacks(np_rng, m, 4)[0]
+    for rule in (fw.add, fw.sub, fw.mul, fw.div,
+                 lambda x, y: fw.linear_combine(2.0, x, -1j, y)):
+        for x, y in ((sa, one), (one, sa), (sa, other), (sa, wider),
+                     (sa, fw.constant(1.0)), (fw.constant(1.0), sa)):
+            calls[f"{rule} {x.__class__.__name__} {y.__class__.__name__}"] = (
+                lambda rule=rule, x=x, y=y: rule(x, y))
+    for name, call in calls.items():
+        with pytest.raises(WirtcalcError):
+            call()
+            pytest.fail(name)
+
+
+def test_stack_negative_power_at_a_zero_column_raises(np_rng):
+    sa, _, _, _ = operand_stacks(np_rng, 3, 2)
+    zero = fw.sub(sa, fw.linear_combine(1.0, sa, 0.0, sa))
+    assert not zero.value.any()
+    with np.errstate(all="ignore"):        # numpy's own 0 ** -2 warning
+        for k in (-1, -2):
+            with pytest.raises(DomainError):
+                fw.power_int(zero, k)
+    assert not fw.power_int(zero, 0).dz.any()
+
+
+def test_jet_stack_constructor_checks_and_copies(np_rng):
+    sa = operand_stacks(np_rng, 3, 2)[0]
+    value, dz = np.array(sa.value), np.array(sa.dz)
+    public = hb.JetStack(value, dz, sa.dzc)
+    assert public == sa and sa == public
+    assert value.flags.writeable and not np.shares_memory(value, public.value)
+    assert public != hb.JetStack(value + 1, dz, sa.dzc)
+    assert sa != hb.FunctionalJet(sa.value[0], sa.dz[:, 0], sa.dzc[:, 0])
+    for bad in ((value[0], dz, dz), (value, dz[:, :2], dz[:, :2]),
+                (value, dz, dz[:, :2]), (value, dz[0], dz[0])):
+        with pytest.raises(DimensionMismatch):
+            hb.JetStack(*bad)
+    with pytest.raises(DimensionMismatch):
+        hb.FunctionalJet(value, dz, dz)
+
+
+def per_term_squared_distance(w, c):
+    n = w.shape[0]
+    total = hb.functional_constant(0.0, n)
+    for j, e_j in enumerate(np.eye(n)):
+        r = fw.sub(hb.ip_functional("fw", e_j, c),
+                   hb.functional_constant(w[j], n))
+        total = fw.add(total, fw.mul(r, fw.conj(r)))
+    return total
+
+
+def per_term_least_squares(W, d, c):
+    total = hb.functional_constant(0.0, W.shape[1])
+    for w_k, d_k in zip(W, d):
+        r = fw.sub(hb.functional_constant(d_k, W.shape[1]),
+                   hb.ip_functional("wf", w_k, c))
+        total = fw.add(total, fw.mul(r, fw.conj(r)))
+    return total
+
+
+def assert_jets_close(got, want, what):
+    assert got.__class__ is want.__class__ is hb.FunctionalJet, what
+    assert_frozen_slots(got)
+    for slot in ("value", "dz", "dzc"):
+        assert_close(getattr(got, slot), getattr(want, slot), what)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_stacked_programs_match_the_per_term_loop(n, np_rng):
+    w = rand_vec(np_rng, n)
+    prog = hb.squared_distance(w)
+    X, d = rand_rows(np_rng, 30, n), rand_rows(np_rng, 1, 30)[0]
+    for _ in range(3):
+        c = rand_vec(np_rng, n)
+        assert_jets_close(prog(c), per_term_squared_distance(w, c), "distance")
+        for wl in (False, True):
+            lsq = build_least_squares(X, d, widely_linear=wl)
+            c2 = rand_vec(np_rng, lsq.n_params)
+            assert_jets_close(lsq.eval_assembled(c2),
+                              per_term_least_squares(lsq._W, d, c2),
+                              f"least squares, widely linear {wl}")
+
+
+BAD_PARAMETERS = [
+    (np.ones((2, 2)), DimensionMismatch),
+    (np.ones(3), DimensionMismatch),
+    (np.ones(1), DimensionMismatch),
+    ([np.nan, 0], DomainError),
+    ([0, np.inf], DomainError),
+    ([1j, complex("nan+1j")], DomainError),
+]
+
+
+@pytest.mark.parametrize("bad, error", BAD_PARAMETERS)
+def test_programs_check_their_parameter(bad, error, np_rng):
+    w = rand_vec(np_rng, 2)
+    lsq = build_least_squares([[1 + 0j, 2j], [0.5 + 0j, -1 + 0j]],
+                              [1 + 1j, 2 + 0j])
+    entries = {
+        "squared_distance program": hb.squared_distance(w),
+        "ip_functional": lambda c: hb.ip_functional("fw", w, c),
+        "stacked ip_functional": lambda c: hb.ip_functional(
+            "wf", np.ones((3, 2)), c),
+        "least-squares call": lsq,
+        "eval_assembled": lsq.eval_assembled,
+        "residuals": lsq.residuals,
+    }
+    for name, entry in entries.items():
+        with pytest.raises(error):
+            entry(bad)
+            pytest.fail(name)
+    if error is DomainError or np.ndim(bad) != 1:
+        with pytest.raises(error):
+            hb.fd_gradients(lambda f: 0j, bad)

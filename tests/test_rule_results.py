@@ -5,7 +5,8 @@ constructor (``forward.WirtingerJet._fresh``, ``FunctionalJet._fresh``,
 ``second._fill``).  A result must still be indistinguishable from the
 publicly constructed jet with the same slots: the operand's exact class,
 equal to it with the same ``repr``, immutable, picklable and, for a
-functional jet, holding frozen 1-D complex128 arrays.
+functional jet, holding frozen 1-D complex128 arrays (for a stack of m
+functional jets on C^n, of shapes (m,) and (n, m)).
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
-from test_hilbert import assert_frozen_slots
+from test_hilbert import STACK_RULES, assert_frozen_slots, operand_stacks
 from wirtcalc import forward as fw
 from wirtcalc import hilbert as hb
 from wirtcalc import second as so
@@ -36,6 +37,14 @@ def assert_rule_result(j, cls, rule):
         assert_frozen_slots(j)
         assert back.dz.flags.writeable is False, rule
         assert back.dzc.flags.writeable is False, rule
+    if cls is hb.JetStack:
+        n, m = j.dz.shape
+        for got in (j, back):
+            for slot, shape in ((got.value, (m,)), (got.dz, (n, m)),
+                                (got.dzc, (n, m))):
+                assert slot.dtype == np.complex128, rule
+                assert slot.shape == shape, rule
+                assert slot.flags.writeable is False, rule
 
 
 def forward_results(a, b):
@@ -91,6 +100,19 @@ def test_functional_forward_rule_results(np_rng):
     results["eval_assembled"] = prog.eval_assembled(np.array([0.5j, 1 + 0j]))
     for name, j in results.items():
         assert_rule_result(j, hb.FunctionalJet, name)
+
+
+def test_stack_rule_results(np_rng):
+    a, b, _, _ = operand_stacks(np_rng, 4, 3)
+    results = {name: rule(a, b) for name, rule in STACK_RULES.items()}
+    results["chain"] = fw.chain(a.value, 2 * a.value, 0.5j, a)
+    W = np_rng.standard_normal((4, 3)) + 1j * np_rng.standard_normal((4, 3))
+    c = np_rng.standard_normal(3)
+    for kind in ("fw", "wf", "fcw", "wfc"):
+        results[f"ip_functional {kind}"] = hb.ip_functional(kind, W, c)
+    results["functional_constant"] = hb.functional_constant([1, 2j], 3)
+    for name, j in results.items():
+        assert_rule_result(j, hb.JetStack, name)
 
 
 def test_second_rule_results():
