@@ -4,8 +4,8 @@ on complex domains.
 
 The scalar calculus (jets, the order-2 block, holomorphy verdicts, scalar
 descent and Newton steps) is pure ``cmath``: ``import wirtcalc`` does not
-load numpy.  The Hilbert-space names (``FunctionalJet``, ``JetStack``,
-``hvec``, ``inner``, ...) are resolved on first access, which
+load numpy.  The Hilbert-space names (``FunctionalJet``, ``hvec``,
+``inner``, ...) are resolved on first access, which
 imports ``wirtcalc.hilbert`` and numpy; so does the first call of
 ``build_least_squares`` or ``steepest_descent_hilbert``.
 """
@@ -36,9 +36,9 @@ __all__ = [
     "HolomorphyReport", "Verdict", "classify", "fd_partials", "fd_wirtinger",
     "PRIMITIVES", "WirtingerJet", "add", "apply_primitive", "conj", "constant",
     "div", "linear_combine", "mul", "power_int", "seed_variable", "sub",
-    "FunctionalJet", "GradientStack", "classify_functional", "fd_gradients",
+    "FunctionalJet", "classify_functional", "fd_gradients",
     "fd_wirtinger_gradients", "functional_constant", "hvec", "inner",
-    "ip_functional", "JetStack", "outer_chain", "squared_distance",
+    "ip_functional", "outer_chain", "squared_distance",
     "stack_vector_operator", "DescentConfig", "DescentTrace", "Termination",
     "build_least_squares", "newton_step_scalar", "steepest_descent_hilbert",
     "steepest_descent_scalar", "SecondOrderJet", "hessian_is_real_consistent",
@@ -47,9 +47,9 @@ __all__ = [
 
 #: names of ``hilbert`` (which needs numpy), bound on first access
 _HILBERT_NAMES = frozenset({
-    "FunctionalJet", "GradientStack", "classify_functional", "fd_gradients",
+    "FunctionalJet", "classify_functional", "fd_gradients",
     "fd_wirtinger_gradients", "functional_constant", "hvec", "inner",
-    "ip_functional", "JetStack", "outer_chain", "squared_distance",
+    "ip_functional", "outer_chain", "squared_distance",
     "stack_vector_operator",
 })
 

@@ -8,9 +8,9 @@ z* held formally constant and ``dzc`` the derivative with z held constant:
 
 The derivative slots may also hold arrays: ``hilbert.FunctionalJet`` is a
 ``WirtingerJet`` whose slots are the gradient vectors of a functional on
-C^n, ``hilbert.JetStack`` holds m of them in (m,) and (n, m) slots that
-the rules broadcast over, and every rule here builds its result with its
-operand's ``_fresh`` hook, so one rule set serves all three kinds.  The
+C^n, or, stacked, of m of them in (m,) and (n, m) slots that the rules
+broadcast over, and every rule here builds its result with its operand's
+``_fresh`` hook, so one rule set serves scalar and functional jets.  The
 hook is a slot filler: it makes the instance with ``object.__new__`` and
 stores each slot through the slot descriptor, skipping the dataclass
 ``__init__``; for an array jet it also freezes the arrays the rule has
@@ -21,8 +21,8 @@ frozen like it; the public constructors are unchanged:
 arrays a caller passes in.
 
 The binary rules raise DimensionMismatch unless both operands are jets of
-one kind and dimension; ``div``, ``apply_primitive`` and scalar partials
-in ``chain`` take no JetStack, whose m values they would read as one.
+one kind and slot shape; ``div``, ``apply_primitive`` and scalar partials
+in ``chain`` take no stack, whose m values they would read as one.
 
 Everything here is a pure function of its inputs; jets are immutable and can
 be shared freely between threads.  Jets do not remember their base point:
@@ -174,7 +174,7 @@ def div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     if cls is not b.__class__ or (cls is not WirtingerJet
                                   and (a.dz.shape != b.dz.shape
                                        or a.dz.ndim != 1)):
-        # the pole test takes one value, and a JetStack holds m
+        # the pole test takes one value, and a stack holds m
         raise _mismatch(a, b)
     v = b.value
     v2 = v * v
@@ -197,6 +197,10 @@ def power_int(a: WirtingerJet, k: int) -> WirtingerJet:
         zero = a.dz.copy()
         zero.fill(0)
         return a._fresh(v ** 0, zero, zero.copy())
+    if (k < 0 and a.__class__ is not WirtingerJet and a.dz.ndim != 1
+            and not v.all()):
+        # a stack with a zero column: numpy would warn and fill in inf
+        raise PoleError(f"negative power at a pole: value = {v!r}")
     try:
         g = k * v ** (k - 1)
     except ZeroDivisionError:
@@ -345,10 +349,11 @@ def apply_primitive(name: str, a: WirtingerJet) -> WirtingerJet:
     try:
         value = p.value(v)
         gz, gzc = p.partials(v)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        # a stack's m values: a TypeError, or a ValueError from arg's v == 0
+        if exc.__class__ is TypeError or getattr(v, "ndim", 0):
+            raise DimensionMismatch(f"{name} takes one value, got a "
+                                    f"{v.__class__.__name__}") from None
         raise DomainError(
             f"{name} outside its domain at {v!r}: {exc}") from None
-    except TypeError:   # the m values of a hilbert.JetStack
-        raise DimensionMismatch(
-            f"{name} takes one value, got a {v.__class__.__name__}") from None
     return chain(value, gz, gzc, a)

@@ -7,10 +7,10 @@ around is immutable.  An array a caller passes in is copied where it enters
 frozen or shared; the arrays a rule of ``forward`` computes for its result
 are new, so they are frozen in place instead of copied.  Rule results
 (``forward``'s rules, ``ip_functional``, ``functional_constant``) come from
-``FunctionalJet._fresh`` or ``JetStack._fresh``, the slot filler of
-``forward`` plus that freeze; the public constructors keep their
-conversion, shape checks and copies.  The inner product is linear in the
-FIRST argument and conjugate-linear in the second,
+``FunctionalJet._fresh``, the slot filler of ``forward`` plus that freeze;
+the public constructor keeps its conversion, shape checks and copies.
+The inner product is linear in the FIRST argument and conjugate-linear in
+the second,
 
     inner(f, g) = sum_k f_k * conj(g_k),
 
@@ -25,9 +25,10 @@ conj(w) with vanishing conjugate gradient.  A ``FunctionalJet`` is a
 
 so the scalar rules of ``forward`` (``add``, ``mul``, ``div``, ``conj``,
 ``apply_primitive``, ...) combine functional jets unchanged; the scalar
-calculus is the case n = 1.  A ``JetStack`` of m functional jets lets a
-program that sums m terms (``squared_distance``, the assembled
-least-squares cost) apply each rule once over all of them.
+calculus is the case n = 1.  A stacked ``FunctionalJet`` holds m jets in
+(m,) and (n, m) slots: the jet of an operator C^n -> C^m, one component
+per column.  It lets a program that sums m terms (``squared_distance``,
+the assembled least-squares cost) apply each rule once over all of them.
 ``fd_gradients`` is the independent oracle: coordinate-wise central
 differences along the real and imaginary unit directions.
 """
@@ -66,28 +67,28 @@ def hvec(coords) -> HVec:
     return _freeze(a)
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def inner(f: HVec, g: HVec) -> complex:
     """sum_k f_k * conj(g_k); linear in f, conjugate-linear in g."""
     f = np.asarray(f)
     g = np.asarray(g)
-    _check_same_dim(f, g)
+    if f.shape != g.shape:
+        raise DimensionMismatch(f"dimension mismatch: {f.shape} vs {g.shape}")
     return complex(np.vdot(g, f))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class FunctionalJet(fw.WirtingerJet):
-    """Scalar value of a functional plus its two gradient vectors, held in
-    the ``dz``/``dzc`` slots as frozen 1-D complex128 arrays.  Equality
-    compares all three slots; like their arrays, jets are unhashable."""
+    """Jet of one functional on C^n, or of a stack of m functionals at one
+    point, in frozen complex128 slots: a complex ``value`` and (n,)
+    gradients ``dz``/``dzc``, or for a stack an (m,) ``value`` and (n, m)
+    gradients, column k for jet k.  ``forward``'s rules broadcast over a
+    stack's last axis; those that need one value (div, apply_primitive,
+    outer_chain) raise DimensionMismatch on it, as does mixing a single jet
+    with a stack.  Equality compares all three slots; like their arrays,
+    jets are unhashable."""
 
     __hash__ = None
 
-    # __eq__, __post_init__ and __reduce__ serve JetStack too
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -99,12 +100,11 @@ class FunctionalJet(fw.WirtingerJet):
         value = np.array(self.value, dtype=np.complex128)
         gf = np.array(self.dz, dtype=np.complex128)
         gfc = np.array(self.dzc, dtype=np.complex128)
-        if (value.ndim != (self.__class__ is JetStack)
-                or gf.ndim != value.ndim + 1 or gf.shape[1:] != value.shape
-                or gfc.shape != gf.shape):
+        if (value.ndim > 1 or gf.ndim != value.ndim + 1
+                or gf.shape[1:] != value.shape or gfc.shape != gf.shape):
             raise DimensionMismatch(
                 f"slot shapes {value.shape}, {gf.shape} and {gfc.shape} do "
-                f"not make a {self.__class__.__name__}")
+                "not make a FunctionalJet")
         object.__setattr__(self, "value",
                            _freeze(value) if value.ndim else complex(value))
         object.__setattr__(self, "dz", _freeze(gf))
@@ -115,13 +115,23 @@ class FunctionalJet(fw.WirtingerJet):
 
     @staticmethod
     def _fresh(value, dz, dzc) -> FunctionalJet:
-        """Jet from slot arrays nothing else holds: 1-D complex128 of one
-        shape, such as a ``forward`` rule computes from frozen slots.  They
-        are frozen in place and stored by the slot filler of ``forward``;
-        the constructor's copy and checks are for arrays a caller passes
-        in."""
+        """Jet from slot arrays nothing else holds: complex128 gradients of
+        shape (n,) or (n, m), such as a ``forward`` rule computes from
+        frozen slots.  They are frozen in place and stored by the slot
+        filler of ``forward``; the constructor's copy and checks are for
+        arrays a caller passes in.  A stack's value must be a finite (m,)
+        array (DimensionMismatch, DomainError)."""
+        if dz.ndim == 1:
+            value = complex(value)
+        elif value.__class__ is not np.ndarray or value.shape != dz.shape[1:]:
+            raise DimensionMismatch(
+                f"a stack of {dz.shape[-1]} jets got the value {value!r}")
+        elif not np.isfinite(value).all():
+            raise DomainError("a stacked jet has a non-finite value")
+        else:
+            value.setflags(write=False)
         j = _new(FunctionalJet)
-        _set_value(j, complex(value))
+        _set_value(j, value)
         dz.setflags(write=False)
         _set_dz(j, dz)
         dzc.setflags(write=False)
@@ -140,66 +150,27 @@ class FunctionalJet(fw.WirtingerJet):
     def dim(self) -> int:
         return self.dz.shape[0]
 
-
-@dataclass(frozen=True, slots=True, eq=False)
-class JetStack(fw.WirtingerJet):
-    """m functional jets on C^n at one point, in frozen complex128 slots:
-    ``value`` of shape (m,), ``dz``/``dzc`` of shape (n, m) with column k
-    holding jet k's gradients.  ``forward``'s add, sub, neg, mul, conj,
-    linear_combine, power_int and chain (given (m,) partials) broadcast over
-    the last axis: one call acts on all m jets.  Rules that need one value
-    (div, apply_primitive, outer_chain) raise DimensionMismatch, and so does
-    mixing with a FunctionalJet; a non-finite value raises DomainError."""
-
-    __hash__ = None
-    __eq__ = FunctionalJet.__eq__
-    __post_init__ = FunctionalJet.__post_init__
-    __reduce__ = FunctionalJet.__reduce__
-
-    @staticmethod
-    def _fresh(value, dz, dzc) -> JetStack:
-        """``FunctionalJet._fresh`` for stacks: slots frozen in place."""
-        if value.__class__ is not np.ndarray or value.shape != dz.shape[1:]:
-            raise DimensionMismatch(
-                f"a JetStack of {dz.shape[-1]} jets got the value {value!r}")
-        if not np.isfinite(value).all():
-            raise DomainError("a stacked jet has a non-finite value")
-        j = _new(JetStack)
-        value.setflags(write=False)
-        _set_value(j, value)
-        dz.setflags(write=False)
-        _set_dz(j, dz)
-        dzc.setflags(write=False)
-        _set_dzc(j, dzc)
-        return j
-
     def total(self) -> FunctionalJet:
-        """The FunctionalJet of the sum of the m jets."""
+        """The jet of the sum of a stack's jets; a single jet is its own."""
+        if self.dz.ndim == 1:
+            return self
         return FunctionalJet._fresh(self.value.sum(), self.dz.sum(axis=1),
                                     self.dzc.sum(axis=1))
 
 
-def functional_constant(k, n: int) -> FunctionalJet | JetStack:
+def functional_constant(k, n: int) -> FunctionalJet:
     """Jet of the constant functional ``k`` on C^n; a vector of m
-    constants gives their JetStack."""
+    constants gives their stack."""
     k = np.array(k, dtype=np.complex128)
     if k.ndim > 1:
         raise DimensionMismatch(
             f"expected a constant or a vector of them, got shape {k.shape}")
     shape = (n,) + k.shape
-    return (JetStack if k.ndim else FunctionalJet)._fresh(
-        k, np.zeros(shape, dtype=np.complex128),
-        np.zeros(shape, dtype=np.complex128))
+    return FunctionalJet._fresh(k, np.zeros(shape, dtype=np.complex128),
+                                np.zeros(shape, dtype=np.complex128))
 
 
-def _vdot(a: np.ndarray, b: np.ndarray):
-    """np.vdot(a, b), row by row when one of the two is a row stack."""
-    if a.ndim == b.ndim:
-        return np.vdot(a, b)
-    return np.conj(a) @ b if a.ndim == 2 else b @ np.conj(a)
-
-
-def ip_functional(kind: str, w, c: HVec) -> FunctionalJet | JetStack:
+def ip_functional(kind: str, w, c: HVec) -> FunctionalJet:
     """Jet of one of the four inner-product functionals evaluated at ``c``.
 
     kind 'fw'  : f -> inner(f, w)   gradients (conj(w), 0)
@@ -207,7 +178,7 @@ def ip_functional(kind: str, w, c: HVec) -> FunctionalJet | JetStack:
     kind 'fcw' : f -> inner(f*, w)  gradients (0, conj(w))
     kind 'wfc' : f -> inner(w, f*)  gradients (w, 0)
 
-    A row stack ``w`` of shape (m, n) gives the JetStack of the m
+    A row stack ``w`` of shape (m, n) gives the stack of the m
     functionals, one per row.
     """
     w = np.asarray(w, dtype=np.complex128)
@@ -217,34 +188,33 @@ def ip_functional(kind: str, w, c: HVec) -> FunctionalJet | JetStack:
             f"expected a vector or a row stack of dimension {c.shape[0]}, "
             f"got shape {w.shape}")
     # every slot array is made here: w itself may be the caller's array;
-    # each value is the inner(...) of the docstring, vdot(g, f) for
-    # inner(f, g)
-    cls = JetStack if w.ndim == 2 else FunctionalJet
+    # each value is the inner(...) of the docstring, one per row of w
     wt = w.T
     zero = np.zeros(wt.shape, dtype=np.complex128)
     if kind == "fw":
-        return cls._fresh(_vdot(w, c), np.conj(wt), zero)
+        return FunctionalJet._fresh(np.conj(w) @ c, np.conj(wt), zero)
     if kind == "wf":
-        return cls._fresh(_vdot(c, w), zero, wt.copy())
+        return FunctionalJet._fresh(w @ np.conj(c), zero, wt.copy())
     if kind == "fcw":
-        return cls._fresh(_vdot(w, np.conj(c)), zero, np.conj(wt))
+        return FunctionalJet._fresh(np.conj(w) @ np.conj(c), zero,
+                                    np.conj(wt))
     if kind == "wfc":
-        return cls._fresh(_vdot(np.conj(c), w), wt.copy(), zero)
+        return FunctionalJet._fresh(w @ c, wt.copy(), zero)
     raise ValueError(f"unknown inner-product kind {kind!r}")
 
 
 def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
     """Jet of S(T(f)) for a scalar outer function S given as an expression
     in z (and conj(z)); its scalar jet is evaluated at the value slot."""
-    if a.__class__ is JetStack:
-        raise DimensionMismatch("outer_chain takes one jet, not a JetStack")
+    if a.dz.ndim != 1:
+        raise DimensionMismatch("outer_chain takes one jet, not a stack")
     sj = ex.eval_jet(s, a.value, order=1)
     return fw.chain(sj.value, sj.dz, sj.dzc, a)
 
 
 def squared_distance(w: HVec) -> Functional:
     """Program for f -> ||f - w||^2 = sum_j |inner(f, e_j) - w_j|^2: the
-    coordinate projections inner(f, e_j) as one JetStack, the
+    coordinate projections inner(f, e_j) as one stack, the
     product-with-conjugate rule applied once over all n terms, then their
     total."""
     w = hvec(w)
@@ -299,29 +269,20 @@ def classify_functional(T: Callable[[HVec], complex], c: HVec,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradientStack:
-    """Row-stacked gradients of a C^nu-valued operator: one (grad_f,
-    grad_fc) pair per component."""
-
-    values: np.ndarray     # shape (nu,)
-    grads_f: np.ndarray    # shape (nu, n)
-    grads_fc: np.ndarray   # shape (nu, n)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def stack_vector_operator(components: Sequence[FunctionalJet]) -> GradientStack:
+def stack_vector_operator(
+        components: Sequence[FunctionalJet]) -> FunctionalJet:
+    """The stacked jet of an operator C^n -> C^m from the single jets of its
+    m components, component k in value k and gradient column k."""
     comps = list(components)
     if not comps:
         raise DimensionMismatch("cannot stack zero components")
-    n = comps[0].dim
-    for j in comps[1:]:
-        if j.dim != n:
+    shape = comps[0].dz.shape
+    for j in comps:
+        if j.dz.ndim != 1 or j.dz.shape != shape:
             raise DimensionMismatch(
-                f"components live in different spaces: {j.dim} vs {n}")
-    values = np.array([j.value for j in comps], dtype=np.complex128)
-    grads_f = np.vstack([j.grad_f for j in comps])
-    grads_fc = np.vstack([j.grad_fc for j in comps])
-    return GradientStack(_freeze(values), _freeze(grads_f), _freeze(grads_fc))
+                f"components must be single jets of one dimension: gradient "
+                f"shapes {j.dz.shape} and {shape}")
+    return FunctionalJet._fresh(
+        np.array([j.value for j in comps], dtype=np.complex128),
+        np.column_stack([j.dz for j in comps]),
+        np.column_stack([j.dzc for j in comps]))

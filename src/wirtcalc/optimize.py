@@ -222,10 +222,12 @@ class LeastSquaresProgram:
     ``r = d - W conj(c)`` and ``grad_fc = -W^T conj(r)``; ``grad_f`` is its
     conjugate ``-W^H r``, as for every real-valued cost.  ``eval_assembled``
     builds the same jet from the inner-product rules and the
-    product-with-conjugate rule, each applied once to the ``JetStack`` of
-    all N samples' terms, and the test suite pins the two paths together.
-    A parameter that is not a finite vector of dimension ``n_params``
-    raises ``DimensionMismatch`` or ``DomainError``.  The methods import
+    product-with-conjugate rule, each applied once to the stacked
+    ``FunctionalJet`` of all N samples' terms, and the test suite pins the
+    two paths together.  Data that are not a finite array of rows and one
+    target per row raise ``EmptyData``, ``DimensionMismatch`` or
+    ``DomainError``, and so does a parameter that is not a finite vector of
+    dimension ``n_params``.  The methods import
     numpy and ``hilbert`` when called, so a process that builds no program
     loads neither.
     """
@@ -234,24 +236,22 @@ class LeastSquaresProgram:
                  widely_linear: bool = False):
         import numpy as np
 
-        from . import hilbert as hb
-        rows = [hb.hvec(x) for x in X]
-        if not rows:
-            raise EmptyData("least squares needs at least one sample")
-        n = rows[0].shape[0]
-        for r in rows[1:]:
-            if r.shape[0] != n:
-                raise DimensionMismatch(
-                    f"sample dimensions differ: {r.shape[0]} vs {n}")
-        d = np.asarray([complex(v) for v in d], dtype=np.complex128)
-        if d.shape[0] != len(rows):
+        try:
+            base = np.array(X, dtype=np.complex128)
+            d = np.array(d, dtype=np.complex128)
+        except ValueError as exc:      # ragged rows
             raise DimensionMismatch(
-                f"{len(rows)} samples but {d.shape[0]} targets")
-        if not np.all(np.isfinite(d)):
-            raise DomainError("a least-squares target is not finite")
+                f"samples and targets do not make arrays: {exc}") from None
+        if base.ndim and not base.shape[0]:
+            raise EmptyData("least squares needs at least one sample")
+        if base.ndim != 2 or not base.shape[1] or d.shape != base.shape[:1]:
+            raise DimensionMismatch(
+                f"need sample rows of one dimension >= 1 and a target each, "
+                f"got shapes {base.shape} and {d.shape}")
+        if not (np.isfinite(base).all() and np.isfinite(d).all()):
+            raise DomainError("a least-squares sample or target is not finite")
         self.widely_linear = bool(widely_linear)
-        self.n_features = n
-        base = np.vstack(rows)
+        self.n_features = base.shape[1]
         self._W = np.hstack([base, np.conj(base)]) if widely_linear else base
         self._d = d
 

@@ -27,9 +27,9 @@ PUBLIC_NAMES = [
     "constant", "div", "linear_combine", "mul", "power_int",
     "seed_variable", "sub",
     # Hilbert space
-    "FunctionalJet", "GradientStack", "classify_functional", "fd_gradients",
+    "FunctionalJet", "classify_functional", "fd_gradients",
     "fd_wirtinger_gradients", "functional_constant", "hvec", "inner",
-    "ip_functional", "JetStack", "outer_chain", "squared_distance",
+    "ip_functional", "outer_chain", "squared_distance",
     "stack_vector_operator",
     # minimization
     "DescentConfig", "DescentTrace", "Termination", "build_least_squares",

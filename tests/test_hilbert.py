@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from wirtcalc import forward as fw
 from wirtcalc import hilbert as hb
 from wirtcalc.errors import (DimensionMismatch, DomainError, PoleError,
-                             StepTooSmall, WirtcalcError)
+                             StepTooSmall)
 from wirtcalc.fdcheck import Verdict
 from wirtcalc.optimize import build_least_squares
 
@@ -398,9 +400,10 @@ def test_squared_distance_gradients(np_rng):
 def test_stack_singleton(np_rng):
     j = hb.ip_functional("fw", rand_vec(np_rng, 3), rand_vec(np_rng, 3))
     stack = hb.stack_vector_operator([j])
-    assert len(stack) == 1
-    assert stack.values[0] == j.value
-    assert np.array_equal(stack.grads_f[0], j.grad_f)
+    assert stack.value.shape == (1,) and stack.dz.shape == (3, 1)
+    assert stack.value[0] == j.value
+    assert np.array_equal(stack.dz[:, 0], j.grad_f)
+    assert np.array_equal(stack.dzc[:, 0], j.grad_fc)
 
 
 def test_stack_rows(np_rng):
@@ -409,9 +412,9 @@ def test_stack_rows(np_rng):
         hb.ip_functional("fw", w1, c),
         hb.ip_functional("fw", w2, c),
     ])
-    assert np.array_equal(stack.grads_f[0], np.conj(w1))
-    assert np.array_equal(stack.grads_f[1], np.conj(w2))
-    assert np.all(stack.grads_fc == 0)
+    assert np.array_equal(stack.dz[:, 0], np.conj(w1))
+    assert np.array_equal(stack.dz[:, 1], np.conj(w2))
+    assert np.all(stack.dzc == 0)
 
 
 def test_stack_of_jet_and_its_conjugate(np_rng):
@@ -419,8 +422,8 @@ def test_stack_of_jet_and_its_conjugate(np_rng):
     j = fw.mul(hb.ip_functional("fw", w, c),
                hb.ip_functional("wf", c, c))
     stack = hb.stack_vector_operator([j, fw.conj(j)])
-    assert np.array_equal(stack.grads_f[1], np.conj(stack.grads_fc[0]))
-    assert np.array_equal(stack.grads_fc[1], np.conj(stack.grads_f[0]))
+    assert np.array_equal(stack.dz[:, 1], np.conj(stack.dzc[:, 0]))
+    assert np.array_equal(stack.dzc[:, 1], np.conj(stack.dz[:, 0]))
 
 
 def test_stack_dimension_checks(np_rng):
@@ -431,6 +434,10 @@ def test_stack_dimension_checks(np_rng):
             hb.functional_constant(1.0, 2),
             hb.functional_constant(1.0, 3),
         ])
+    stacked = hb.functional_constant([1.0, 2.0], 2)
+    for comps in ([stacked], [hb.functional_constant(1.0, 2), stacked]):
+        with pytest.raises(DimensionMismatch):
+            hb.stack_vector_operator(comps)
 
 
 # --------------------------------------------------------------------------
@@ -442,13 +449,6 @@ def rand_rows(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
 
-def stack_of(jets):
-    """The JetStack whose column k holds the slots of ``jets[k]``."""
-    return hb.JetStack([j.value for j in jets],
-                       np.column_stack([j.dz for j in jets]),
-                       np.column_stack([j.dzc for j in jets]))
-
-
 def assert_close(got, want, what, tol=1e-12):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape, what
@@ -457,10 +457,10 @@ def assert_close(got, want, what, tol=1e-12):
 
 def assert_columns(stack, jets, what):
     """Column k of ``stack`` is ``jets[k]``; the total is their sum."""
-    assert stack.__class__ is hb.JetStack, what
+    assert stack.__class__ is hb.FunctionalJet and stack.dz.ndim == 2, what
     assert stack.value.shape == (len(jets),), what
     for k, j in enumerate(jets):
-        assert j.__class__ is hb.FunctionalJet, what
+        assert j.__class__ is hb.FunctionalJet and j.dz.ndim == 1, what
         assert_close(stack.value[k], j.value, what)
         assert_close(stack.dz[:, k], j.dz, what)
         assert_close(stack.dzc[:, k], j.dzc, what)
@@ -471,7 +471,7 @@ def assert_columns(stack, jets, what):
     assert_close(total.dzc, sum(j.dzc for j in jets), what)
 
 
-#: the rules that act on a JetStack column by column
+#: the rules that act on a stack column by column
 STACK_RULES = {
     "add": fw.add,
     "sub": fw.sub,
@@ -496,7 +496,7 @@ def operand_stacks(np_rng, m, n):
          for w, v in zip(W, V)]
     b = [fw.mul(hb.ip_functional("wf", v, c), hb.ip_functional("fcw", w, c))
          for w, v in zip(W, V)]
-    return stack_of(a), stack_of(b), a, b
+    return hb.stack_vector_operator(a), hb.stack_vector_operator(b), a, b
 
 
 @pytest.mark.parametrize("m", [1, 5])
@@ -545,14 +545,19 @@ def test_stack_rules_that_need_one_value_raise(m, np_rng):
     one = a[0]
     other = operand_stacks(np_rng, m + 1, 3)[0]
     wider = operand_stacks(np_rng, m, 4)[0]
-    for rule in (fw.add, fw.sub, fw.mul, fw.div,
-                 lambda x, y: fw.linear_combine(2.0, x, -1j, y)):
-        for x, y in ((sa, one), (one, sa), (sa, other), (sa, wider),
-                     (sa, fw.constant(1.0)), (fw.constant(1.0), sa)):
-            calls[f"{rule} {x.__class__.__name__} {y.__class__.__name__}"] = (
+    rules = {"add": fw.add, "sub": fw.sub, "mul": fw.mul, "div": fw.div,
+             "linear_combine": lambda x, y: fw.linear_combine(2.0, x, -1j, y)}
+    pairs = {"stack, one": (sa, one), "one, stack": (one, sa),
+             "stack, other": (sa, other), "stack, wider": (sa, wider),
+             "stack, scalar": (sa, fw.constant(1.0)),
+             "scalar, stack": (fw.constant(1.0), sa)}
+    for rule_name, rule in rules.items():
+        for pair_name, (x, y) in pairs.items():
+            calls[f"{rule_name} {pair_name}"] = (
                 lambda rule=rule, x=x, y=y: rule(x, y))
+    assert len(calls) == 4 + len(fw.PRIMITIVES) - 1 + 5 * 6   # no key reused
     for name, call in calls.items():
-        with pytest.raises(WirtcalcError):
+        with pytest.raises(DimensionMismatch):
             call()
             pytest.fail(name)
 
@@ -561,27 +566,31 @@ def test_stack_negative_power_at_a_zero_column_raises(np_rng):
     sa, _, _, _ = operand_stacks(np_rng, 3, 2)
     zero = fw.sub(sa, fw.linear_combine(1.0, sa, 0.0, sa))
     assert not zero.value.any()
-    with np.errstate(all="ignore"):        # numpy's own 0 ** -2 warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no numpy 0 ** -2 warning first
         for k in (-1, -2):
-            with pytest.raises(DomainError):
+            with pytest.raises(PoleError):
                 fw.power_int(zero, k)
     assert not fw.power_int(zero, 0).dz.any()
+
+
+def test_total_of_a_single_jet_is_the_jet(np_rng):
+    j = hb.ip_functional("wf", rand_vec(np_rng, 3), rand_vec(np_rng, 3))
+    assert j.total() is j
 
 
 def test_jet_stack_constructor_checks_and_copies(np_rng):
     sa = operand_stacks(np_rng, 3, 2)[0]
     value, dz = np.array(sa.value), np.array(sa.dz)
-    public = hb.JetStack(value, dz, sa.dzc)
+    public = hb.FunctionalJet(value, dz, sa.dzc)
     assert public == sa and sa == public
     assert value.flags.writeable and not np.shares_memory(value, public.value)
-    assert public != hb.JetStack(value + 1, dz, sa.dzc)
+    assert public != hb.FunctionalJet(value + 1, dz, sa.dzc)
     assert sa != hb.FunctionalJet(sa.value[0], sa.dz[:, 0], sa.dzc[:, 0])
     for bad in ((value[0], dz, dz), (value, dz[:, :2], dz[:, :2]),
                 (value, dz, dz[:, :2]), (value, dz[0], dz[0])):
         with pytest.raises(DimensionMismatch):
-            hb.JetStack(*bad)
-    with pytest.raises(DimensionMismatch):
-        hb.FunctionalJet(value, dz, dz)
+            hb.FunctionalJet(*bad)
 
 
 def per_term_squared_distance(w, c):

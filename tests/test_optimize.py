@@ -228,12 +228,16 @@ def test_least_squares_validation():
         build_least_squares([[1 + 0j], [1 + 0j, 2 + 0j]], [0j, 0j])
     with pytest.raises(DimensionMismatch):
         build_least_squares([[1 + 0j]], [0j, 0j])
+    with pytest.raises(DimensionMismatch):
+        build_least_squares([[], []], [0j, 0j])
     prog = build_least_squares([[1 + 0j, 0j]], [0j])
     with pytest.raises(DimensionMismatch):
         prog(np.zeros(3, dtype=complex))
     for bad in (math.nan, complex(0, math.inf), -math.inf):
         with pytest.raises(DomainError):
             build_least_squares([[1 + 0j], [1j]], [1 + 0j, bad])
+        with pytest.raises(DomainError):
+            build_least_squares([[1 + 0j], [bad]], [1 + 0j, 0j])
 
 
 def test_hilbert_descent_rejects_an_overflowing_start():
