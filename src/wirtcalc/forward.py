@@ -168,8 +168,9 @@ def conj(a: WirtingerJet) -> WirtingerJet:
 
 
 def div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    """Quotient rule in both derivative slots; raises PoleError when
-    ``b.value**2`` is 0."""
+    """Quotient rule in both derivative slots, ``(a' - q b') / b`` with
+    ``q = a / b``, divided step by step so that no ``b**2`` can underflow;
+    raises PoleError when ``b.value`` is 0."""
     cls = a.__class__
     if cls is not b.__class__ or (cls is not WirtingerJet
                                   and (a.dz.shape != b.dz.shape
@@ -177,14 +178,10 @@ def div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
         # the pole test takes one value, and a stack holds m
         raise _mismatch(a, b)
     v = b.value
-    v2 = v * v
-    if v2 == 0:
+    if v == 0:
         raise PoleError(f"division by a value at a pole: value = {v!r}")
-    return cls._fresh(
-        a.value / v,
-        (a.dz * v - a.value * b.dz) / v2,
-        (a.dzc * v - a.value * b.dzc) / v2,
-    )
+    q = a.value / v
+    return cls._fresh(q, (a.dz - q * b.dz) / v, (a.dzc - q * b.dzc) / v)
 
 
 def power_int(a: WirtingerJet, k: int) -> WirtingerJet:

@@ -215,19 +215,27 @@ def steepest_descent_hilbert(cost: hb.Functional, f0: hb.HVec,
 class LeastSquaresProgram:
     """Residual-sum-of-squares functional over C^n (or C^2n when widely
     linear): T(f) = sum_k |d_k - inner(w_k, f)|^2 with w_k the sample vector
-    (widely linear stacks the sample with its conjugate so the parameter
-    holds both filter halves).
+    (widely linear pairs the sample with its conjugate, ``w_k = [x_k; x_k*]``,
+    so the parameter holds both filter halves).
 
-    Calling the program takes two matrix-vector products, the residual
-    ``r = d - W conj(c)`` and ``grad_fc = -W^T conj(r)``; ``grad_f`` is its
-    conjugate ``-W^H r``, as for every real-valued cost.  ``eval_assembled``
-    builds the same jet from the inner-product rules and the
-    product-with-conjugate rule, each applied once to the stacked
-    ``FunctionalJet`` of all N samples' terms, and the test suite pins the
-    two paths together.  Data that are not a finite array of rows and one
-    target per row raise ``EmptyData``, ``DimensionMismatch`` or
-    ``DomainError``, and so does a parameter that is not a finite vector of
-    dimension ``n_params``.  The methods import
+    The program keeps the N x n samples ``X`` (one C-ordered complex128
+    copy) and the targets, never the augmented ``W = [X, X*]``, whose
+    conjugate half holds no new data.  A strict call makes two complex
+    matrix-vector products, the residual ``r = d - X conj(c)`` and
+    ``grad_fc = -X^T conj(r)``.  A widely-linear call writes ``X = A + iB``
+    and reads ``X`` as the real N x 2n matrix of interleaved Re and Im
+    columns: with ``s = conj(c1 + c2)`` and ``t = conj(c1 - c2)`` for the two
+    halves of ``c``, ``W conj(c) = A s + iB t`` is one real product with a
+    2n x 2 matrix, and ``A^T r``, ``B^T r`` are one real product with the
+    N x 2 real view of ``r``.  Then ``grad_f = -W^H r = -[A^T r - iB^T r;
+    A^T r + iB^T r]``, and ``grad_fc`` is its conjugate, as for every
+    real-valued cost.  ``eval_assembled`` builds the same jet from the
+    inner-product rules and the product-with-conjugate rule, each applied
+    once to the stacked ``FunctionalJet`` of all N samples' terms, and the
+    test suite pins the two paths together.  Data that are not a finite
+    array of rows and one target per row raise ``EmptyData``,
+    ``DimensionMismatch`` or ``DomainError``, and so does a parameter that
+    is not a finite vector of dimension ``n_params``.  The methods import
     numpy and ``hilbert`` when called, so a process that builds no program
     loads neither.
     """
@@ -237,27 +245,27 @@ class LeastSquaresProgram:
         import numpy as np
 
         try:
-            base = np.array(X, dtype=np.complex128)
+            # C order: the widely-linear call reads X through a real view
+            X = np.array(X, dtype=np.complex128, order="C")
             d = np.array(d, dtype=np.complex128)
         except ValueError as exc:      # ragged rows
             raise DimensionMismatch(
                 f"samples and targets do not make arrays: {exc}") from None
-        if base.ndim and not base.shape[0]:
+        if X.ndim and not X.shape[0]:
             raise EmptyData("least squares needs at least one sample")
-        if base.ndim != 2 or not base.shape[1] or d.shape != base.shape[:1]:
+        if X.ndim != 2 or not X.shape[1] or d.shape != X.shape[:1]:
             raise DimensionMismatch(
                 f"need sample rows of one dimension >= 1 and a target each, "
-                f"got shapes {base.shape} and {d.shape}")
-        if not (np.isfinite(base).all() and np.isfinite(d).all()):
+                f"got shapes {X.shape} and {d.shape}")
+        if not (np.isfinite(X).all() and np.isfinite(d).all()):
             raise DomainError("a least-squares sample or target is not finite")
         self.widely_linear = bool(widely_linear)
-        self.n_features = base.shape[1]
-        self._W = np.hstack([base, np.conj(base)]) if widely_linear else base
+        self._X = X
         self._d = d
 
     @property
     def n_params(self) -> int:
-        return self._W.shape[1]
+        return self._X.shape[1] * (2 if self.widely_linear else 1)
 
     def residuals(self, c: hb.HVec) -> np.ndarray:
         import numpy as np
@@ -267,7 +275,14 @@ class LeastSquaresProgram:
         if c.shape[0] != self.n_params:
             raise DimensionMismatch(
                 f"parameter has dimension {c.shape[0]}, need {self.n_params}")
-        return self._d - self._W @ np.conj(c)
+        if not self.widely_linear:
+            return self._d - self._X @ np.conj(c)
+        n = self._X.shape[1]
+        # columns s and i t; read as real, rows 2k and 2k+1 meet column k
+        # of A and of B, so the product's columns are Re and Im of A s + iB t
+        st = np.conj(c).reshape(2, n).T @ [[1, 1j], [1, -1j]]
+        p = self._X.view(np.float64) @ st.view(np.float64).reshape(2 * n, 2)
+        return self._d - p.view(np.complex128)[:, 0]
 
     def __call__(self, c: hb.HVec) -> hb.FunctionalJet:
         import numpy as np
@@ -275,14 +290,28 @@ class LeastSquaresProgram:
         from . import hilbert as hb
         r = self.residuals(c)
         value = complex(np.vdot(r, r).real)
-        grad_fc = -(self._W.T @ np.conj(r))
+        if self.widely_linear:
+            # read as complex, row k of the real product is
+            # [(A^T r)_k, (B^T r)_k]
+            ab = (self._X.view(np.float64).T
+                  @ r.view(np.float64).reshape(-1, 2)).view(np.complex128)
+            grad_f = ([[-1, 1j], [-1, -1j]] @ ab.reshape(-1, 2).T).ravel()
+            grad_fc = np.conj(grad_f)
+        else:
+            grad_fc = -(self._X.T @ np.conj(r))
+            grad_f = np.conj(grad_fc)
         # both slot arrays are new: frozen in place, not copied
-        return hb.FunctionalJet._fresh(value, np.conj(grad_fc), grad_fc)
+        return hb.FunctionalJet._fresh(value, grad_f, grad_fc)
 
     def eval_assembled(self, c: hb.HVec) -> hb.FunctionalJet:
+        import numpy as np
+
         from . import hilbert as hb
+        # the augmented rows live for this call only
+        W = (np.hstack([self._X, np.conj(self._X)]) if self.widely_linear
+             else self._X)
         r = fw.sub(hb.functional_constant(self._d, self.n_params),
-                   hb.ip_functional("wf", self._W, c))
+                   hb.ip_functional("wf", W, c))
         return fw.mul(r, fw.conj(r)).total()
 
 

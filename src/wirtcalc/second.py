@@ -117,22 +117,21 @@ def mul2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
 
 
 def div2(a: SecondOrderJet, b: SecondOrderJet) -> SecondOrderJet:
+    # q = a / b differentiated from q b = a, one division by b per slot
+    # (no b**2 or b**3 to underflow): q_x = (a_x - q b_x) / b and
+    # q_xy = (a_xy - q b_xy - q_x b_y - q_y b_x) / b
     v = b.value
-    av = a.value
-    v2 = v * v
-    v3 = v2 * v
-    nz = a.dz * v - av * b.dz     # numerator of d(a/b)/dz
-    nzc = a.dzc * v - av * b.dzc
+    q = a.value / v
+    qz = (a.dz - q * b.dz) / v
+    qzc = (a.dzc - q * b.dzc) / v
     return _fill(
-        av / v,
-        nz / v2,
-        nzc / v2,
-        (a.dzz * v - av * b.dzz) / v2 - 2.0 * b.dz * nz / v3,
-        (a.dzzc * v + a.dz * b.dzc - a.dzc * b.dz - av * b.dzzc) / v2
-        - 2.0 * b.dzc * nz / v3,
-        (a.dzcz * v + a.dzc * b.dz - a.dz * b.dzc - av * b.dzcz) / v2
-        - 2.0 * b.dz * nzc / v3,
-        (a.dzczc * v - av * b.dzczc) / v2 - 2.0 * b.dzc * nzc / v3,
+        q,
+        qz,
+        qzc,
+        (a.dzz - q * b.dzz - 2.0 * qz * b.dz) / v,
+        (a.dzzc - q * b.dzzc - qz * b.dzc - qzc * b.dz) / v,
+        (a.dzcz - q * b.dzcz - qzc * b.dz - qz * b.dzc) / v,
+        (a.dzczc - q * b.dzczc - 2.0 * qzc * b.dzc) / v,
     )
 
 

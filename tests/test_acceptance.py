@@ -213,7 +213,8 @@ def test_criterion_7_descent():
     b0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     d = [hb.inner(x, a0) + hb.inner(np.conj(x), b0) for x in X]
     prog = build_least_squares(list(X), d, widely_linear=True)
-    gram = np.conj(prog._W).T @ prog._W
+    W = np.hstack([X, np.conj(X)])
+    gram = np.conj(W).T @ W
     mu = 0.9 / float(np.max(np.linalg.eigvalsh(gram)))
     wl_cfg = DescentConfig(mu=mu, tol=1e-10, max_iter=5000)
     wl_trace = steepest_descent_hilbert(prog, np.zeros(2 * n, complex), wl_cfg)

@@ -200,8 +200,8 @@ def test_eval_is_finite_or_a_library_error(seed):
 
 @pytest.mark.parametrize("expr,at,order,error", [
     ("z^64", 1e10, 1, DomainError),             # the power overflows
-    ("1/z", 1e-200, 1, PoleError),              # v*v underflows to 0
-    ("1/z", 1e-200, 2, PoleError),
+    ("1/z", 1e-200, 1, DomainError),            # dz = -1/z^2 overflows
+    ("1/z", 1e-200, 2, DomainError),
     ("z^-3", 1e-120, 1, PoleError),
     ("exp(700)*exp(700)", 1, 0, DomainError),   # inf value
     ("z*z", 1e200, 1, DomainError),             # inf value, finite dz
@@ -217,6 +217,22 @@ def test_eval_needs_no_pole_floor():
     assert eval_jet("z/z", 1e-301, order=0) == 1
     j = eval_jet("z/z", 1e-150, order=1)
     assert (j.value, j.dz, j.dzc) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_division_by_a_value_whose_square_underflows(order):
+    # |1e-170 z|^2 underflows to 0, but 1e-170 z is no pole
+    z = 1 + 1j
+    scale = 1e170
+    want = {"z/(z*1e-170)": (scale, 0, 0, 0, 0, 0, 0),
+            "1/(z*1e-170)": (scale / z, -scale / z ** 2, 0,
+                             2 * scale / z ** 3, 0, 0, 0)}
+    for text, slots in want.items():
+        j = eval_jet(text, z, order)
+        got = _slots(j, order)
+        for g, w in zip(got, slots):
+            assert abs(g - w) <= 1e-14 * scale, (text, got)
+        assert all(g == 0 for g, w in zip(got, slots) if w == 0), (text, got)
 
 
 def test_eval_rejects_bad_order():

@@ -103,6 +103,17 @@ def test_recip_golden():
         fw.div(one, fw.seed_variable(0))
 
 
+def test_div_of_zero_and_by_a_value_whose_square_underflows():
+    for v in (2 + 1j, 1e-170 + 1e-170j):
+        assert fw.div(fw.constant(0), fw.seed_variable(v)) == \
+            fw.WirtingerJet(0j, 0j, 0j)
+    tiny = fw.mul(fw.constant(1e-170), fw.seed_variable(1 + 1j))
+    j = fw.div(fw.constant(1), tiny)
+    assert rel_err(j.value, 1e170 / (1 + 1j)) < 1e-15
+    assert rel_err(j.dz, -1e170 / (1 + 1j) ** 2) < 1e-15
+    assert j.dzc == 0
+
+
 def test_div_by_constant_one(rng):
     j = random_jet(rng)
     assert fw.div(j, fw.constant(1)) == j

@@ -629,9 +629,10 @@ def test_stacked_programs_match_the_per_term_loop(n, np_rng):
         assert_jets_close(prog(c), per_term_squared_distance(w, c), "distance")
         for wl in (False, True):
             lsq = build_least_squares(X, d, widely_linear=wl)
+            W = np.hstack([X, np.conj(X)]) if wl else X
             c2 = rand_vec(np_rng, lsq.n_params)
             assert_jets_close(lsq.eval_assembled(c2),
-                              per_term_least_squares(lsq._W, d, c2),
+                              per_term_least_squares(W, d, c2),
                               f"least squares, widely linear {wl}")
 
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from test_hilbert import assert_frozen_slots
+from test_hilbert import assert_frozen_slots, rand_rows, rand_vec
 from wirtcalc import hilbert as hb
 from wirtcalc.errors import (DimensionMismatch, DomainError, EmptyData,
                              NonRealCost, SingularHessian)
@@ -293,6 +293,67 @@ def test_least_squares_gradients_are_a_conjugate_pair(np_rng):
         assert_frozen_slots(prog.eval_assembled(c))
 
 
+def augmented_least_squares(X, d, c, wl):
+    """Residual, cost and (grad_f, grad_fc) from the augmented W = [X, X*]."""
+    W = np.hstack([X, np.conj(X)]) if wl else X
+    r = d - W @ np.conj(c)
+    grad_fc = -(W.T @ np.conj(r))
+    return r, np.vdot(r, r).real, np.conj(grad_fc), grad_fc
+
+
+def assert_rel_close(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), what
+
+
+def sample_layouts(rng, m, n):
+    """The same kind of samples C-ordered, Fortran-ordered and as a
+    non-contiguous view (every other column of a wider array)."""
+    wide = rand_rows(rng, m, 2 * n)
+    return {"C": np.ascontiguousarray(wide[:, :n]),
+            "F": np.asfortranarray(wide[:, n:]),
+            "strided": wide[:, ::2]}
+
+
+@pytest.mark.parametrize("m, n", [(40, 5), (40, 1), (1, 3), (1, 1)])
+def test_least_squares_kernel_matches_augmented_formula(m, n, np_rng):
+    d = rand_vec(np_rng, m)
+    for layout, X in sample_layouts(np_rng, m, n).items():
+        for wl in (False, True):
+            prog = build_least_squares(X, d, widely_linear=wl)
+            c = rand_vec(np_rng, prog.n_params)
+            r, value, grad_f, grad_fc = augmented_least_squares(X, d, c, wl)
+            what = (layout, wl)
+            assert_rel_close(prog.residuals(c), r, what)
+            for jet in (prog(c), prog.eval_assembled(c)):
+                assert_rel_close(jet.value, value, what)
+                assert_rel_close(jet.grad_f, grad_f, what)
+                assert_rel_close(jet.grad_fc, grad_fc, what)
+
+
+def test_least_squares_keeps_one_copy_of_the_samples(np_rng):
+    m, n = 30, 4
+    X, d = rand_rows(np_rng, m, n), rand_rows(np_rng, 1, m)[0]
+    for wl in (False, True):
+        prog = build_least_squares(X, d, widely_linear=wl)
+        arrays = [a for a in vars(prog).values() if isinstance(a, np.ndarray)]
+        # N x n samples and N targets, no conjugate or augmented copy
+        assert sum(a.size for a in arrays) == m * n + m
+        assert all(a.dtype == np.complex128 for a in arrays)
+        c = rand_vec(np_rng, prog.n_params)
+        before = prog(c)
+        X_seen, d_seen = X.copy(), d.copy()
+        X *= 2
+        d += 1
+        after = prog(c)
+        assert after.value == before.value
+        assert np.array_equal(after.grad_fc, before.grad_fc)
+        assert_rel_close(after.value,
+                         augmented_least_squares(X_seen, d_seen, c, wl)[1],
+                         wl)
+
+
 def test_least_squares_jet_matches_fd(np_rng):
     X, a0, b0, d = wl_problem(np_rng, n=2, m=5)
     prog = build_least_squares(list(X), list(d), widely_linear=True)
@@ -307,7 +368,8 @@ def test_widely_linear_recovers_planted_coefficients(np_rng):
     X, a0, b0, d = wl_problem(np_rng)
     prog = build_least_squares(list(X), list(d), widely_linear=True)
     target = np.concatenate([a0, b0])
-    gram = np.conj(prog._W).T @ prog._W
+    W = np.hstack([X, np.conj(X)])
+    gram = np.conj(W).T @ W
     mu = 0.9 / float(np.max(np.linalg.eigvalsh(gram)))
     cfg = DescentConfig(mu=mu, tol=1e-9, max_iter=5000)
     trace = steepest_descent_hilbert(prog, np.zeros(8, dtype=complex), cfg)
@@ -315,7 +377,7 @@ def test_widely_linear_recovers_planted_coefficients(np_rng):
     assert np.linalg.norm(trace.final - target) < 1e-6
 
     # direct solve oracle: T = ||d - W conj(f)||^2 so conj(f) solves lstsq
-    g, *_ = np.linalg.lstsq(prog._W, d, rcond=None)
+    g, *_ = np.linalg.lstsq(W, d, rcond=None)
     assert np.linalg.norm(np.conj(g) - target) < 1e-8
 
 
@@ -323,8 +385,8 @@ def test_strict_mode_on_widely_linear_data_fits_worse(np_rng):
     X, a0, b0, d = wl_problem(np_rng, n=3, m=40)
     strict = build_least_squares(list(X), list(d), widely_linear=False)
     wide = build_least_squares(list(X), list(d), widely_linear=True)
-    g_s, *_ = np.linalg.lstsq(strict._W, d, rcond=None)
-    g_w, *_ = np.linalg.lstsq(wide._W, d, rcond=None)
+    g_s, *_ = np.linalg.lstsq(X, d, rcond=None)
+    g_w, *_ = np.linalg.lstsq(np.hstack([X, np.conj(X)]), d, rcond=None)
     cost_s = strict(np.conj(g_s)).value.real
     cost_w = wide(np.conj(g_w)).value.real
     assert cost_w < 1e-16
