@@ -12,8 +12,9 @@ Complex literals use the expression grammar itself (``1+2i``, ``-3i``).
 Output is a JSON record on stdout (schema version 1); numbers are emitted
 as [re, im] pairs.  Exit codes: 0 success, 1 residual above tolerance or
 iteration budget exhausted, 2 malformed expression or data file, 3
-domain/pole error, 4 diverged or non-real cost, 5 line search stalled.
-Set WIRT_LOG=debug for diagnostics.
+domain/pole error, also a non-finite sample or target or a cost or
+gradient that is not finite at the start, 4 diverged or non-real cost, 5
+line search stalled.  Set WIRT_LOG=debug for diagnostics.
 
 Only ``minimize --data`` loads numpy; the other commands run on ``cmath``.
 """
@@ -43,6 +44,20 @@ EXIT_DOMAIN = 3
 EXIT_DIVERGED = 4
 EXIT_STALLED = 5
 
+#: exit code of each error ``main`` reports, first match; any other
+#: WirtcalcError, OSError or ValueError exits EXIT_FAIL
+ERROR_EXIT = (
+    ((ExprSyntaxError, EmptyData, DimensionMismatch), EXIT_MALFORMED),
+    ((DomainError, PoleError), EXIT_DOMAIN),
+    (NonRealCost, EXIT_DIVERGED),
+)
+TERMINATION_EXIT = {
+    Termination.CONVERGED: EXIT_OK,
+    Termination.MAX_ITER: EXIT_FAIL,
+    Termination.STALLED: EXIT_STALLED,
+    Termination.DIVERGED: EXIT_DIVERGED,
+}
+
 CHECK_DEFAULT_TOL = 1e-6
 
 
@@ -60,31 +75,24 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"{key}: {val}")
 
 
-def _jet_report(expr_text: str, at: complex, order: int) -> dict:
-    e = compile_expr(expr_text)
-    report = {
-        "schema": 1,
-        "command": "diff",
-        "expr": format_expr(e),
-        "at": _pair(at),
-        "order": order,
-    }
-    j = eval_jet(e, at, order=order)
-    report["value"] = _pair(j.value)
-    report["dz"] = _pair(j.dz)
-    report["dzc"] = _pair(j.dzc)
-    if order == 2:
+def _report(command: str, e, at: complex, **fields) -> dict:
+    return {"schema": 1, "command": command, "expr": format_expr(e),
+            "at": _pair(at), **fields}
+
+
+def cmd_diff(args) -> int:
+    at = parse_complex(args.at)
+    e = compile_expr(args.expr)
+    j = eval_jet(e, at, order=args.order)
+    report = _report("diff", e, at, order=args.order, value=_pair(j.value),
+                     dz=_pair(j.dz), dzc=_pair(j.dzc))
+    if args.order == 2:
         report["hessian"] = {
             "dzz": _pair(j.dzz),
             "dzzc": _pair(j.dzzc),
             "dzcz": _pair(j.dzcz),
             "dzczc": _pair(j.dzczc),
         }
-    return report
-
-
-def cmd_diff(args) -> int:
-    report = _jet_report(args.expr, parse_complex(args.at), args.order)
     _emit(report, args.json)
     return EXIT_OK
 
@@ -98,23 +106,10 @@ def cmd_check(args) -> int:
     res_dz = abs(j.dz - w) / (1.0 + abs(j.dz))
     res_dzc = abs(j.dzc - cw) / (1.0 + abs(j.dzc))
     ok = res_dz < args.tol and res_dzc < args.tol
-    report = {
-        "schema": 1,
-        "command": "check",
-        "expr": format_expr(e),
-        "at": _pair(at),
-        "step": args.step,
-        "tol": args.tol,
-        "dz": _pair(j.dz),
-        "dzc": _pair(j.dzc),
-        "fd_w": _pair(w),
-        "fd_cw": _pair(cw),
-        "residual_dz": res_dz,
-        "residual_dzc": res_dzc,
-        "classification": verdict.verdict.value,
-        "ok": ok,
-    }
-    _emit(report, args.json)
+    _emit(_report("check", e, at, step=args.step, tol=args.tol,
+                  dz=_pair(j.dz), dzc=_pair(j.dzc), fd_w=_pair(w),
+                  fd_cw=_pair(cw), residual_dz=res_dz, residual_dzc=res_dzc,
+                  classification=verdict.verdict.value, ok=ok), args.json)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -122,20 +117,10 @@ def cmd_classify(args) -> int:
     at = parse_complex(args.at)
     e = compile_expr(args.expr)
     rep = classify(e, at, step=args.step, tol=args.tol)
-    report = {
-        "schema": 1,
-        "command": "classify",
-        "expr": format_expr(e),
-        "at": _pair(at),
-        "step": args.step,
-        "tol": args.tol,
-        "classification": rep.verdict.value,
-        "fd_w": _pair(rep.w),
-        "fd_cw": _pair(rep.cw),
-        "cr_residual": rep.cr_residual,
-        "conj_cr_residual": rep.conj_cr_residual,
-    }
-    _emit(report, args.json)
+    _emit(_report("classify", e, at, step=args.step, tol=args.tol,
+                  classification=rep.verdict.value, fd_w=_pair(rep.w),
+                  fd_cw=_pair(rep.cw), cr_residual=rep.cr_residual,
+                  conj_cr_residual=rep.conj_cr_residual), args.json)
     return EXIT_OK
 
 
@@ -181,16 +166,6 @@ def _load_data_file(path: str):
     return X, _complex_list(payload["d"], "d")
 
 
-def _termination_exit(term: Termination) -> int:
-    if term is Termination.CONVERGED:
-        return EXIT_OK
-    if term is Termination.MAX_ITER:
-        return EXIT_FAIL
-    if term is Termination.STALLED:
-        return EXIT_STALLED
-    return EXIT_DIVERGED
-
-
 def cmd_minimize(args) -> int:
     cfg = DescentConfig(
         mu=args.mu,
@@ -223,7 +198,7 @@ def cmd_minimize(args) -> int:
     report["final_cost"] = trace.costs[-1]
     report["final_grad_norm"] = trace.grad_norms[-1]
     _emit(report, args.json)
-    return _termination_exit(trace.termination)
+    return TERMINATION_EXIT[trace.termination]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,39 +209,27 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action=argparse.BooleanOptionalAction,
-                       default=True, help="emit a JSON record (default)")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("expr")
+    point.add_argument("--at", required=True,
+                       help="evaluation point, e.g. 1+2i")
 
-    p_diff = sub.add_parser("diff", help="first or second derivatives")
-    p_diff.add_argument("expr")
-    p_diff.add_argument("--at", required=True, help="evaluation point, e.g. 1+2i")
+    p_diff = sub.add_parser("diff", parents=[point],
+                            help="first or second derivatives")
     p_diff.add_argument("--order", type=int, choices=(1, 2), default=1)
-    common(p_diff)
     p_diff.set_defaults(func=cmd_diff)
-
-    p_hess = sub.add_parser("hessian", help="alias of diff --order 2")
-    p_hess.add_argument("expr")
-    p_hess.add_argument("--at", required=True)
-    common(p_hess)
+    p_hess = sub.add_parser("hessian", parents=[point],
+                            help="alias of diff --order 2")
     p_hess.set_defaults(func=cmd_diff, order=2)
-
-    p_check = sub.add_parser(
-        "check", help="compare the rule derivatives against finite differences")
-    p_check.add_argument("expr")
-    p_check.add_argument("--at", required=True)
-    p_check.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p_check.add_argument("--tol", type=float, default=CHECK_DEFAULT_TOL)
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_cls = sub.add_parser("classify", help="holomorphy classification")
-    p_cls.add_argument("expr")
-    p_cls.add_argument("--at", required=True)
-    p_cls.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p_cls.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common(p_cls)
-    p_cls.set_defaults(func=cmd_classify)
+    for name, func, tol, text in (
+            ("check", cmd_check, CHECK_DEFAULT_TOL,
+             "compare the rule derivatives against finite differences"),
+            ("classify", cmd_classify, DEFAULT_TOL,
+             "holomorphy classification")):
+        p = sub.add_parser(name, parents=[point], help=text)
+        p.add_argument("--step", type=float, default=DEFAULT_STEP)
+        p.add_argument("--tol", type=float, default=tol)
+        p.set_defaults(func=func)
 
     p_min = sub.add_parser("minimize", help="steepest descent")
     p_min.add_argument("expr", nargs="?", default=None)
@@ -278,9 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--data", default=None,
                        help="least-squares JSON data file")
     p_min.add_argument("--widely-linear", action="store_true")
-    common(p_min)
     p_min.set_defaults(func=cmd_minimize)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action=argparse.BooleanOptionalAction,
+                       default=True, help="emit a JSON record (default)")
     return top
 
 
@@ -292,18 +257,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExprSyntaxError, EmptyData, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except (DomainError, PoleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NonRealCost as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except (WirtcalcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next((code for kinds, code in ERROR_EXIT
+                     if isinstance(exc, kinds)), EXIT_FAIL)
 
 
 if __name__ == "__main__":

@@ -25,9 +25,11 @@ Number literals that overflow to inf are syntax errors.
 ASTs are immutable; parsing, printing and evaluation are pure functions.
 ``compile_expr`` walks a tree once, without recursion, into a ``Tape`` of
 flat instructions that printing and evaluation replay in one loop.  So the
-nesting cap (200) and |k| <= 64 are the only size limits: a chain such as
-``z+z+...+z`` of any length prints and evaluates.  A caller that evaluates
-one expression at many points compiles it once and passes the tape.
+nesting cap (a depth of 200 grammar steps: 39 nested parentheses or calls,
+or 196 stacked unary minus signs) and |k| <= 64 are the only size limits:
+a chain such as ``z+z+...+z`` of any length prints and evaluates.  A
+caller that evaluates one expression at many points compiles it once and
+passes the tape.
 """
 
 from __future__ import annotations
@@ -475,8 +477,15 @@ def format_expr(e) -> str:
 # evaluation
 # --------------------------------------------------------------------------
 
+def _pow0(v: complex, k: int) -> complex:
+    try:
+        return v ** k
+    except ZeroDivisionError:
+        raise fw._pow_error(v, k) from None
+
+
 _ORDER0 = (lambda c: c, lambda k: k, operator.add, operator.sub,
-           operator.mul, operator.truediv, operator.neg, operator.pow,
+           operator.mul, operator.truediv, operator.neg, _pow0,
            lambda name, v: PRIMITIVES[name].value(v))
 
 # The jet rules are looked up on their modules at every evaluation, so a
@@ -497,7 +506,8 @@ def eval_jet(e, c: complex, order: int = 1):
     order 2 a SecondOrderJet; the value slot is bitwise identical across
     orders.  Every slot of the result is finite: this is the one place
     where evaluation failures become library errors.  A division by zero
-    anywhere in the tree raises PoleError; an overflow, a cmath domain
+    anywhere in the tree raises PoleError; an overflow (also a negative
+    power of a nonzero value whose true result overflows), a cmath domain
     failure or an inf/nan slot in the result raises DomainError.
     """
     tape = compile_expr(e)

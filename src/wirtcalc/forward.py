@@ -31,7 +31,8 @@ detected.
 
 ``div`` and ``power_int`` raise PoleError when what they divide by is 0
 (numpy slots would turn it into inf silently; a reciprocal is ``div`` with
-a unit numerator), and
+a unit numerator), ``power_int`` raises DomainError when a nonzero value's
+power underflows to 0 (the true power overflows), and
 ``apply_primitive`` raises DomainError where a primitive or its partials
 fail; overflow and inf/nan slots are left to ``expr.eval_jet``.
 
@@ -201,8 +202,17 @@ def power_int(a: WirtingerJet, k: int) -> WirtingerJet:
     try:
         g = k * v ** (k - 1)
     except ZeroDivisionError:
-        raise PoleError(f"negative power at a pole: value = {v!r}") from None
+        raise _pow_error(v, k) from None
     return a._fresh(v ** k, g * a.dz, g * a.dzc)
+
+
+def _pow_error(v: complex, k: int) -> DomainError | PoleError:
+    """The error for ``v**k`` (k < 0) that raised ZeroDivisionError: a pole
+    at v == 0; otherwise ``v**-k`` underflowed to 0, so the true power
+    overflows."""
+    if v == 0:
+        return PoleError(f"negative power at a pole: value = {v!r}")
+    return DomainError(f"negative power overflows: value = {v!r}, k = {k}")
 
 
 def chain(value: complex, gz: complex, gzc: complex,

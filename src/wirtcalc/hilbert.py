@@ -35,6 +35,7 @@ differences along the real and imaginary unit directions.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -119,15 +120,17 @@ class FunctionalJet(fw.WirtingerJet):
         shape (n,) or (n, m), such as a ``forward`` rule computes from
         frozen slots.  They are frozen in place and stored by the slot
         filler of ``forward``; the constructor's copy and checks are for
-        arrays a caller passes in.  A stack's value must be a finite (m,)
-        array (DimensionMismatch, DomainError)."""
+        arrays a caller passes in.  The value must be finite (DomainError),
+        a stack's an (m,) array (DimensionMismatch)."""
         if dz.ndim == 1:
             value = complex(value)
+            if not cmath.isfinite(value):
+                raise DomainError(f"a jet's value {value!r} is not finite")
         elif value.__class__ is not np.ndarray or value.shape != dz.shape[1:]:
             raise DimensionMismatch(
                 f"a stack of {dz.shape[-1]} jets got the value {value!r}")
         elif not np.isfinite(value).all():
-            raise DomainError("a stacked jet has a non-finite value")
+            raise DomainError("a stacked jet's value is not finite")
         else:
             value.setflags(write=False)
         j = _new(FunctionalJet)

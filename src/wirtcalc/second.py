@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .forward import PRIMITIVES, WirtingerJet, _new, _require_finite
+from .forward import (PRIMITIVES, WirtingerJet, _new, _pow_error,
+                      _require_finite)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,8 +140,11 @@ def power_int2(a: SecondOrderJet, k: int) -> SecondOrderJet:
     v = a.value
     if k == 0:
         return _fill(v ** 0, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO, _ZERO)
-    g = k * v ** (k - 1)
-    gg = _ZERO if k == 1 else k * (k - 1) * v ** (k - 2)
+    try:
+        g = k * v ** (k - 1)
+        gg = _ZERO if k == 1 else k * (k - 1) * v ** (k - 2)
+    except ZeroDivisionError:
+        raise _pow_error(v, k) from None
     return _fill(
         v ** k,
         g * a.dz,

@@ -131,6 +131,12 @@ def test_check_exits_1_when_residual_above_tol(capsys):
     assert rep["ok"] is False
 
 
+def test_check_step_below_the_floor_exits_1(capsys):
+    code, out, err = run(capsys, "check", "z", "--at", "1", "--step", "1e-13")
+    assert code == 1 and out == ""
+    assert err == "error: step 1e-13 below 1e-12\n"
+
+
 def test_check_evaluates_the_jet_once(capsys, monkeypatch):
     from wirtcalc import forward as fw
     seeds = []
@@ -272,6 +278,13 @@ def test_minimize_non_finite_data_exits_3(capsys, tmp_path, payload):
         code, out, err = run(capsys, "minimize", "--data", str(path))
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "not finite" in err
+
+
+def test_minimize_missing_data_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "minimize", "--data", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: [Errno 2]") and str(path) in err
 
 
 def test_minimize_without_expression_or_data_fails(capsys):

@@ -202,7 +202,9 @@ def test_eval_is_finite_or_a_library_error(seed):
     ("z^64", 1e10, 1, DomainError),             # the power overflows
     ("1/z", 1e-200, 1, DomainError),            # dz = -1/z^2 overflows
     ("1/z", 1e-200, 2, DomainError),
-    ("z^-3", 1e-120, 1, PoleError),
+    ("z^-3", 1e-120, 0, DomainError),           # z^3 underflows: no pole
+    ("z^-3", 1e-120, 1, DomainError),
+    ("z^-3", 1e-120, 2, DomainError),
     ("exp(700)*exp(700)", 1, 0, DomainError),   # inf value
     ("z*z", 1e200, 1, DomainError),             # inf value, finite dz
     ("abs2(z)", 1e200, 2, DomainError),

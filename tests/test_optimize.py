@@ -250,6 +250,16 @@ def test_hilbert_descent_rejects_an_overflowing_start():
             steepest_descent_hilbert(prog, np.zeros(1, dtype=complex), cfg)
 
 
+def test_least_squares_call_refuses_a_non_finite_cost():
+    # inf - inf in the residual: the cost is nan, not a silent jet
+    prog = build_least_squares([[1e200, 1], [2, 3]], [1, 2])
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match="not finite"):
+            prog([1e200, 0])
+        with pytest.raises(DomainError, match="not finite"):
+            prog.eval_assembled([1e200, 0])
+
+
 def test_hilbert_descent_step_into_overflow():
     # the first step lands at 1e200, where the cost overflows: the run
     # diverges and keeps only the finite start
