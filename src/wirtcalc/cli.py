@@ -10,11 +10,13 @@ Commands::
 
 Complex literals use the expression grammar itself (``1+2i``, ``-3i``).
 Output is a JSON record on stdout (schema version 1); numbers are emitted
-as [re, im] pairs.  Exit codes: 0 success, 1 residual above tolerance or
-iteration budget exhausted, 2 malformed expression or data file, 3
-domain/pole error, also a non-finite sample or target or a cost or
-gradient that is not finite at the start, 4 diverged or non-real cost, 5
-line search stalled.  Set WIRT_LOG=debug for diagnostics.
+as [re, im] pairs.  Exit codes: 0 success, 1 residual above tolerance,
+iteration budget exhausted or an error without a code of its own (a
+WirtcalcError such as StepTooSmall, an OSError such as a missing data
+file), 2 malformed expression or data file, 3 domain/pole error, also
+a non-finite sample or target or a cost or gradient that is not finite
+at the start, 4 diverged or non-real cost, 5 line search stalled.  Set
+WIRT_LOG=debug for diagnostics.
 
 Only ``minimize --data`` loads numpy; the other commands run on ``cmath``.
 """

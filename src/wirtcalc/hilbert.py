@@ -63,7 +63,7 @@ def hvec(coords) -> HVec:
     a = np.array(coords, dtype=np.complex128, copy=True)
     if a.ndim != 1 or a.size < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("vector has non-finite coordinates")
     return _freeze(a)
 
@@ -85,7 +85,8 @@ class FunctionalJet(fw.WirtingerJet):
     gradients, column k for jet k.  ``forward``'s rules broadcast over a
     stack's last axis; those that need one value (div, apply_primitive,
     outer_chain) raise DimensionMismatch on it, as does mixing a single jet
-    with a stack.  Equality compares all three slots; like their arrays,
+    with a stack.  The constructor refuses a non-finite slot with
+    DomainError.  Equality compares all three slots; like their arrays,
     jets are unhashable."""
 
     __hash__ = None
@@ -106,13 +107,15 @@ class FunctionalJet(fw.WirtingerJet):
             raise DimensionMismatch(
                 f"slot shapes {value.shape}, {gf.shape} and {gfc.shape} do "
                 "not make a FunctionalJet")
+        if not all(np.isfinite(a).all() for a in (value, gf, gfc)):
+            raise DomainError("a FunctionalJet slot is not finite")
         object.__setattr__(self, "value",
                            _freeze(value) if value.ndim else complex(value))
         object.__setattr__(self, "dz", _freeze(gf))
         object.__setattr__(self, "dzc", _freeze(gfc))
 
-    def __reduce__(self):  # numpy unpickles writeable arrays: re-freeze
-        return self.__class__, (self.value, self.dz, self.dzc)
+    def __reduce__(self):  # as a rule result, whose gradient may be inf
+        return _unpickle, (self.value, self.dz, self.dzc)
 
     @staticmethod
     def _fresh(value, dz, dzc) -> FunctionalJet:
@@ -121,7 +124,7 @@ class FunctionalJet(fw.WirtingerJet):
         frozen slots.  They are frozen in place and stored by the slot
         filler of ``forward``; the constructor's copy and checks are for
         arrays a caller passes in.  The value must be finite (DomainError),
-        a stack's an (m,) array (DimensionMismatch)."""
+        a stack's an (m,) array (DimensionMismatch); gradients go unchecked."""
         if dz.ndim == 1:
             value = complex(value)
             if not cmath.isfinite(value):
@@ -159,6 +162,12 @@ class FunctionalJet(fw.WirtingerJet):
             return self
         return FunctionalJet._fresh(self.value.sum(), self.dz.sum(axis=1),
                                     self.dzc.sum(axis=1))
+
+
+def _unpickle(value, dz, dzc) -> FunctionalJet:
+    # copies: an array unpickled from an out-of-band buffer shares it
+    return FunctionalJet._fresh(np.copy(value) if np.ndim(value) else value,
+                                dz.copy(), dzc.copy())
 
 
 def functional_constant(k, n: int) -> FunctionalJet:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import json
 import logging
 import math
@@ -220,20 +221,27 @@ class LeastSquaresProgram:
 
     The program keeps the N x n samples ``X`` (one C-ordered complex128
     copy) and the targets, never the augmented ``W = [X, X*]``, whose
-    conjugate half holds no new data.  A strict call makes two complex
-    matrix-vector products, the residual ``r = d - X conj(c)`` and
-    ``grad_fc = -X^T conj(r)``.  A widely-linear call writes ``X = A + iB``
-    and reads ``X`` as the real N x 2n matrix of interleaved Re and Im
-    columns: with ``s = conj(c1 + c2)`` and ``t = conj(c1 - c2)`` for the two
-    halves of ``c``, ``W conj(c) = A s + iB t`` is one real product with a
-    2n x 2 matrix, and ``A^T r``, ``B^T r`` are one real product with the
-    N x 2 real view of ``r``.  Then ``grad_f = -W^H r = -[A^T r - iB^T r;
-    A^T r + iB^T r]``, and ``grad_fc`` is its conjugate, as for every
-    real-valued cost.  ``eval_assembled`` builds the same jet from the
-    inner-product rules and the product-with-conjugate rule, each applied
-    once to the stacked ``FunctionalJet`` of all N samples' terms, and the
-    test suite pins the two paths together.  Data that are not a finite
-    array of rows and one target per row raise ``EmptyData``,
+    conjugate half holds no new data.  Its residual is ``r = d - M u``:
+    strict, ``M = X`` and ``u = conj(c)``; widely linear, ``M`` is
+    ``X = A + iB`` read as the real N x 2n matrix of interleaved Re and Im
+    columns, and ``u`` interleaves ``s = conj(c1 + c2)`` and
+    ``i t = i conj(c1 - c2)``, so ``M u = A s + iB t = W conj(c)``.  The
+    first call factors ``Z = [M | d]`` (widely linear, the real
+    ``[M | Re d | Im d]``) as ``QR`` and keeps only the small ``R``.  As
+    ``r = Z a`` with ``a = [-u; 1]`` (``[-u; 1; i]``) and ``Q`` has
+    orthonormal columns (real ones when widely linear), ``e = R a`` gives
+    the value ``||r||^2 = ||e||^2`` and ``M^H r = R[:, :k]^H e``: a call
+    makes no pass over the N samples.  ``M^H r`` is ``-grad_f`` or the
+    pairs ``(A^T r, B^T r)`` of
+    ``grad_f = -[A^T r - iB^T r; A^T r + iB^T r]``, and ``grad_fc`` is its
+    conjugate.  ``e`` carries a rounding of order eps ||Z||, also at an
+    exact fit, so for ||Z|| above about 1e160 the value or gradient
+    overflows there (DomainError); so does every call when a column norm
+    of ``Z`` overflows.  ``eval_assembled`` builds the same jet from
+    the inner-product rules and the product-with-conjugate rule, each
+    applied once to the stacked ``FunctionalJet`` of all N samples' terms,
+    and the test suite pins the two paths together.  Data that are not a
+    finite array of rows and one target per row raise ``EmptyData``,
     ``DimensionMismatch`` or ``DomainError``, and so does a parameter that
     is not a finite vector of dimension ``n_params``.  The methods import
     numpy and ``hilbert`` when called, so a process that builds no program
@@ -267,7 +275,8 @@ class LeastSquaresProgram:
     def n_params(self) -> int:
         return self._X.shape[1] * (2 if self.widely_linear else 1)
 
-    def residuals(self, c: hb.HVec) -> np.ndarray:
+    def _coefficients(self, c: hb.HVec) -> np.ndarray:
+        """``u`` of ``r = d - M u`` for the parameter ``c``."""
         import numpy as np
 
         from . import hilbert as hb
@@ -276,32 +285,51 @@ class LeastSquaresProgram:
             raise DimensionMismatch(
                 f"parameter has dimension {c.shape[0]}, need {self.n_params}")
         if not self.widely_linear:
-            return self._d - self._X @ np.conj(c)
-        n = self._X.shape[1]
-        # columns s and i t; read as real, rows 2k and 2k+1 meet column k
-        # of A and of B, so the product's columns are Re and Im of A s + iB t
-        st = np.conj(c).reshape(2, n).T @ [[1, 1j], [1, -1j]]
-        p = self._X.view(np.float64) @ st.view(np.float64).reshape(2 * n, 2)
+            return np.conj(c)
+        return (np.conj(c).reshape(2, -1).T @ [[1, 1j], [1, -1j]]).ravel()
+
+    @functools.cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """``R[:, :k]`` (as complex) and ``R[:, k:] @ tail`` of ``Z = QR``."""
+        import numpy as np
+        if self.widely_linear:
+            Z = np.hstack([self._X.view(np.float64),
+                           self._d.view(np.float64).reshape(-1, 2)])
+        else:
+            Z = np.hstack([self._X, self._d[:, None]])
+        R = np.linalg.qr(Z, mode="r")
+        if not np.isfinite(R).all():
+            raise DomainError("the samples and targets are too large to "
+                              "factor: a column norm overflows")
+        k = self.n_params
+        return (R[:, :k].astype(np.complex128),
+                R[:, k:] @ ([1, 1j] if self.widely_linear else [1]))
+
+    def residuals(self, c: hb.HVec) -> np.ndarray:
+        import numpy as np
+        u = self._coefficients(c)
+        if not self.widely_linear:
+            return self._d - self._X @ u
+        # read as real, rows 2k and 2k+1 of u meet column k of A and of B,
+        # so the product's columns are Re and Im of A s + iB t
+        p = self._X.view(np.float64) @ u.view(np.float64).reshape(-1, 2)
         return self._d - p.view(np.complex128)[:, 0]
 
     def __call__(self, c: hb.HVec) -> hb.FunctionalJet:
         import numpy as np
 
         from . import hilbert as hb
-        r = self.residuals(c)
-        value = complex(np.vdot(r, r).real)
-        if self.widely_linear:
-            # read as complex, row k of the real product is
-            # [(A^T r)_k, (B^T r)_k]
-            ab = (self._X.view(np.float64).T
-                  @ r.view(np.float64).reshape(-1, 2)).view(np.complex128)
-            grad_f = ([[-1, 1j], [-1, -1j]] @ ab.reshape(-1, 2).T).ravel()
-            grad_fc = np.conj(grad_f)
+        Rx, rd = self._factor
+        e = rd - Rx @ self._coefficients(c)
+        # ||e||^2 over the real view: an overflow reads inf, never nan
+        value = complex(np.vdot(e.view(np.float64), e.view(np.float64)))
+        g = np.conj(Rx).T @ e               # M^H r
+        if self.widely_linear:              # pairs ((A^T r)_k, (B^T r)_k)
+            grad_f = ([[-1, 1j], [-1, -1j]] @ g.reshape(-1, 2).T).ravel()
         else:
-            grad_fc = -(self._X.T @ np.conj(r))
-            grad_f = np.conj(grad_fc)
+            grad_f = -g
         # both slot arrays are new: frozen in place, not copied
-        return hb.FunctionalJet._fresh(value, grad_f, grad_fc)
+        return hb.FunctionalJet._fresh(value, grad_f, np.conj(grad_f))
 
     def eval_assembled(self, c: hb.HVec) -> hb.FunctionalJet:
         import numpy as np

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -591,6 +592,22 @@ def test_jet_stack_constructor_checks_and_copies(np_rng):
                 (value, dz, dz[:, :2]), (value, dz[0], dz[0])):
         with pytest.raises(DimensionMismatch):
             hb.FunctionalJet(*bad)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), math.inf,
+                                 complex(0, -math.inf)])
+def test_functional_jet_constructor_refuses_non_finite_slots(bad, np_rng):
+    sa = operand_stacks(np_rng, 3, 2)[0]
+    single = (1 + 0j, np.ones(3), np.zeros(3))
+    stack = (np.array(sa.value), np.array(sa.dz), np.array(sa.dzc))
+    for slots in (single, stack):
+        for k in range(3):
+            bad_slots = [np.array(s, dtype=complex) for s in slots]
+            bad_slots[k].flat[-1] = bad
+            with pytest.raises(DomainError, match="not finite"):
+                hb.FunctionalJet(*bad_slots)
+    with pytest.raises(DomainError):
+        hb.FunctionalJet(complex("nan"), [1], [float("inf")])
 
 
 def per_term_squared_distance(w, c):

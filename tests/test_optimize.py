@@ -343,25 +343,99 @@ def test_least_squares_kernel_matches_augmented_formula(m, n, np_rng):
 
 
 def test_least_squares_keeps_one_copy_of_the_samples(np_rng):
-    m, n = 30, 4
-    X, d = rand_rows(np_rng, m, n), rand_rows(np_rng, 1, m)[0]
-    for wl in (False, True):
-        prog = build_least_squares(X, d, widely_linear=wl)
-        arrays = [a for a in vars(prog).values() if isinstance(a, np.ndarray)]
-        # N x n samples and N targets, no conjugate or augmented copy
-        assert sum(a.size for a in arrays) == m * n + m
-        assert all(a.dtype == np.complex128 for a in arrays)
-        c = rand_vec(np_rng, prog.n_params)
-        before = prog(c)
-        X_seen, d_seen = X.copy(), d.copy()
-        X *= 2
-        d += 1
-        after = prog(c)
-        assert after.value == before.value
-        assert np.array_equal(after.grad_fc, before.grad_fc)
-        assert_rel_close(after.value,
-                         augmented_least_squares(X_seen, d_seen, c, wl)[1],
-                         wl)
+    n = 4
+    extra_sizes = {}
+    for m in (30, 60):
+        X, d = rand_rows(np_rng, m, n), rand_rows(np_rng, 1, m)[0]
+        for wl in (False, True):
+            prog = build_least_squares(X, d, widely_linear=wl)
+            arrays = [a for a in vars(prog).values()
+                      if isinstance(a, np.ndarray)]
+            # N x n samples and N targets, no conjugate or augmented copy
+            assert sum(a.size for a in arrays) == m * n + m
+            assert all(a.dtype == np.complex128 for a in arrays)
+            c = rand_vec(np_rng, prog.n_params)
+            before = prog(c)
+            # after a call: no other array of N rows, and whatever the call
+            # cached has a size that does not depend on N
+            held = [a for v in vars(prog).values()
+                    for a in (v if isinstance(v, tuple) else (v,))
+                    if isinstance(a, np.ndarray)
+                    and not any(a is b for b in arrays)]
+            assert all(m not in a.shape for a in held), (m, wl)
+            extra_sizes.setdefault(wl, set()).add(sum(a.size for a in held))
+            X_seen, d_seen = X.copy(), d.copy()
+            X *= 2
+            d += 1
+            after = prog(c)
+            assert after.value == before.value
+            assert np.array_equal(after.grad_fc, before.grad_fc)
+            assert_rel_close(after.value,
+                             augmented_least_squares(X_seen, d_seen, c, wl)[1],
+                             wl)
+    assert all(len(sizes) == 1 for sizes in extra_sizes.values())
+
+
+def test_least_squares_factor_handles_rank_deficient_and_short_data(np_rng):
+    dup = rand_rows(np_rng, 40, 4)
+    dup[:, 3] = dup[:, 1]           # rank-deficient X
+    cases = {"duplicated column": dup, "N < n": rand_rows(np_rng, 3, 5),
+             "N = 1": rand_rows(np_rng, 1, 4)}
+    for what, X in cases.items():
+        d = rand_vec(np_rng, X.shape[0])
+        for wl in (False, True):
+            prog = build_least_squares(X, d, widely_linear=wl)
+            for _ in range(3):
+                c = rand_vec(np_rng, prog.n_params)
+                _, value, grad_f, grad_fc = augmented_least_squares(
+                    X, d, c, wl)
+                ref = prog.eval_assembled(c)
+                for jet in (prog(c), ref):
+                    assert_rel_close(jet.value, value, (what, wl))
+                    assert_rel_close(jet.grad_f, grad_f, (what, wl))
+                    assert_rel_close(jet.grad_fc, grad_fc, (what, wl))
+
+
+def test_least_squares_exact_fit_value_is_a_tiny_sum_of_squares(np_rng):
+    for N in (50, 5000):
+        X = rand_rows(np_rng, N, 4)
+        for wl in (False, True):
+            c0 = rand_vec(np_rng, 8 if wl else 4)
+            W = np.hstack([X, np.conj(X)]) if wl else X
+            prog = build_least_squares(X, W @ np.conj(c0), widely_linear=wl)
+            jet = prog(c0)
+            # the value is ||R a||^2, never a cancelling difference
+            assert jet.value.real >= 0 and jet.value.imag == 0
+            assert jet.value.real <= 1e-20 * N
+            scale = np.linalg.norm(W) ** 2 * np.linalg.norm(c0)
+            assert np.linalg.norm(jet.grad_fc) <= 1e-13 * scale
+
+
+def test_least_squares_overflow_raises_without_a_warning():
+    cfg = DescentConfig(mu=0.1, tol=1e-8, max_iter=10)
+    huge_targets = ([[1 + 0j], [1j]], [1e200 + 0j, 3e200 + 1j])
+    huge_sample = ([[1e200, 1], [2, 3]], [1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no numpy RuntimeWarning first
+        for wl in (False, True):
+            prog = build_least_squares(*huge_targets, widely_linear=wl)
+            with pytest.raises(DomainError, match="not finite"):
+                prog(np.zeros(prog.n_params))
+            with pytest.raises(DomainError, match="not finite"):
+                steepest_descent_hilbert(prog, np.zeros(prog.n_params), cfg)
+            prog = build_least_squares(*huge_sample, widely_linear=wl)
+            start = np.zeros(prog.n_params)
+            start[0] = 1e200
+            with pytest.raises(DomainError, match="not finite"):
+                steepest_descent_hilbert(prog, start, cfg)
+            # finite data whose column norm overflows: no factor to keep
+            prog = build_least_squares(np.full((5000, 1), 1e307),
+                                       np.full(5000, 1e307), widely_linear=wl)
+            for _ in range(2):
+                with pytest.raises(DomainError, match="too large to factor"):
+                    prog(np.ones(prog.n_params))
+            with pytest.raises(DomainError, match="too large to factor"):
+                steepest_descent_hilbert(prog, np.ones(prog.n_params), cfg)
 
 
 def test_least_squares_jet_matches_fd(np_rng):

@@ -19,6 +19,7 @@ from test_hilbert import STACK_RULES, assert_frozen_slots, operand_stacks
 from wirtcalc import forward as fw
 from wirtcalc import hilbert as hb
 from wirtcalc import second as so
+from wirtcalc.errors import DomainError
 from wirtcalc.optimize import build_least_squares
 
 
@@ -140,3 +141,21 @@ def test_second_rule_results():
         results[f"apply_primitive2 {name}"] = so.apply_primitive2(name, a)
     for name, j in results.items():
         assert_rule_result(j, so.SecondOrderJet, name)
+
+
+
+def test_rule_results_with_an_overflowing_gradient_round_trip():
+    # a rule checks the value only: this one keeps a finite value next to
+    # an inf gradient, which the public constructor refuses
+    a = hb.ip_functional("fw", [1e300], [1e-300])
+    stack = hb.ip_functional("fw", [[1e300], [1.0]], [1e-300])
+    for j in (a, stack):
+        with np.errstate(over="ignore"):
+            big = fw.linear_combine(1e10, j, 1, j)
+        assert np.isfinite(big.value).all() and np.isinf(big.dz).any()
+        with pytest.raises(DomainError, match="not finite"):
+            hb.FunctionalJet(big.value, big.dz, big.dzc)
+        back = pickle.loads(pickle.dumps(big))
+        assert back == big and back.__class__ is hb.FunctionalJet
+        assert not (back.dz.flags.writeable or back.dzc.flags.writeable)
+        assert j is a or back.value.flags.writeable is False
