@@ -132,7 +132,7 @@ class FunctionalJet(fw.WirtingerJet):
         elif value.__class__ is not np.ndarray or value.shape != dz.shape[1:]:
             raise DimensionMismatch(
                 f"a stack of {dz.shape[-1]} jets got the value {value!r}")
-        elif not np.isfinite(value).all():
+        elif not np.logical_and.reduce(np.isfinite(value)):
             raise DomainError("a stacked jet's value is not finite")
         else:
             value.setflags(write=False)
@@ -160,8 +160,10 @@ class FunctionalJet(fw.WirtingerJet):
         """The jet of the sum of a stack's jets; a single jet is its own."""
         if self.dz.ndim == 1:
             return self
-        return FunctionalJet._fresh(self.value.sum(), self.dz.sum(axis=1),
-                                    self.dzc.sum(axis=1))
+        # the ufunc reductions that .sum() wraps, without the wrapper
+        return FunctionalJet._fresh(np.add.reduce(self.value),
+                                    np.add.reduce(self.dz, 1),
+                                    np.add.reduce(self.dzc, 1))
 
 
 def _unpickle(value, dz, dzc) -> FunctionalJet:
@@ -225,16 +227,18 @@ def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
 
 
 def squared_distance(w: HVec) -> Functional:
-    """Program for f -> ||f - w||^2 = sum_j |inner(f, e_j) - w_j|^2: the
-    coordinate projections inner(f, e_j) as one stack, the
-    product-with-conjugate rule applied once over all n terms, then their
-    total."""
+    """Program for f -> ||f - w||^2 = sum_j |inner(f - w, e_j)|^2: the
+    coordinate projections inner(., e_j) at c - w as one stack (the jet
+    at c of f -> f_j - w_j), the product-with-conjugate rule applied once
+    over all n terms, then their total."""
     w = hvec(w)
-    n = w.shape[0]
-    basis = np.eye(n, dtype=np.complex128)
+    basis = np.eye(w.shape[0], dtype=np.complex128)
 
     def program(c: HVec) -> FunctionalJet:
-        r = fw.sub(ip_functional("fw", basis, c), functional_constant(w, n))
+        c = hvec(c)
+        if c.shape != w.shape:      # before c - w can broadcast
+            raise DimensionMismatch(f"shape {c.shape}, need {w.shape}")
+        r = ip_functional("fw", basis, c - w)
         return fw.mul(r, fw.conj(r)).total()
 
     return program

@@ -12,8 +12,9 @@ drives both.
 
 The scalar path (``steepest_descent_scalar``, ``newton_step_scalar``) runs
 on ``cmath`` alone.  numpy and ``hilbert`` are imported by the Hilbert-space
-path only, when ``steepest_descent_hilbert`` or ``build_least_squares``
-first runs.
+path only: ``build_least_squares`` loads numpy, and ``hilbert`` loads when
+``steepest_descent_hilbert`` first runs or a least-squares program is first
+called.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ if TYPE_CHECKING:
     from . import hilbert as hb
 
 log = logging.getLogger("wirtcalc.optimize")
+
+
+@functools.cache
+def _lib():
+    """numpy, ``hilbert`` and ``LeastSquaresProgram``'s widely-linear pairing
+    matrices, bound on first use, not by a build: hilbert's import is slow."""
+    import numpy as np
+
+    from . import hilbert as hb
+    return (np, hb, np.array([[1, 1j], [1, -1j]]),
+            np.array([[-1, 1j], [-1, -1j]]))
+
 
 #: tolerated |imag(cost)| at the starting point / along the run
 IMAG_TOL_START = 1e-10
@@ -192,9 +205,7 @@ def steepest_descent_scalar(cost: str | ex.Expr | ex.Tape, z0: complex,
 def steepest_descent_hilbert(cost: hb.Functional, f0: hb.HVec,
                              cfg: DescentConfig) -> DescentTrace:
     """Minimize a real-valued functional program from the vector ``f0``."""
-    import numpy as np
-
-    from . import hilbert as hb
+    np, hb = _lib()[:2]
     f0 = hb.hvec(f0)
     # the loop checks every cost and gradient norm it records, so numpy's
     # overflow and invalid-value warnings would only repeat that check
@@ -202,7 +213,8 @@ def steepest_descent_hilbert(cost: hb.Functional, f0: hb.HVec,
         return _descend(
             value_of=lambda f: cost(f).value,
             jet_of=cost,
-            grad_norm_of=lambda g: float(np.linalg.norm(g)),
+            # ||g|| overflows to inf as np.linalg.norm does, in fewer calls
+            grad_norm_of=lambda g: math.sqrt(np.vdot(g, g).real),
             x0=f0,
             cfg=cfg,
         )
@@ -243,9 +255,9 @@ class LeastSquaresProgram:
     and the test suite pins the two paths together.  Data that are not a
     finite array of rows and one target per row raise ``EmptyData``,
     ``DimensionMismatch`` or ``DomainError``, and so does a parameter that
-    is not a finite vector of dimension ``n_params``.  The methods import
-    numpy and ``hilbert`` when called, so a process that builds no program
-    loads neither.
+    is not a finite vector of dimension ``n_params``.  A build loads numpy,
+    and ``hilbert`` loads on a program's first call, so a process that
+    builds no program loads neither.
     """
 
     def __init__(self, X: Sequence, d: Sequence[complex],
@@ -277,21 +289,20 @@ class LeastSquaresProgram:
 
     def _coefficients(self, c: hb.HVec) -> np.ndarray:
         """``u`` of ``r = d - M u`` for the parameter ``c``."""
-        import numpy as np
-
-        from . import hilbert as hb
+        _, hb, pair, _ = _lib()
         c = hb.hvec(c)
         if c.shape[0] != self.n_params:
             raise DimensionMismatch(
                 f"parameter has dimension {c.shape[0]}, need {self.n_params}")
         if not self.widely_linear:
-            return np.conj(c)
-        return (np.conj(c).reshape(2, -1).T @ [[1, 1j], [1, -1j]]).ravel()
+            return c.conj()
+        return (c.conj().reshape(2, -1).T @ pair).ravel()
 
     @functools.cached_property
-    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """``R[:, :k]`` (as complex) and ``R[:, k:] @ tail`` of ``Z = QR``."""
-        import numpy as np
+    def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``R[:, :k]`` (as complex), its contiguous conjugate transpose and
+        ``R[:, k:] @ tail`` of ``Z = QR``."""
+        np = _lib()[0]
         if self.widely_linear:
             Z = np.hstack([self._X.view(np.float64),
                            self._d.view(np.float64).reshape(-1, 2)])
@@ -302,11 +313,12 @@ class LeastSquaresProgram:
             raise DomainError("the samples and targets are too large to "
                               "factor: a column norm overflows")
         k = self.n_params
-        return (R[:, :k].astype(np.complex128),
+        Rx = R[:, :k].astype(np.complex128)
+        return (Rx, np.ascontiguousarray(Rx.conj().T),
                 R[:, k:] @ ([1, 1j] if self.widely_linear else [1]))
 
     def residuals(self, c: hb.HVec) -> np.ndarray:
-        import numpy as np
+        np = _lib()[0]
         u = self._coefficients(c)
         if not self.widely_linear:
             return self._d - self._X @ u
@@ -316,25 +328,21 @@ class LeastSquaresProgram:
         return self._d - p.view(np.complex128)[:, 0]
 
     def __call__(self, c: hb.HVec) -> hb.FunctionalJet:
-        import numpy as np
-
-        from . import hilbert as hb
-        Rx, rd = self._factor
+        np, hb, _, unpair = _lib()
+        Rx, RxH, rd = self._factor
         e = rd - Rx @ self._coefficients(c)
         # ||e||^2 over the real view: an overflow reads inf, never nan
         value = complex(np.vdot(e.view(np.float64), e.view(np.float64)))
-        g = np.conj(Rx).T @ e               # M^H r
+        g = RxH @ e                         # M^H r
         if self.widely_linear:              # pairs ((A^T r)_k, (B^T r)_k)
-            grad_f = ([[-1, 1j], [-1, -1j]] @ g.reshape(-1, 2).T).ravel()
+            grad_f = (unpair @ g.reshape(-1, 2).T).ravel()
         else:
             grad_f = -g
         # both slot arrays are new: frozen in place, not copied
-        return hb.FunctionalJet._fresh(value, grad_f, np.conj(grad_f))
+        return hb.FunctionalJet._fresh(value, grad_f, grad_f.conj())
 
     def eval_assembled(self, c: hb.HVec) -> hb.FunctionalJet:
-        import numpy as np
-
-        from . import hilbert as hb
+        np, hb = _lib()[:2]
         # the augmented rows live for this call only
         W = (np.hstack([self._X, np.conj(self._X)]) if self.widely_linear
              else self._X)

@@ -110,3 +110,17 @@ def test_minimize_data_loads_numpy(tmp_path):
     }))
     argv = ["minimize", "--data", str(path), "--mu", "0.2"]
     assert fresh_python(RUN_CLI, json.dumps(argv)) == [0, True]
+
+
+def test_least_squares_build_leaves_hilbert_unloaded():
+    # a build loads numpy only; hilbert, a few milliseconds of import,
+    # loads on the program's first call
+    code = """
+import json, sys
+from wirtcalc import build_least_squares
+prog = build_least_squares([[1 + 0j, 2j], [0.5, -1]], [1 + 1j, 2])
+loaded = ["wirtcalc.hilbert" in sys.modules]
+prog([0j, 0j])
+print(json.dumps(loaded + ["wirtcalc.hilbert" in sys.modules]))
+"""
+    assert fresh_python(code) == [False, True]

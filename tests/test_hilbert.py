@@ -653,6 +653,31 @@ def test_stacked_programs_match_the_per_term_loop(n, np_rng):
                               f"least squares, widely linear {wl}")
 
 
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_squared_distance_is_bitwise_the_six_rule_stack(n, np_rng):
+    # the projections' jet at c - w is the jet at c of f -> f_j - w_j, so
+    # the program's four rules give the six-rule form's jet to the bit
+    w = rand_vec(np_rng, n)
+    prog = hb.squared_distance(w)
+    eye = np.eye(n, dtype=complex)
+    for _ in range(3):
+        c = rand_vec(np_rng, n)
+        r = fw.sub(hb.ip_functional("fw", eye, c),
+                   hb.functional_constant(w, n))
+        want = fw.mul(r, fw.conj(r)).total()
+        got = prog(c)
+        for slot in ("value", "dz", "dzc"):
+            assert (np.asarray(getattr(got, slot)).tobytes()
+                    == np.asarray(getattr(want, slot)).tobytes()), (n, slot)
+
+
+def test_squared_distance_refuses_an_overflowing_difference():
+    # c - w overflows to inf although c and w are finite
+    prog = hb.squared_distance([-1e308, 0])
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        prog([1e308, 0])
+
+
 BAD_PARAMETERS = [
     (np.ones((2, 2)), DimensionMismatch),
     (np.ones(3), DimensionMismatch),

@@ -274,6 +274,22 @@ def test_hilbert_descent_step_into_overflow():
     assert trace.costs == [1.0] and trace.grad_norms == [1.0]
 
 
+def test_hilbert_descent_records_the_euclidean_gradient_norm(np_rng):
+    X, d = rand_rows(np_rng, 40, 3), rand_rows(np_rng, 1, 40)[0]
+    for wl in (False, True):
+        prog = build_least_squares(X, d, widely_linear=wl)
+        W = np.hstack([X, np.conj(X)]) if wl else X
+        mu = 0.5 / np.linalg.eigvalsh(np.conj(W).T @ W)[-1]
+        cfg = DescentConfig(mu=mu, tol=1e-8, max_iter=25)
+        trace = steepest_descent_hilbert(
+            prog, np.zeros(prog.n_params, dtype=complex), cfg)
+        assert trace.iterations == 25, wl
+        for f, gn in zip(trace.iterates, trace.grad_norms):
+            want = np.linalg.norm(prog(f).grad_fc)
+            assert type(gn) is float
+            assert abs(gn - want) <= 1e-15 * want, (wl, gn, want)
+
+
 def test_assembled_matches_vectorized(np_rng):
     X, a0, b0, d = wl_problem(np_rng, n=3, m=8)
     for wl in (False, True):
