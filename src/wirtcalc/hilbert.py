@@ -235,8 +235,10 @@ def squared_distance(w: HVec) -> Functional:
     basis = np.eye(w.shape[0], dtype=np.complex128)
 
     def program(c: HVec) -> FunctionalJet:
-        c = hvec(c)
-        if c.shape != w.shape:      # before c - w can broadcast
+        # ip_functional's hvec copies and checks c - w; the shape is
+        # checked first, before c - w can broadcast
+        c = np.asarray(c, dtype=np.complex128)
+        if c.shape != w.shape:
             raise DimensionMismatch(f"shape {c.shape}, need {w.shape}")
         r = ip_functional("fw", basis, c - w)
         return fw.mul(r, fw.conj(r)).total()

@@ -43,13 +43,12 @@ log = logging.getLogger("wirtcalc.optimize")
 
 @functools.cache
 def _lib():
-    """numpy, ``hilbert`` and ``LeastSquaresProgram``'s widely-linear pairing
-    matrices, bound on first use, not by a build: hilbert's import is slow."""
+    """numpy and ``hilbert``, bound on first use, not by a build: hilbert's
+    import is slow."""
     import numpy as np
 
     from . import hilbert as hb
-    return (np, hb, np.array([[1, 1j], [1, -1j]]),
-            np.array([[-1, 1j], [-1, -1j]]))
+    return np, hb
 
 
 #: tolerated |imag(cost)| at the starting point / along the run
@@ -205,7 +204,7 @@ def steepest_descent_scalar(cost: str | ex.Expr | ex.Tape, z0: complex,
 def steepest_descent_hilbert(cost: hb.Functional, f0: hb.HVec,
                              cfg: DescentConfig) -> DescentTrace:
     """Minimize a real-valued functional program from the vector ``f0``."""
-    np, hb = _lib()[:2]
+    np, hb = _lib()
     f0 = hb.hvec(f0)
     # the loop checks every cost and gradient norm it records, so numpy's
     # overflow and invalid-value warnings would only repeat that check
@@ -233,31 +232,28 @@ class LeastSquaresProgram:
 
     The program keeps the N x n samples ``X`` (one C-ordered complex128
     copy) and the targets, never the augmented ``W = [X, X*]``, whose
-    conjugate half holds no new data.  Its residual is ``r = d - M u``:
-    strict, ``M = X`` and ``u = conj(c)``; widely linear, ``M`` is
-    ``X = A + iB`` read as the real N x 2n matrix of interleaved Re and Im
-    columns, and ``u`` interleaves ``s = conj(c1 + c2)`` and
-    ``i t = i conj(c1 - c2)``, so ``M u = A s + iB t = W conj(c)``.  The
-    first call factors ``Z = [M | d]`` (widely linear, the real
-    ``[M | Re d | Im d]``) as ``QR`` and keeps only the small ``R``.  As
-    ``r = Z a`` with ``a = [-u; 1]`` (``[-u; 1; i]``) and ``Q`` has
-    orthonormal columns (real ones when widely linear), ``e = R a`` gives
-    the value ``||r||^2 = ||e||^2`` and ``M^H r = R[:, :k]^H e``: a call
-    makes no pass over the N samples.  ``M^H r`` is ``-grad_f`` or the
-    pairs ``(A^T r, B^T r)`` of
-    ``grad_f = -[A^T r - iB^T r; A^T r + iB^T r]``, and ``grad_fc`` is its
-    conjugate.  ``e`` carries a rounding of order eps ||Z||, also at an
-    exact fit, so for ||Z|| above about 1e160 the value or gradient
-    overflows there (DomainError); so does every call when a column norm
-    of ``Z`` overflows.  ``eval_assembled`` builds the same jet from
-    the inner-product rules and the product-with-conjugate rule, each
-    applied once to the stacked ``FunctionalJet`` of all N samples' terms,
-    and the test suite pins the two paths together.  Data that are not a
-    finite array of rows and one target per row raise ``EmptyData``,
-    ``DimensionMismatch`` or ``DomainError``, and so does a parameter that
-    is not a finite vector of dimension ``n_params``.  A build loads numpy,
-    and ``hilbert`` loads on a program's first call, so a process that
-    builds no program loads neither.
+    conjugate half holds no new data.  Its residual is
+    ``r = d - W conj(c)`` (strict, ``W = X``).  The first call factors
+    ``[X | d] = Q [R_X | r_d]`` and keeps only the small triangle: a complex
+    QR when strict; widely linear, a real QR of the real view of
+    ``[X | d]``, whose ``R`` read as complex (each Re, Im column pair one
+    column) is ``[R_X | r_d]``.  That ``Q`` is real, so ``X* = Q conj(R_X)``
+    and ``[W | d] = Q [R_W | r_d]`` with ``R_W = [R_X, conj(R_X)]``.  As ``Q``
+    has orthonormal columns, ``e = r_d - R_W conj(c)`` gives the value
+    ``||r||^2 = ||e||^2`` and ``grad_f = -W^H r = -R_W^H e``, and
+    ``grad_fc`` is its conjugate: a call runs one path in both modes and
+    makes no pass over the N samples.  ``e`` carries a rounding of order
+    eps ||[X | d]||, also at an exact fit, so for ||[X | d]|| above about
+    1e160 the value or gradient overflows there (DomainError); so does
+    every call when a column norm of ``[X | d]`` overflows.
+    ``eval_assembled`` builds the same jet from the inner-product rules and
+    the product-with-conjugate rule, each applied once to the stacked
+    ``FunctionalJet`` of all N samples' terms, and the test suite pins the
+    two paths together.  Data that are not a finite array of rows and one
+    target per row raise ``EmptyData``, ``DimensionMismatch`` or
+    ``DomainError``, and so does a parameter that is not a finite vector of
+    dimension ``n_params``.  A build loads numpy, and ``hilbert`` loads on a
+    program's first call, so a process that builds no program loads neither.
     """
 
     def __init__(self, X: Sequence, d: Sequence[complex],
@@ -265,7 +261,7 @@ class LeastSquaresProgram:
         import numpy as np
 
         try:
-            # C order: the widely-linear call reads X through a real view
+            # C order: [X | d] is then C-ordered too, as its real view needs
             X = np.array(X, dtype=np.complex128, order="C")
             d = np.array(d, dtype=np.complex128)
         except ValueError as exc:      # ragged rows
@@ -287,62 +283,53 @@ class LeastSquaresProgram:
     def n_params(self) -> int:
         return self._X.shape[1] * (2 if self.widely_linear else 1)
 
-    def _coefficients(self, c: hb.HVec) -> np.ndarray:
-        """``u`` of ``r = d - M u`` for the parameter ``c``."""
-        _, hb, pair, _ = _lib()
-        c = hb.hvec(c)
+    def _param(self, c: hb.HVec) -> np.ndarray:
+        c = _lib()[1].hvec(c)
         if c.shape[0] != self.n_params:
             raise DimensionMismatch(
                 f"parameter has dimension {c.shape[0]}, need {self.n_params}")
-        if not self.widely_linear:
-            return c.conj()
-        return (c.conj().reshape(2, -1).T @ pair).ravel()
+        return c
 
     @functools.cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``R[:, :k]`` (as complex), its contiguous conjugate transpose and
-        ``R[:, k:] @ tail`` of ``Z = QR``."""
+        """``R_W``, its contiguous conjugate transpose and ``r_d`` of
+        ``[W | d] = Q [R_W | r_d]``."""
         np = _lib()[0]
+        Z = np.hstack([self._X, self._d[:, None]])
         if self.widely_linear:
-            Z = np.hstack([self._X.view(np.float64),
-                           self._d.view(np.float64).reshape(-1, 2)])
+            R = np.linalg.qr(Z.view(np.float64), mode="r")
+            R = np.ascontiguousarray(R).view(np.complex128)
         else:
-            Z = np.hstack([self._X, self._d[:, None]])
-        R = np.linalg.qr(Z, mode="r")
+            R = np.linalg.qr(Z, mode="r")
         if not np.isfinite(R).all():
             raise DomainError("the samples and targets are too large to "
                               "factor: a column norm overflows")
-        k = self.n_params
-        Rx = R[:, :k].astype(np.complex128)
-        return (Rx, np.ascontiguousarray(Rx.conj().T),
-                R[:, k:] @ ([1, 1j] if self.widely_linear else [1]))
+        n = self._X.shape[1]
+        RX = R[:, :n]
+        RW = (np.hstack([RX, RX.conj()]) if self.widely_linear
+              else np.ascontiguousarray(RX))
+        return RW, np.ascontiguousarray(RW.conj().T), R[:, n]
 
     def residuals(self, c: hb.HVec) -> np.ndarray:
-        np = _lib()[0]
-        u = self._coefficients(c)
-        if not self.widely_linear:
-            return self._d - self._X @ u
-        # read as real, rows 2k and 2k+1 of u meet column k of A and of B,
-        # so the product's columns are Re and Im of A s + iB t
-        p = self._X.view(np.float64) @ u.view(np.float64).reshape(-1, 2)
-        return self._d - p.view(np.complex128)[:, 0]
+        c = self._param(c)
+        n = self._X.shape[1]
+        r = self._d - self._X @ c[:n].conj()
+        if self.widely_linear:          # X* conj(c2) = conj(X c2)
+            r -= (self._X @ c[n:]).conj()
+        return r
 
     def __call__(self, c: hb.HVec) -> hb.FunctionalJet:
-        np, hb, _, unpair = _lib()
-        Rx, RxH, rd = self._factor
-        e = rd - Rx @ self._coefficients(c)
+        np, hb = _lib()
+        RW, RWH, rd = self._factor
+        e = rd - RW @ self._param(c).conj()
         # ||e||^2 over the real view: an overflow reads inf, never nan
         value = complex(np.vdot(e.view(np.float64), e.view(np.float64)))
-        g = RxH @ e                         # M^H r
-        if self.widely_linear:              # pairs ((A^T r)_k, (B^T r)_k)
-            grad_f = (unpair @ g.reshape(-1, 2).T).ravel()
-        else:
-            grad_f = -g
+        grad_f = -(RWH @ e)
         # both slot arrays are new: frozen in place, not copied
         return hb.FunctionalJet._fresh(value, grad_f, grad_f.conj())
 
     def eval_assembled(self, c: hb.HVec) -> hb.FunctionalJet:
-        np, hb = _lib()[:2]
+        np, hb = _lib()
         # the augmented rows live for this call only
         W = (np.hstack([self._X, np.conj(self._X)]) if self.widely_linear
              else self._X)

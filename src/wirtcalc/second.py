@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .forward import (PRIMITIVES, WirtingerJet, _new, _pow_error,
-                      _require_finite)
+from .forward import PRIMITIVES, _new, _pow_error, _require_finite
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,9 +36,6 @@ class SecondOrderJet:
     dzzc: complex
     dzcz: complex
     dzczc: complex
-
-    def first_order(self) -> WirtingerJet:
-        return WirtingerJet(self.value, self.dz, self.dzc)
 
     @property
     def mixed_symmetry_gap(self) -> float:

@@ -678,6 +678,25 @@ def test_squared_distance_refuses_an_overflowing_difference():
         prog([1e308, 0])
 
 
+def test_squared_distance_copies_and_checks_its_point_once(monkeypatch,
+                                                           np_rng):
+    w = rand_vec(np_rng, 4)
+    prog = hb.squared_distance(w)
+    c = rand_vec(np_rng, 4)
+    want = prog(c)
+    calls = []
+    real_hvec = hb.hvec
+
+    def counting_hvec(coords):
+        calls.append(1)
+        return real_hvec(coords)
+
+    monkeypatch.setattr(hb, "hvec", counting_hvec)
+    for k in range(1, 4):
+        assert prog(c) == want
+        assert len(calls) == k
+
+
 BAD_PARAMETERS = [
     (np.ones((2, 2)), DimensionMismatch),
     (np.ones(3), DimensionMismatch),

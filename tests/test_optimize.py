@@ -358,6 +358,33 @@ def test_least_squares_kernel_matches_augmented_formula(m, n, np_rng):
                 assert_rel_close(jet.grad_fc, grad_fc, what)
 
 
+@pytest.mark.parametrize("m, n", [(40, 5), (40, 1), (3, 5), (1, 3)])
+def test_least_squares_factor_keeps_the_gram_of_w_and_d(m, n, np_rng,
+                                                        monkeypatch):
+    # [W | d] = Q [R_W | r_d] with orthonormal Q, so both have one Gram; a
+    # misplaced conjugate half of R_W breaks it.  Widely linear factors
+    # the real view of [X | d], strict the complex [X | d].
+    qr_dtypes = []
+    real_qr = np.linalg.qr
+
+    def recording_qr(a, mode):
+        qr_dtypes.append(a.dtype)
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    d = rand_vec(np_rng, m)
+    for layout, X in sample_layouts(np_rng, m, n).items():
+        for wl in (False, True):
+            prog = build_least_squares(X, d, widely_linear=wl)
+            RW, RWH, rd = prog._factor
+            assert qr_dtypes.pop() == (np.float64 if wl else np.complex128)
+            assert np.array_equal(RWH, np.conj(RW).T)
+            Wd = np.column_stack([X, np.conj(X), d] if wl else [X, d])
+            Rd = np.column_stack([RW, rd])
+            assert_rel_close(np.conj(Rd).T @ Rd, np.conj(Wd).T @ Wd,
+                             (layout, wl))
+
+
 def test_least_squares_keeps_one_copy_of_the_samples(np_rng):
     n = 4
     extra_sizes = {}

@@ -1,5 +1,6 @@
 import cmath
 import random
+import struct
 
 import pytest
 
@@ -42,7 +43,10 @@ def test_first_order_slice_is_bitwise_identical(expr):
     for c in sample_points(11, 10):
         j2 = eval_jet(expr, c, order=2)
         j1 = eval_jet(expr, c, order=1)
-        assert j2.first_order() == j1
+        for slot in ("value", "dz", "dzc"):
+            a, b = getattr(j2, slot), getattr(j1, slot)
+            assert struct.pack("<2d", a.real, a.imag) == struct.pack(
+                "<2d", b.real, b.imag), (expr, c, slot)
 
 
 @pytest.mark.parametrize("expr", CORPUS)
