@@ -69,12 +69,8 @@ def _pair(w: complex) -> list[float]:
     return [w.real, w.imag]
 
 
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-        return
-    for key, val in report.items():
-        print(f"{key}: {val}")
+def _emit(report: dict) -> None:
+    print(json.dumps(report, indent=2))
 
 
 def _report(command: str, e, at: complex, **fields) -> dict:
@@ -95,7 +91,7 @@ def cmd_diff(args) -> int:
             "dzcz": _pair(j.dzcz),
             "dzczc": _pair(j.dzczc),
         }
-    _emit(report, args.json)
+    _emit(report)
     return EXIT_OK
 
 
@@ -111,7 +107,7 @@ def cmd_check(args) -> int:
     _emit(_report("check", e, at, step=args.step, tol=args.tol,
                   dz=_pair(j.dz), dzc=_pair(j.dzc), fd_w=_pair(w),
                   fd_cw=_pair(cw), residual_dz=res_dz, residual_dzc=res_dzc,
-                  classification=verdict.verdict.value, ok=ok), args.json)
+                  classification=verdict.verdict.value, ok=ok))
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -122,7 +118,7 @@ def cmd_classify(args) -> int:
     _emit(_report("classify", e, at, step=args.step, tol=args.tol,
                   classification=rep.verdict.value, fd_w=_pair(rep.w),
                   fd_cw=_pair(rep.cw), cr_residual=rep.cr_residual,
-                  conj_cr_residual=rep.conj_cr_residual), args.json)
+                  conj_cr_residual=rep.conj_cr_residual))
     return EXIT_OK
 
 
@@ -199,7 +195,7 @@ def cmd_minimize(args) -> int:
     report["iterations"] = trace.iterations
     report["final_cost"] = trace.costs[-1]
     report["final_grad_norm"] = trace.grad_norms[-1]
-    _emit(report, args.json)
+    _emit(report)
     return TERMINATION_EXIT[trace.termination]
 
 
@@ -244,10 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="least-squares JSON data file")
     p_min.add_argument("--widely-linear", action="store_true")
     p_min.set_defaults(func=cmd_minimize)
-
-    for p in sub.choices.values():
-        p.add_argument("--json", action=argparse.BooleanOptionalAction,
-                       default=True, help="emit a JSON record (default)")
     return top
 
 

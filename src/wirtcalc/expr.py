@@ -182,7 +182,6 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -528,16 +527,12 @@ def eval_jet(e, c: complex, order: int = 1):
     return r
 
 
-def contains_variable(e) -> bool:
-    return any(code == 0 for code, _ in compile_expr(e).ops)
-
-
 def parse_complex(text: str) -> complex:
     """Parse a variable-free expression (``1+2i``, ``-3i``, ``0.5``) into a
     complex number.  Shares the expression grammar and ``eval_jet``'s
     errors."""
     tape = compile_expr(text)
-    if contains_variable(tape):
+    if any(code == 0 for code, _ in tape.ops):
         raise ExprSyntaxError("expected a constant, found the variable z", 0)
     return eval_jet(tape, 0j, order=0)
 

@@ -152,10 +152,6 @@ class FunctionalJet(fw.WirtingerJet):
     def grad_fc(self) -> np.ndarray:
         return self.dzc
 
-    @property
-    def dim(self) -> int:
-        return self.dz.shape[0]
-
     def total(self) -> FunctionalJet:
         """The jet of the sum of a stack's jets; a single jet is its own."""
         if self.dz.ndim == 1:

@@ -283,13 +283,6 @@ class LeastSquaresProgram:
     def n_params(self) -> int:
         return self._X.shape[1] * (2 if self.widely_linear else 1)
 
-    def _param(self, c: hb.HVec) -> np.ndarray:
-        c = _lib()[1].hvec(c)
-        if c.shape[0] != self.n_params:
-            raise DimensionMismatch(
-                f"parameter has dimension {c.shape[0]}, need {self.n_params}")
-        return c
-
     @functools.cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``R_W``, its contiguous conjugate transpose and ``r_d`` of
@@ -310,18 +303,14 @@ class LeastSquaresProgram:
               else np.ascontiguousarray(RX))
         return RW, np.ascontiguousarray(RW.conj().T), R[:, n]
 
-    def residuals(self, c: hb.HVec) -> np.ndarray:
-        c = self._param(c)
-        n = self._X.shape[1]
-        r = self._d - self._X @ c[:n].conj()
-        if self.widely_linear:          # X* conj(c2) = conj(X c2)
-            r -= (self._X @ c[n:]).conj()
-        return r
-
     def __call__(self, c: hb.HVec) -> hb.FunctionalJet:
         np, hb = _lib()
+        c = hb.hvec(c)
+        if c.shape[0] != self.n_params:
+            raise DimensionMismatch(
+                f"parameter has dimension {c.shape[0]}, need {self.n_params}")
         RW, RWH, rd = self._factor
-        e = rd - RW @ self._param(c).conj()
+        e = rd - RW @ c.conj()
         # ||e||^2 over the real view: an overflow reads inf, never nan
         value = complex(np.vdot(e.view(np.float64), e.view(np.float64)))
         grad_f = -(RWH @ e)

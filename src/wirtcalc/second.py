@@ -4,7 +4,7 @@ A ``SecondOrderJet`` stores the six derivative slots
 
     dz, dzc, dzz (d2/dz2), dzzc (d2/dz dz*), dzcz (d2/dz* dz), dzczc (d2/dz*2)
 
-as a flat record; the last four are the 2x2 block ``matrix``.  Both mixed
+as a flat record; the last four are the 2x2 block, row by row.  Both mixed
 slots are kept: for twice-differentiable inputs they agree and the gap is a
 free smoothness diagnostic.  ``expr.eval_jet(e, c, order=2)`` builds one.
 The rules build their results with a slot filler (``object.__new__`` plus
@@ -41,10 +41,6 @@ class SecondOrderJet:
     def mixed_symmetry_gap(self) -> float:
         """|dzzc - dzcz|; ~0 for twice-differentiable inputs."""
         return abs(self.dzzc - self.dzcz)
-
-    @property
-    def matrix(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((self.dzz, self.dzzc), (self.dzcz, self.dzczc))
 
 
 _ZERO = 0.0 + 0.0j

@@ -292,14 +292,6 @@ def test_minimize_without_expression_or_data_fails(capsys):
     assert code == 2
 
 
-def test_no_json_mode(capsys):
-    code, out, _ = run(capsys, "diff", "z^2", "--at", "0", "--no-json")
-    assert code == 0
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(out)
-    assert "dz" in out
-
-
 def test_json_output_round_trips(capsys):
     code, out, _ = run(capsys, "classify", "z^2", "--at", "1+1i")
     rep = json.loads(out)
@@ -310,6 +302,28 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("level, logs", [("debug", True), ("chatty", False)])
+def test_wirt_log_sets_the_log_level(level, logs):
+    # a subprocess, so that logging.basicConfig leaves this one alone
+    import os
+    import subprocess
+    import sys
+
+    import wirtcalc
+
+    src = os.path.dirname(os.path.dirname(wirtcalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wirtcalc.cli", "minimize", "abs2(z-1)",
+         "--from", "0", "--max-iter", "2"],
+        capture_output=True, text=True,
+        env={**os.environ, "WIRT_LOG": level, "PYTHONPATH": path})
+    assert proc.returncode == 1             # the budget of 2 runs out
+    assert json.loads(proc.stdout)["iterations"] == 2
+    assert ("DEBUG:wirtcalc.optimize:iter 0: " in proc.stderr) is logs
+    assert ("DEBUG" in proc.stderr) is logs
 
 
 def test_installed_entry_point():

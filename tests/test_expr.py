@@ -117,6 +117,10 @@ def test_format_goldens():
     assert format_expr(Mul(Const(1j), Var())) == "i*z"
     assert format_expr(Call("conj", Var())) == "conj(z)"
     assert format_expr(Const(1.5 - 2j)) == "(1.5-2i)"
+    assert format_expr(Const(-1j)) == "-i"
+    assert parse("-i") == Const(-1j)
+    with pytest.raises(ValueError):
+        format_expr(Const(complex("inf")))
 
 
 def test_format_parenthesizes_only_when_needed():
@@ -242,6 +246,11 @@ def test_eval_rejects_bad_order():
         eval_jet("z", 0, order=3)
 
 
+def test_eval_rejects_a_non_finite_point():
+    with pytest.raises(DomainError, match="non-finite evaluation point"):
+        eval_jet("z", complex("inf"))
+
+
 # the parser caps nesting, not length: trees far deeper than the
 # interpreter's recursion limit must evaluate and print
 CHAIN_TERMS = 3000
@@ -360,6 +369,28 @@ def test_fuzz_parser_smoke():
 def test_deep_nesting_is_rejected_not_crashing():
     with pytest.raises(ExprSyntaxError):
         parse("(" * 5000 + "z" + ")" * 5000)
+
+
+@pytest.mark.parametrize("opener, count", [("(", 39), ("exp(", 39),
+                                           ("-", 196)])
+def test_nesting_cap_is_as_documented(opener, count):
+    # the module docstring's numbers: the cap admits `count` and no more
+    closer = ")" if opener != "-" else ""
+    parse(opener * count + "z" + closer * count)
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse(opener * (count + 1) + "z" + closer * (count + 1))
+
+
+@pytest.mark.parametrize("text, offset, site", [
+    ("-" * 196 + "(z)", 197, "expr"),
+    ("-" * 195 + "(z)", 196, "unary"),
+    ("-" * 197 + "z", 197, "atom"),
+])
+def test_each_nesting_check_reports_its_offset(text, offset, site):
+    with pytest.raises(ExprSyntaxError, match="nested too deeply") as info:
+        parse(text)
+    assert info.value.offset == offset
+    assert info.traceback[-1].name == site
 
 
 # --------------------------------------------------------------------------

@@ -141,11 +141,6 @@ def test_hessian_block_real_structure(expr):
         assert abs(j.dz.conjugate() - j.dzc) <= 1e-12 * (1 + abs(j.dz))
 
 
-def test_hessian_block_matrix_layout():
-    j = eval_jet("z*conj(z)", 0.5 + 0.5j, order=2)
-    assert j.matrix == ((j.dzz, j.dzzc), (j.dzcz, j.dzczc))
-
-
 def test_conj2_involution(rng):
     for _ in range(30):
         j = random_jet2(rng)
