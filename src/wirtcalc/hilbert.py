@@ -2,13 +2,9 @@
 scalar value plus a pair of gradient vectors.
 
 Vectors are 1-D ``complex128`` numpy arrays, frozen so every value handed
-around is immutable.  An array a caller passes in is copied where it enters
-(``hvec``, the ``FunctionalJet`` constructor, ``ip_functional``) and never
-frozen or shared; the arrays a rule of ``forward`` computes for its result
-are new, so they are frozen in place instead of copied.  Rule results
-(``forward``'s rules, ``ip_functional``, ``functional_constant``) come from
-``FunctionalJet._fresh``, the slot filler of ``forward`` plus that freeze;
-the public constructor keeps its conversion, shape checks and copies.
+around is immutable.  A caller's array is copied where it enters (``hvec``,
+the ``FunctionalJet`` constructor, ``ip_functional``); the new arrays of a
+``forward`` rule are frozen in place by its result class's ``_fresh``.
 The inner product is linear in the FIRST argument and conjugate-linear in
 the second,
 
@@ -27,8 +23,8 @@ so the scalar rules of ``forward`` (``add``, ``mul``, ``div``, ``conj``,
 ``apply_primitive``, ...) combine functional jets unchanged; the scalar
 calculus is the case n = 1.  A stacked ``FunctionalJet`` holds m jets in
 (m,) and (n, m) slots: the jet of an operator C^n -> C^m, one component
-per column.  It lets a program that sums m terms (``squared_distance``,
-the assembled least-squares cost) apply each rule once over all of them.
+per column, so the assembled least-squares cost applies each rule once to
+its m terms; ``squared_distance``, to a private batch of n scalar jets.
 ``fd_gradients`` is the independent oracle: coordinate-wise central
 differences along the real and imaginary unit directions.
 """
@@ -56,6 +52,17 @@ Functional = Callable[[HVec], "FunctionalJet"]
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _filled(cls, value, dz, dzc):
+    """``forward``'s slot filler, freezing the new gradients in place."""
+    j = _new(cls)
+    _set_value(j, value)
+    dz.setflags(write=False)
+    _set_dz(j, dz)
+    dzc.setflags(write=False)
+    _set_dzc(j, dzc)
+    return j
 
 
 def hvec(coords) -> HVec:
@@ -136,13 +143,7 @@ class FunctionalJet(fw.WirtingerJet):
             raise DomainError("a stacked jet's value is not finite")
         else:
             value.setflags(write=False)
-        j = _new(FunctionalJet)
-        _set_value(j, value)
-        dz.setflags(write=False)
-        _set_dz(j, dz)
-        dzc.setflags(write=False)
-        _set_dzc(j, dzc)
-        return j
+        return _filled(FunctionalJet, value, dz, dzc)
 
     @property
     def grad_f(self) -> np.ndarray:
@@ -166,6 +167,26 @@ def _unpickle(value, dz, dzc) -> FunctionalJet:
     # copies: an array unpickled from an out-of-band buffer shares it
     return FunctionalJet._fresh(np.copy(value) if np.ndim(value) else value,
                                 dz.copy(), dzc.copy())
+
+
+class _Batch(fw.WirtingerJet):
+    """m scalar jets at m points in frozen (m,) slots, never mixed with
+    another jet (DimensionMismatch).  Private: div, apply_primitive and
+    power_int (k < 0) are not audited for it."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _fresh(value, dz, dzc) -> _Batch:
+        if not np.logical_and.reduce(np.isfinite(value)):
+            raise DomainError("a batch jet's value is not finite")
+        value.setflags(write=False)
+        return _filled(_Batch, value, dz, dzc)
+
+    def total(self) -> FunctionalJet:
+        """The jet of f -> sum_k g_k(f_k), jet k being g_k's at f_k."""
+        return FunctionalJet._fresh(np.add.reduce(self.value), self.dz,
+                                    self.dzc)
 
 
 def functional_constant(k, n: int) -> FunctionalJet:
@@ -223,20 +244,21 @@ def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
 
 
 def squared_distance(w: HVec) -> Functional:
-    """Program for f -> ||f - w||^2 = sum_j |inner(f - w, e_j)|^2: the
-    coordinate projections inner(., e_j) at c - w as one stack (the jet
-    at c of f -> f_j - w_j), the product-with-conjugate rule applied once
-    over all n terms, then their total."""
+    """Program for f -> ||f - w||^2 = sum_j |f_j - w_j|^2: the jets of the
+    f_j - w_j at c (value c_j - w_j, partials 1 and 0) as one batch, times
+    their conjugates, then totalled.  O(n) time and memory per call."""
     w = hvec(w)
-    basis = np.eye(w.shape[0], dtype=np.complex128)
+    ones, zeros = (_freeze(np.full(w.shape, k, dtype=np.complex128))
+                   for k in (1, 0))
 
     def program(c: HVec) -> FunctionalJet:
-        # ip_functional's hvec copies and checks c - w; the shape is
-        # checked first, before c - w can broadcast
+        # shape before c - w broadcasts; hvec's copy is checked and frozen
         c = np.asarray(c, dtype=np.complex128)
         if c.shape != w.shape:
             raise DimensionMismatch(f"shape {c.shape}, need {w.shape}")
-        r = ip_functional("fw", basis, c - w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = c - w
+        r = _filled(_Batch, hvec(d), ones, zeros)
         return fw.mul(r, fw.conj(r)).total()
 
     return program
@@ -257,8 +279,11 @@ def fd_gradients(T: Callable[[HVec], complex], c: HVec,
     n = c.shape[0]
     g1 = np.empty(n, dtype=np.complex128)
     g2 = np.empty(n, dtype=np.complex128)
-    for j, e_j in enumerate(np.eye(n, dtype=np.complex128)):
-        g1[j], g2[j] = fd_partials(lambda t: complex(T(c + t * e_j)), 0j, step)
+    e = np.zeros(n, dtype=np.complex128)   # e_j while coordinate j runs
+    for j in range(n):
+        e[j] = 1
+        g1[j], g2[j] = fd_partials(lambda t: complex(T(c + t * e)), 0j, step)
+        e[j] = 0
     return _freeze(g1), _freeze(g2)
 
 

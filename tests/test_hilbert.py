@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from wirtcalc import forward as fw
 from wirtcalc import hilbert as hb
 from wirtcalc.errors import (DimensionMismatch, DomainError, PoleError,
                              StepTooSmall)
-from wirtcalc.fdcheck import Verdict
+from wirtcalc.fdcheck import DEFAULT_STEP, Verdict, fd_partials
 from wirtcalc.optimize import build_least_squares
 
 
@@ -290,6 +291,31 @@ def test_fd_gradients_step_floor(np_rng):
     with pytest.raises(StepTooSmall):
         hb.fd_gradients(lambda f: hb.inner(f, f), rand_vec(np_rng, 2),
                         step=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_fd_gradients_is_bitwise_the_identity_loop(n, np_rng):
+    # the reference perturbs c along the rows of an n x n identity; one
+    # reused unit vector must give the same points, so the same bits, also
+    # where a signed zero decides an angle (-pi at -1.5 - 0j, pi at +0j)
+    def identity_loop(T, c):
+        g1 = np.empty(n, dtype=np.complex128)
+        g2 = np.empty(n, dtype=np.complex128)
+        for j, e_j in enumerate(np.eye(n, dtype=np.complex128)):
+            g1[j], g2[j] = fd_partials(lambda t: complex(T(c + t * e_j)), 0j,
+                                       DEFAULT_STEP)
+        return g1, g2
+
+    w = rand_vec(np_rng, n)
+    c = np.array(rand_vec(np_rng, n))
+    c[0] = complex(-1.5, -0.0)
+    c = hb.hvec(c)
+
+    def T(f):
+        return hb.inner(f - w, f - w) + np.angle(f).sum() + hb.inner(f, w) ** 2
+
+    for got, want in zip(hb.fd_gradients(T, c), identity_loop(T, c)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -695,6 +721,77 @@ def test_squared_distance_copies_and_checks_its_point_once(monkeypatch,
     for k in range(1, 4):
         assert prog(c) == want
         assert len(calls) == k
+
+
+def test_squared_distance_warns_nothing_before_its_domain_error():
+    # no errstate here: c - w overflows, and hvec's DomainError is all
+    prog = hb.squared_distance([-1e308, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            prog([1e308, 0])
+
+
+def test_squared_distance_call_is_linear_in_memory(np_rng):
+    n = 2048
+    w, c = rand_vec(np_rng, n), rand_vec(np_rng, n)
+    prog = hb.squared_distance(w)
+    tracemalloc.start()
+    try:
+        got = prog(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6     # one n x n complex slot alone is 67 MB
+    assert got.__class__ is hb.FunctionalJet
+    assert isinstance(got.value, complex) and got.dz.shape == (n,)
+    assert_frozen_slots(got)
+    assert np.array_equal(got.dz, np.conj(c - w))
+    assert np.array_equal(got.dzc, c - w)
+    assert_close(got.value, hb.inner(c - w, c - w), "value")
+
+
+def batch(np_rng, m):
+    """A batch of m scalar jets with all three slots populated."""
+    v, dz, dzc = (np_rng.standard_normal(m) + 1j * np_rng.standard_normal(m)
+                  for _ in range(3))
+    return hb._Batch._fresh(v, dz, dzc)
+
+
+def test_batch_jets_mix_with_no_other_jet(np_rng):
+    b = batch(np_rng, 3)
+    single = hb.functional_constant(1, 3)           # dz of b's shape, (3,)
+    stack = hb.ip_functional("wf", rand_rows(np_rng, 3, 3),
+                             rand_vec(np_rng, 3))
+    others = [single, stack, fw.seed_variable(1 + 1j), batch(np_rng, 4)]
+    for other in others:
+        for rule in (fw.add, fw.mul):
+            for x, y in ((b, other), (other, b)):
+                with pytest.raises(DimensionMismatch):
+                    rule(x, y)
+
+
+def test_batch_refuses_a_non_finite_value(np_rng):
+    for bad in (np.inf, np.nan, complex(0, np.inf)):
+        value = np.ones(3, dtype=np.complex128)
+        value[1] = bad
+        with pytest.raises(DomainError):
+            hb._Batch._fresh(value, np.ones(3, dtype=np.complex128),
+                             np.zeros(3, dtype=np.complex128))
+    huge = hb._Batch._fresh(np.full(2, 1e200 + 0j), np.ones(2, complex),
+                            np.zeros(2, complex))
+    with np.errstate(over="ignore"), pytest.raises(DomainError):
+        fw.mul(huge, huge)
+
+
+def test_batch_rule_results_are_frozen(np_rng):
+    a, b = batch(np_rng, 5), batch(np_rng, 5)
+    for name, rule in STACK_RULES.items():
+        got = rule(a, b)
+        assert got.__class__ is hb._Batch, name
+        for slot in (got.value, got.dz, got.dzc):
+            assert slot.shape == (5,) and slot.dtype == np.complex128, name
+            assert not slot.flags.writeable, name
 
 
 BAD_PARAMETERS = [
