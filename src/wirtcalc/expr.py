@@ -112,10 +112,6 @@ class Call(Expr):
 _OPS = "+-*/^(),"
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
-
-
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     """Returns (kind, payload, offset) triples; kinds are
     'num', 'imag', 'ident', 'op', 'end'."""
@@ -126,9 +122,6 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ord(ch) >= 128:
-            raise ExprSyntaxError(f"non-ASCII character {ch!r}",
-                                  _byte_offset(text, i))
         if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
             start = i
             while i < n and text[i].isdigit():
@@ -145,10 +138,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                     i = j
                     while i < n and text[i].isdigit():
                         i += 1
-            try:
-                val = float(text[start:i])
-            except ValueError:
-                raise ExprSyntaxError("malformed number", start) from None
+            val = float(text[start:i])
             if val == float("inf"):
                 raise ExprSyntaxError("number out of range", start)
             # trailing 'i' marks an imaginary literal unless it opens a name
@@ -327,6 +317,10 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse expression text into an AST; raises ExprSyntaxError (with the
     byte offset of the problem), UnknownIdentifier or ArityError."""
+    if not text.isascii():
+        # all before the first non-ASCII character is ASCII: index == offset
+        i = next(i for i, ch in enumerate(text) if ord(ch) >= 128)
+        raise ExprSyntaxError(f"non-ASCII character {text[i]!r}", i)
     if not text or text.isspace():
         raise ExprSyntaxError("empty expression", 0)
     return _Parser(text).parse()
@@ -533,7 +527,9 @@ def parse_complex(text: str) -> complex:
     errors."""
     tape = compile_expr(text)
     if any(code == 0 for code, _ in tape.ops):
-        raise ExprSyntaxError("expected a constant, found the variable z", 0)
+        off = next(off for kind, name, off in _tokenize(text)
+                   if kind == "ident" and name in ("z", "zc"))
+        raise ExprSyntaxError("expected a constant, found the variable z", off)
     return eval_jet(tape, 0j, order=0)
 
 

@@ -238,15 +238,28 @@ class Primitive:
     """One entry of the primitive table.
 
     ``partials(v)`` returns the pair (g_z, g_zc) at the point ``v`` and
-    ``second_partials(v)`` the quadruple (g_zz, g_zzc, g_zcz, g_zczc).
-    ``v`` is outside the domain where one of them raises: sqrt, abs and
-    arg, whose partials divide by zero at 0, are not differentiable there.
+    ``second_partials(v)`` the triple (g_zz, g_zzc, g_zczc): the mixed
+    partials commute, so g_zzc also stands for g_zcz.  ``_holomorphic``
+    builds an entry from f, f' and f'': g_zc = 0 (the Cauchy-Riemann
+    conditions in Wirtinger form), so g_zz = f'' is its one nonzero second
+    partial.  ``v`` is outside the domain where one of them raises: sqrt,
+    abs and arg, whose partials divide by zero at 0, are not
+    differentiable there.
     """
 
-    name: str
     value: Callable[[complex], complex]
     partials: Callable[[complex], tuple[complex, complex]]
-    second_partials: Callable[[complex], tuple[complex, complex, complex, complex]]
+    second_partials: Callable[[complex], tuple[complex, complex, complex]]
+
+
+def _holomorphic(f, df, d2f) -> Primitive:
+    return Primitive(f, lambda v: (df(v), 0.0j),
+                     lambda v: (d2f(v), 0.0j, 0.0j))
+
+
+def _flat(v: complex) -> tuple[complex, complex, complex]:
+    # second partials of the real-linear entries conj, re and im
+    return 0.0j, 0.0j, 0.0j
 
 
 def _abs_partials(v: complex) -> tuple[complex, complex]:
@@ -256,14 +269,14 @@ def _abs_partials(v: complex) -> tuple[complex, complex]:
     return u.conjugate() / 2, u / 2
 
 
-def _abs_second(v: complex) -> tuple[complex, complex, complex, complex]:
-    # -conj(v)^2/(4|v|^3), 1/(4|v|), 1/(4|v|), -v^2/(4|v|^3), written with
-    # the phase u = v/|v| so that no power of v overflows
+def _abs_second(v: complex) -> tuple[complex, complex, complex]:
+    # -conj(v)^2/(4|v|^3), 1/(4|v|), -v^2/(4|v|^3), written with the phase
+    # u = v/|v| so that no power of v overflows
     m = abs(v)
     u = v / m
     uc = u.conjugate()
     q = 0.25 / m
-    return -q * uc * uc, complex(q), complex(q), -q * u * u
+    return -q * uc * uc, complex(q), -q * u * u
 
 
 def _arg_value(v: complex) -> complex:
@@ -276,76 +289,38 @@ def _arg_partials(v: complex) -> tuple[complex, complex]:
     return -0.5j / v, 0.5j / v.conjugate()
 
 
-def _arg_second(v: complex) -> tuple[complex, complex, complex, complex]:
+def _arg_second(v: complex) -> tuple[complex, complex, complex]:
     vc = v.conjugate()
-    return 0.5j / (v * v), 0.0j, 0.0j, -0.5j / (vc * vc)
+    return 0.5j / (v * v), 0.0j, -0.5j / (vc * vc)
 
 
-def _sqrt_partials(v: complex) -> tuple[complex, complex]:
-    return 0.5 / cmath.sqrt(v), 0.0j
-
-
-def _sqrt_second(v: complex) -> tuple[complex, complex, complex, complex]:
+def _sqrt_d2(v: complex) -> complex:
     s = cmath.sqrt(v)
-    return -0.25 / (s * s * s), 0.0j, 0.0j, 0.0j
+    return -0.25 / (s * s * s)
 
 
 PRIMITIVES: dict[str, Primitive] = {
-    "exp": Primitive(
-        "exp", cmath.exp,
-        lambda v: (cmath.exp(v), 0.0j),
-        lambda v: (cmath.exp(v), 0.0j, 0.0j, 0.0j),
-    ),
-    "log": Primitive(
-        "log", cmath.log,
-        lambda v: (1.0 / v, 0.0j),
-        lambda v: (-1.0 / (v * v), 0.0j, 0.0j, 0.0j),
-    ),
-    "sin": Primitive(
-        "sin", cmath.sin,
-        lambda v: (cmath.cos(v), 0.0j),
-        lambda v: (-cmath.sin(v), 0.0j, 0.0j, 0.0j),
-    ),
-    "cos": Primitive(
-        "cos", cmath.cos,
-        lambda v: (-cmath.sin(v), 0.0j),
-        lambda v: (-cmath.cos(v), 0.0j, 0.0j, 0.0j),
-    ),
-    "sqrt": Primitive(
-        "sqrt", cmath.sqrt,
-        _sqrt_partials,
-        _sqrt_second,
-    ),
-    "conj": Primitive(
-        "conj", lambda v: v.conjugate(),
-        lambda v: (0.0j, 1.0 + 0.0j),
-        lambda v: (0.0j, 0.0j, 0.0j, 0.0j),
-    ),
-    "re": Primitive(
-        "re", lambda v: complex(v.real, 0.0),
-        lambda v: (0.5 + 0.0j, 0.5 + 0.0j),
-        lambda v: (0.0j, 0.0j, 0.0j, 0.0j),
-    ),
-    "im": Primitive(
-        "im", lambda v: complex(v.imag, 0.0),
-        lambda v: (-0.5j, 0.5j),
-        lambda v: (0.0j, 0.0j, 0.0j, 0.0j),
-    ),
-    "abs": Primitive(
-        "abs", lambda v: complex(abs(v), 0.0),
-        _abs_partials,
-        _abs_second,
-    ),
+    "exp": _holomorphic(cmath.exp, cmath.exp, cmath.exp),
+    "log": _holomorphic(cmath.log, lambda v: 1.0 / v,
+                        lambda v: -1.0 / (v * v)),
+    "sin": _holomorphic(cmath.sin, cmath.cos, lambda v: -cmath.sin(v)),
+    "cos": _holomorphic(cmath.cos, lambda v: -cmath.sin(v),
+                        lambda v: -cmath.cos(v)),
+    "sqrt": _holomorphic(cmath.sqrt, lambda v: 0.5 / cmath.sqrt(v), _sqrt_d2),
+    "conj": Primitive(lambda v: v.conjugate(),
+                      lambda v: (0.0j, 1.0 + 0.0j), _flat),
+    "re": Primitive(lambda v: complex(v.real, 0.0),
+                    lambda v: (0.5 + 0.0j, 0.5 + 0.0j), _flat),
+    "im": Primitive(lambda v: complex(v.imag, 0.0),
+                    lambda v: (-0.5j, 0.5j), _flat),
+    "abs": Primitive(lambda v: complex(abs(v), 0.0),
+                     _abs_partials, _abs_second),
     "abs2": Primitive(
-        "abs2", lambda v: complex(v.real * v.real + v.imag * v.imag, 0.0),
+        lambda v: complex(v.real * v.real + v.imag * v.imag, 0.0),
         lambda v: (v.conjugate(), v),
-        lambda v: (0.0j, 1.0 + 0.0j, 1.0 + 0.0j, 0.0j),
+        lambda v: (0.0j, 1.0 + 0.0j, 0.0j),
     ),
-    "arg": Primitive(
-        "arg", _arg_value,
-        _arg_partials,
-        _arg_second,
-    ),
+    "arg": Primitive(_arg_value, _arg_partials, _arg_second),
 }
 
 

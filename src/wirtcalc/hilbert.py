@@ -219,18 +219,20 @@ def ip_functional(kind: str, w, c: HVec) -> FunctionalJet:
             f"expected a vector or a row stack of dimension {c.shape[0]}, "
             f"got shape {w.shape}")
     # every slot array is made here: w itself may be the caller's array;
-    # each value is the inner(...) of the docstring, one per row of w
+    # each value is the inner(...) of the docstring, one per row of w, and
+    # a non-finite one is _fresh's DomainError, with no numpy warning first
     wt = w.T
     zero = np.zeros(wt.shape, dtype=np.complex128)
-    if kind == "fw":
-        return FunctionalJet._fresh(np.conj(w) @ c, np.conj(wt), zero)
-    if kind == "wf":
-        return FunctionalJet._fresh(w @ np.conj(c), zero, wt.copy())
-    if kind == "fcw":
-        return FunctionalJet._fresh(np.conj(w) @ np.conj(c), zero,
-                                    np.conj(wt))
-    if kind == "wfc":
-        return FunctionalJet._fresh(w @ c, wt.copy(), zero)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "fw":
+            return FunctionalJet._fresh(np.conj(w) @ c, np.conj(wt), zero)
+        if kind == "wf":
+            return FunctionalJet._fresh(w @ np.conj(c), zero, wt.copy())
+        if kind == "fcw":
+            return FunctionalJet._fresh(np.conj(w) @ np.conj(c), zero,
+                                        np.conj(wt))
+        if kind == "wfc":
+            return FunctionalJet._fresh(w @ c, wt.copy(), zero)
     raise ValueError(f"unknown inner-product kind {kind!r}")
 
 

@@ -5,8 +5,9 @@ A ``SecondOrderJet`` stores the six derivative slots
     dz, dzc, dzz (d2/dz2), dzzc (d2/dz dz*), dzcz (d2/dz* dz), dzczc (d2/dz*2)
 
 as a flat record; the last four are the 2x2 block, row by row.  Both mixed
-slots are kept: for twice-differentiable inputs they agree and the gap is a
-free smoothness diagnostic.  ``expr.eval_jet(e, c, order=2)`` builds one.
+slots are kept, each from its own mirrored formula: they agree to rounding,
+and the mirror keeps exact zeros and a real-valued function's block
+structure.  ``expr.eval_jet(e, c, order=2)`` builds one.
 The rules build their results with a slot filler (``object.__new__`` plus
 the seven slot descriptors) instead of the dataclass ``__init__``; the
 result equals, prints and pickles like ``SecondOrderJet(...)`` of the same
@@ -39,7 +40,7 @@ class SecondOrderJet:
 
     @property
     def mixed_symmetry_gap(self) -> float:
-        """|dzzc - dzcz|; ~0 for twice-differentiable inputs."""
+        """|dzzc - dzcz|: rounding, not a smoothness test."""
         return abs(self.dzzc - self.dzcz)
 
 
@@ -155,7 +156,7 @@ def apply_primitive2(name: str, a: SecondOrderJet) -> SecondOrderJet:
     try:
         value = p.value(v)
         gz, gzc = p.partials(v)
-        gzz, gzzc, gzcz, gzczc = p.second_partials(v)
+        gzz, gzzc, gzczc = p.second_partials(v)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(
             f"{name} outside its domain at {v!r}: {exc}") from None
@@ -163,11 +164,12 @@ def apply_primitive2(name: str, a: SecondOrderJet) -> SecondOrderJet:
     A, B = a.dz, a.dzc
     Ac, Bc = A.conjugate(), B.conjugate()
 
-    # z / z* derivatives of g_z(f) and g_zc(f) along the inner function
+    # z / z* derivatives of g_z(f) and g_zc(f) along the inner function;
+    # g_zzc is both mixed partials of g
     p_z = gzz * A + gzzc * Bc
     p_zc = gzz * B + gzzc * Ac
-    q_z = gzcz * A + gzczc * Bc
-    q_zc = gzcz * B + gzczc * Ac
+    q_z = gzzc * A + gzczc * Bc
+    q_zc = gzzc * B + gzczc * Ac
 
     return _fill(
         value,

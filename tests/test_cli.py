@@ -69,6 +69,14 @@ def test_diff_syntax_error_exits_2_with_offset(capsys):
     assert "offset 3" in err
 
 
+def test_diff_bad_point_exits_2_with_offset(capsys):
+    # a non-ASCII digit, and the variable in what must be a constant
+    for at, offset in (("1\u0663", 1), ("1+2*z", 4)):
+        code, out, err = run(capsys, "diff", "z^2", "--at", at)
+        assert (code, out) == (2, "")
+        assert f"offset {offset}" in err
+
+
 def test_diff_unknown_identifier_exits_2(capsys):
     code, _, err = run(capsys, "diff", "q+1", "--at", "0")
     assert code == 2

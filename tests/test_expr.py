@@ -110,6 +110,12 @@ def test_parse_keeps_a_failing_constant_power_unfolded():
 def test_parse_rejects_non_ascii():
     with pytest.raises(ExprSyntaxError):
         parse("z + α")
+    # a non-ASCII digit, digit in an exponent, space and letter
+    for text, offset in (("1\u0663", 1), ("1e\u0663", 2), ("1\u00a02", 1),
+                         ("z\u00e9", 1)):
+        with pytest.raises(ExprSyntaxError, match="non-ASCII") as err:
+            parse(text)
+        assert err.value.offset == offset
 
 
 def test_format_goldens():
@@ -315,9 +321,13 @@ def test_parse_complex():
     assert parse_complex("0.5") == 0.5
     assert parse_complex("2*3") == 6
     with pytest.raises(ExprSyntaxError):
-        parse_complex("z+1")
-    with pytest.raises(ExprSyntaxError):
         parse_complex("")
+    # the offset of the first z or zc
+    for text, offset in (("z+1", 0), ("1+2*z", 4), ("2*zc", 2),
+                         ("exp(z)", 4)):
+        with pytest.raises(ExprSyntaxError, match="variable z") as err:
+            parse_complex(text)
+        assert err.value.offset == offset
 
 
 def _fuzz_inputs(rng, count):

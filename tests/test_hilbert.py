@@ -732,6 +732,19 @@ def test_squared_distance_warns_nothing_before_its_domain_error():
             prog([1e308, 0])
 
 
+@pytest.mark.parametrize("w, c", [
+    ([math.inf, 1], [1, 1]),
+    ([[math.inf, 1], [1, 1]], [1, 1]),
+    ([1e300, 1e300], [1e10 + 1e10j, 1e10]),
+])
+def test_ip_functional_warns_nothing_before_its_domain_error(w, c):
+    for kind in ("fw", "wf", "fcw", "wfc"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                hb.ip_functional(kind, w, c)
+
+
 def test_squared_distance_call_is_linear_in_memory(np_rng):
     n = 2048
     w, c = rand_vec(np_rng, n), rand_vec(np_rng, n)

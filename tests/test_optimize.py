@@ -569,6 +569,13 @@ def test_newton_degenerate_quadratic_is_singular():
         newton_step_scalar("re(z)^2", 1 + 1j)
 
 
+def test_newton_refuses_a_pair_that_is_not_conjugate():
+    # the value 3 is real and the block regular, but the solved pair is
+    # (-1.5, -1)
+    with pytest.raises(SingularHessian, match="not a conjugate pair"):
+        newton_step_scalar("z^2 + conj(z)^2 + z", 1)
+
+
 def test_trace_defaults():
     t = DescentTrace()
     assert t.termination is Termination.MAX_ITER

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import random
 import struct
 
@@ -6,9 +7,11 @@ import pytest
 
 from conftest import (CORPUS, REAL_COSTS, fd_second_partials, rel_err,
                       sample_points)
+from wirtcalc import forward as fw
 from wirtcalc import second as so
 from wirtcalc.errors import DomainError, PoleError
 from wirtcalc.expr import eval_jet, parse
+from wirtcalc.fdcheck import fd_wirtinger
 from wirtcalc.second import hessian_is_real_consistent, second_order_taylor
 
 
@@ -58,6 +61,22 @@ def test_second_partials_against_second_differences(expr):
         assert rel_err(j.dzzc, dzzc) < 1e-4
         assert rel_err(j.dzcz, dzzc) < 1e-4
         assert rel_err(j.dzczc, dzczc) < 1e-4
+
+
+@pytest.mark.parametrize("name", sorted(fw.PRIMITIVES))
+def test_primitive_second_partials_against_fd_of_the_first(name):
+    # the triple (g_zz, g_zzc, g_zczc) is the Wirtinger pair of g_z and of
+    # g_zc, with the one g_zzc standing for both mixed partials
+    assert [f.name for f in dataclasses.fields(fw.Primitive)] == [
+        "value", "partials", "second_partials"]
+    p = fw.PRIMITIVES[name]
+    for c in sample_points(19, 10):   # right half-plane, off the cuts
+        gzz, gzzc, gzczc = p.second_partials(c)
+        gz_z, gz_zc = fd_wirtinger(lambda v: p.partials(v)[0], c)
+        gzc_z, gzc_zc = fd_wirtinger(lambda v: p.partials(v)[1], c)
+        for got, want in ((gzz, gz_z), (gzzc, gz_zc), (gzzc, gzc_z),
+                          (gzczc, gzc_zc)):
+            assert rel_err(got, want) < 1e-8, (name, c, got, want)
 
 
 @pytest.mark.parametrize("expr", CORPUS)
