@@ -1,6 +1,7 @@
 """Expression language over z and z*: AST, parser, printer, jet evaluation.
 
-Grammar (whitespace insignificant, ASCII only)::
+Grammar (ASCII only; whitespace, which is space, tab, LF, CR, FF or VT and
+nothing else, is insignificant)::
 
     expr    := term (('+' | '-') term)*           left associative
     term    := unary (('*' | '/') unary)*         left associative
@@ -17,17 +18,18 @@ names: exp log sin cos sqrt conj re im abs abs2 arg.
 The parser folds constants in exactly three places so that the printer's
 canonical output re-parses to a structurally identical tree: a unary minus
 in front of a literal, the two-token complex literal ``a+bi``, and a power
-with constant base (left unfolded when it overflows or divides by zero, so
-that evaluation reports it).  Build ``Const(-5)`` rather than
-``Neg(Const(5))`` when constructing trees by hand, for the same reason.
-Number literals that overflow to inf are syntax errors.
+with constant base (folded only to a finite value, so that evaluation
+reports an overflow, a nan or a division by zero).  Build ``Const(-5)``
+rather than ``Neg(Const(5))`` when constructing trees by hand, for the
+same reason.  Number literals that overflow to inf are syntax errors.
 
 ASTs are immutable; parsing, printing and evaluation are pure functions.
 ``compile_expr`` walks a tree once, without recursion, into a ``Tape`` of
-flat instructions that printing and evaluation replay in one loop.  So the
-nesting cap (a depth of 200 grammar steps: 39 nested parentheses or calls,
-or 196 stacked unary minus signs) and |k| <= 64 are the only size limits:
-a chain such as ``z+z+...+z`` of any length prints and evaluates.  A
+flat instructions that printing, evaluation and a tree's ``==``, ``hash``
+and ``repr`` replay in one loop.  So the nesting cap (a depth of 200
+grammar steps: 39 nested parentheses or calls, or 196 stacked unary minus
+signs) and |k| <= 64 are the only size limits: a chain such as
+``z+z+...+z`` of any length prints, compares and evaluates.  A
 caller that evaluates one expression at many points compiles it once and
 passes the tape.
 """
@@ -36,7 +38,8 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 
 from . import forward as fw
 from . import second as so
@@ -49,57 +52,69 @@ _MAX_DEPTH = 200
 
 
 class Expr:
-    """Base class for AST nodes."""
+    """Base class for AST nodes.  ``==``, ``hash`` and ``repr`` read the
+    node's tape, so they work on trees of any depth; ``repr`` prints what
+    the dataclass ``repr`` would."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        return (isinstance(other, Expr)
+                and compile_expr(self).ops == compile_expr(other).ops)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(compile_expr(self).ops)
+
+    def __repr__(self):
+        return _run(compile_expr(self), None, _REPR_RULES)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     value: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     func: str
     arg: Expr
@@ -109,59 +124,38 @@ class Call(Expr):
 # tokenizer
 # --------------------------------------------------------------------------
 
+_SPACE = " \t\n\r\f\v"
 _OPS = "+-*/^(),"
+# a trailing 'i' makes a number imaginary unless it opens a name
+_NUMBER = re.compile(r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(i(?!\w))?",
+                     re.ASCII)
+_NAME = re.compile(r"[A-Za-z_]\w*", re.ASCII)
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     """Returns (kind, payload, offset) triples; kinds are
     'num', 'imag', 'ident', 'op', 'end'."""
-    tokens: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
+    tokens, i, n = [], 0, len(text)
+    append, number, name = tokens.append, _NUMBER.match, _NAME.match
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in _SPACE:
             i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            val = float(text[start:i])
+        elif ch in _OPS:
+            append(("op", ch, i))
+            i += 1
+        elif m := name(text, i):
+            append(("ident", m[0], i))
+            i = m.end()
+        elif m := number(text, i):
+            val = float(m[1])
             if val == float("inf"):
-                raise ExprSyntaxError("number out of range", start)
-            # trailing 'i' marks an imaginary literal unless it opens a name
-            if (i < n and text[i] == "i"
-                    and not (i + 1 < n and (text[i + 1].isalnum()
-                                            or text[i + 1] == "_"))):
-                i += 1
-                tokens.append(("imag", val, start))
-            else:
-                tokens.append(("num", val, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("ident", text[start:i], start))
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+                raise ExprSyntaxError("number out of range", i)
+            append(("imag" if m[2] else "num", val, i))
+            i = m.end()
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    append(("end", None, n))
     return tokens
 
 
@@ -169,149 +163,112 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 # parser
 # --------------------------------------------------------------------------
 
+_INFIX = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_RESERVED = {"z": Var(), "zc": Call("conj", Var()), "i": Const(1j)}
+
 
 class _Parser:
+    """Recursive descent, one method per grammar rule; ``depth`` counts
+    grammar steps, and ``expr``, ``unary`` and ``atom`` enforce the cap."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
+    def offset(self) -> int:
+        return self.tokens[self.pos][2]
 
-    def next(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
+    def take(self, ops: str):
+        """The current token, consumed, if it is one of the operators
+        ``ops``; else None."""
+        kind, payload, _ = self.tokens[self.pos]
+        if kind == "op" and payload in ops:
             self.pos += 1
-        return tok
+            return payload
+        return None
 
-    def expect_op(self, op: str) -> None:
-        kind, payload, off = self.peek()
-        if kind == "op" and payload == op:
-            self.next()
-            return
-        raise ExprSyntaxError(f"expected {op!r}", off)
-
-    def parse(self) -> Expr:
-        e = self.expr(0)
-        kind, payload, off = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {payload!r}", off)
-        return e
-
-    def expr(self, depth: int) -> Expr:
+    def check_depth(self, depth: int) -> None:
         if depth > _MAX_DEPTH:
             raise ExprSyntaxError("expression nested too deeply",
-                                  self.peek()[2])
-        left = self.term(depth + 1)
-        while True:
-            kind, payload, off = self.peek()
-            if kind == "op" and payload in "+-":
-                self.next()
-                right = self.term(depth + 1)
-                left = self._make_additive(payload, left, right)
-            else:
-                return left
+                                  self.offset())
 
-    @staticmethod
-    def _make_additive(op: str, left: Expr, right: Expr) -> Expr:
-        # fold the two-token complex literal `a+bi` / `a-bi`
-        if (isinstance(left, Const) and isinstance(right, Const)
-                and left.value.imag == 0.0 and right.value.real == 0.0
-                and right.value.imag != 0.0):
-            return Const(left.value + right.value if op == "+"
-                         else left.value - right.value)
-        return Add(left, right) if op == "+" else Sub(left, right)
+    def expr(self, depth: int) -> Expr:
+        self.check_depth(depth)
+        left = self.term(depth + 1)
+        while op := self.take("+-"):
+            right = self.term(depth + 1)
+            # fold the two-token complex literal `a+bi` / `a-bi`
+            if (isinstance(left, Const) and isinstance(right, Const)
+                    and left.value.imag == 0.0 and right.value.real == 0.0
+                    and right.value.imag != 0.0):
+                left = Const(left.value + right.value if op == "+"
+                             else left.value - right.value)
+            else:
+                left = _INFIX[op](left, right)
+        return left
 
     def term(self, depth: int) -> Expr:
         left = self.unary(depth + 1)
-        while True:
-            kind, payload, off = self.peek()
-            if kind == "op" and payload in "*/":
-                self.next()
-                right = self.unary(depth + 1)
-                left = Mul(left, right) if payload == "*" else Div(left, right)
-            else:
-                return left
+        while op := self.take("*/"):
+            left = _INFIX[op](left, self.unary(depth + 1))
+        return left
 
     def unary(self, depth: int) -> Expr:
-        if depth > _MAX_DEPTH:
-            raise ExprSyntaxError("expression nested too deeply",
-                                  self.peek()[2])
-        kind, payload, off = self.peek()
-        if kind == "op" and payload == "-":
-            self.next()
-            inner = self.unary(depth + 1)
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Neg(inner)
-        return self.power(depth + 1)
+        self.check_depth(depth)
+        if not self.take("-"):
+            return self.power(depth + 1)
+        e = self.unary(depth + 1)
+        return Const(-e.value) if isinstance(e, Const) else Neg(e)
 
     def power(self, depth: int) -> Expr:
         base = self.atom(depth + 1)
-        kind, payload, off = self.peek()
-        if kind == "op" and payload == "^":
-            self.next()
-            exp_expr = self.unary(depth + 1)  # right assoc, allows -k
-            k = self._as_int_exponent(exp_expr, off)
-            if isinstance(base, Const):
-                try:
-                    return Const(base.value ** k)
-                except ArithmeticError:  # 0^-1, 1e200^2
-                    pass
-            return Pow(base, k)
-        return base
-
-    @staticmethod
-    def _as_int_exponent(e: Expr, off: int) -> int:
+        if not self.take("^"):
+            return base
+        off = self.tokens[self.pos - 1][2]  # the offset of '^'
+        e = self.unary(depth + 1)  # right associative, allows -k
         if not isinstance(e, Const):
             raise ExprSyntaxError("exponent must be an integer literal", off)
-        w = e.value
-        if w.imag != 0.0 or w.real != int(w.real):
+        if e.value.imag != 0.0 or e.value.real != int(e.value.real):
             raise ExprSyntaxError("exponent must be an integer", off)
-        k = int(w.real)
+        k = int(e.value.real)
         if abs(k) > MAX_POW:
             raise ExprSyntaxError(f"exponent magnitude exceeds {MAX_POW}", off)
-        return k
+        if isinstance(base, Const):
+            try:
+                value = base.value ** k
+            except ArithmeticError:  # 0^-1, 1e200^2
+                value = cmath.nan
+            if cmath.isfinite(value):  # 1e10^64 is nan, not an error
+                return Const(value)
+        return Pow(base, k)
 
     def atom(self, depth: int) -> Expr:
-        if depth > _MAX_DEPTH:
-            raise ExprSyntaxError("expression nested too deeply",
-                                  self.peek()[2])
-        kind, payload, off = self.next()
+        self.check_depth(depth)
+        kind, payload, off = self.tokens[self.pos]
+        self.pos += 1
         if kind == "num":
             return Const(complex(payload, 0.0))
         if kind == "imag":
             return Const(complex(0.0, payload))
         if kind == "ident":
-            name = payload
-            if name == "z":
-                return Var()
-            if name == "zc":
-                return Call("conj", Var())
-            if name == "i":
-                return Const(1j)
-            if name in PRIMITIVES:
-                nkind, npayload, noff = self.peek()
-                if not (nkind == "op" and npayload == "("):
-                    raise ArityError(
-                        f"{name} expects exactly one parenthesized argument",
-                        noff)
-                self.next()
-                arg = self.expr(depth + 1)
-                ckind, cpayload, coff = self.peek()
-                if ckind == "op" and cpayload == ",":
-                    raise ArityError(f"{name} takes exactly one argument",
-                                     coff)
-                self.expect_op(")")
-                return Call(name, arg)
-            raise UnknownIdentifier(name, off)
-        if kind == "op" and payload == "(":
-            inner = self.expr(depth + 1)
-            self.expect_op(")")
-            return inner
-        if kind == "end":
-            raise ExprSyntaxError("unexpected end of input", off)
-        raise ExprSyntaxError(f"unexpected token {payload!r}", off)
+            if payload in _RESERVED:
+                return _RESERVED[payload]
+            if payload not in PRIMITIVES:
+                raise UnknownIdentifier(payload, off)
+            if not self.take("("):
+                raise ArityError(f"{payload} expects exactly one "
+                                 "parenthesized argument", self.offset())
+        elif payload != "(":
+            raise ExprSyntaxError("unexpected end of input" if kind == "end"
+                                  else f"unexpected token {payload!r}", off)
+        # NAME '(' expr ')' or '(' expr ')'
+        e = self.expr(depth + 1)
+        if kind == "ident" and self.tokens[self.pos][1] == ",":
+            raise ArityError(f"{payload} takes exactly one argument",
+                             self.offset())
+        if not self.take(")"):
+            raise ExprSyntaxError("expected ')'", self.offset())
+        return Call(payload, e) if kind == "ident" else e
 
 
 def parse(text: str) -> Expr:
@@ -321,9 +278,14 @@ def parse(text: str) -> Expr:
         # all before the first non-ASCII character is ASCII: index == offset
         i = next(i for i, ch in enumerate(text) if ord(ch) >= 128)
         raise ExprSyntaxError(f"non-ASCII character {text[i]!r}", i)
-    if not text or text.isspace():
+    if not text.strip(_SPACE):
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    p = _Parser(text)
+    e = p.expr(0)
+    kind, payload, off = p.tokens[p.pos]
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing input {payload!r}", off)
+    return e
 
 
 # --------------------------------------------------------------------------
@@ -457,6 +419,19 @@ _PRINT_RULES = (
     lambda a, k: (f"{_paren(a, _PREC_ATOM)}^{k}", _PREC_POW),
     lambda name, a: (f"{name}({a[0]})", _PREC_ATOM),
 )
+
+
+def _repr_rule(cls):
+    """Rule that prints a ``cls`` node as the dataclass ``repr`` would, from
+    its children's reprs and its payload."""
+    node_fields = fields(cls)
+    return lambda *args: "{}({})".format(cls.__name__, ", ".join(
+        f"{f.name}={a if f.type == 'Expr' else repr(a)}"
+        for f, a in zip(node_fields, args)))
+
+
+_REPR_RULES = tuple(map(_repr_rule, (Var, Const, Add, Sub, Mul, Div, Neg,
+                                     Pow, Call)))
 
 
 def format_expr(e) -> str:

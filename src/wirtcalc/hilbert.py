@@ -76,12 +76,15 @@ def hvec(coords) -> HVec:
 
 
 def inner(f: HVec, g: HVec) -> complex:
-    """sum_k f_k * conj(g_k); linear in f, conjugate-linear in g."""
-    f = np.asarray(f)
-    g = np.asarray(g)
+    """sum_k f_k * conj(g_k); linear in f, conjugate-linear in g.  Takes
+    two ``hvec``-valid vectors of one dimension; DomainError on overflow."""
+    f, g = hvec(f), hvec(g)
     if f.shape != g.shape:
         raise DimensionMismatch(f"dimension mismatch: {f.shape} vs {g.shape}")
-    return complex(np.vdot(g, f))
+    v = complex(np.vdot(g, f))
+    if not cmath.isfinite(v):
+        raise DomainError(f"inner product is not finite: {v!r}")
+    return v
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -70,8 +70,9 @@ def test_diff_syntax_error_exits_2_with_offset(capsys):
 
 
 def test_diff_bad_point_exits_2_with_offset(capsys):
-    # a non-ASCII digit, and the variable in what must be a constant
-    for at, offset in (("1\u0663", 1), ("1+2*z", 4)):
+    # a non-ASCII digit, an ASCII separator that is not grammar whitespace,
+    # and the variable in what must be a constant
+    for at, offset in (("1\u0663", 1), ("1\x1c", 1), ("1+2*z", 4)):
         code, out, err = run(capsys, "diff", "z^2", "--at", at)
         assert (code, out) == (2, "")
         assert f"offset {offset}" in err

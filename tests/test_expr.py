@@ -96,8 +96,11 @@ def test_parse_rejects_infinite_literal():
 
 
 def test_parse_keeps_a_failing_constant_power_unfolded():
-    # folding would raise; the tree keeps the power and evaluation reports it
-    for text, error in (("0^-1", PoleError), ("1e200^2", DomainError)):
+    # folding would raise or give nan; the tree keeps the power and
+    # evaluation reports it
+    for text, error in (("0^-1", PoleError), ("1e200^2", DomainError),
+                        ("1e10^64", DomainError), ("1e200^20", DomainError),
+                        ("(1e200+1i)^20", DomainError)):
         e = parse(text)
         assert isinstance(e, Pow) and isinstance(e.base, Const)
         assert parse(format_expr(e)) == e
@@ -105,6 +108,18 @@ def test_parse_keeps_a_failing_constant_power_unfolded():
             eval_jet(e, 1, order=0)
         with pytest.raises(error):
             parse_complex(text)
+
+
+def test_parse_accepts_exactly_six_whitespace_characters():
+    for space in " \t\n\r\f\v":
+        assert parse(f"{space}z{space}+{space}1{space}") == Add(Var(),
+                                                                Const(1))
+    # str.isspace accepts these ASCII separators; the grammar does not
+    for sep in "\x1c\x1d\x1e\x1f":
+        with pytest.raises(ExprSyntaxError,
+                           match="unexpected character") as err:
+            parse(f"z{sep}+1")
+        assert err.value.offset == 1
 
 
 def test_parse_rejects_non_ascii():
@@ -275,11 +290,39 @@ def test_long_chain_evaluates_at_every_order():
 
 
 def test_long_chain_round_trips_as_text():
-    # compared as text: the dataclass == on such a tree recurses itself
+    # ==, hash and repr replay the tape, so they need no recursion either
     text = "+".join(["z"] * CHAIN_TERMS)
-    assert format_expr(parse(text)) == text
     mixed = "-".join(f"{k}*z^2" for k in range(1, CHAIN_TERMS))
-    assert format_expr(parse(mixed)) == mixed
+    for t in (text, mixed):
+        tree = parse(t)
+        assert format_expr(tree) == t
+        again = parse(format_expr(tree))
+        assert again == tree and hash(again) == hash(tree)
+        assert repr(again) == repr(tree)
+    assert parse(text) != parse(text + "+z")
+    assert repr(parse(text)).count("Add(left=") == CHAIN_TERMS - 1
+
+
+def _dataclass_repr(e) -> str:
+    """What the dataclass-generated repr prints, recursively."""
+    if not dataclasses.is_dataclass(e):
+        return repr(e)
+    return f"{type(e).__name__}(" + ", ".join(
+        f"{f.name}={_dataclass_repr(getattr(e, f.name))}"
+        for f in dataclasses.fields(e)) + ")"
+
+
+def test_repr_eq_and_hash_agree_with_the_node_fields():
+    rng = random.Random(303)
+    for _ in range(500):
+        e = random_ast(rng, 6)
+        assert repr(e) == _dataclass_repr(e)
+        twin = parse(format_expr(e))
+        assert twin == e and hash(twin) == hash(e) and twin is not e
+    assert Const(1) == Const(1 + 0j) and Var() != Const(0)
+    assert Add(Var(), Const(1)) != Sub(Var(), Const(1))
+    assert Pow(Var(), 2) != Pow(Var(), 3) and Var() != "z"
+    assert len({parse("z+1"), parse("z + 1"), parse("1+z")}) == 2
 
 
 def test_parse_complex_long_constant_chain():
@@ -305,6 +348,10 @@ def test_unknown_node_raises_type_error():
                 eval_jet(bad, 1j, order=order)
         with pytest.raises(TypeError, match="not an Expr node"):
             format_expr(bad)
+    # ==, hash and repr replay the tape too, so they refuse such a tree
+    for op in (lambda e: e == e, hash, repr):
+        with pytest.raises(TypeError, match="not an Expr node"):
+            op(Neg("z"))
 
 
 @pytest.mark.parametrize("expr", CORPUS)
@@ -376,6 +423,37 @@ def test_fuzz_parser_smoke():
         assert _parse_seconds(text) < PARSE_BOUND_S
 
 
+def _token_soup(rng, count):
+    """Texts that alternate operand-like and operator-like tokens, with
+    whitespace and stray tokens (the ASCII separator \\x1c among them)
+    slipped in, so that brackets and commas are often unbalanced."""
+    operands = ["z", "zc", "i", "2", "0.5", "3i", "1e200", "1e10", "exp(",
+                "log(", "conj(", "abs(", "(", "-"]
+    joins = ["+", "-", "*", "/", "^64", "^2", "^-1", "^20", ")", ","]
+    noise = ["^", ".", "1e", "\x1c", "(", ")", ",", "q", *" \t\n\r\f\v"]
+    for _ in range(count):
+        parts = []
+        for k in range(rng.randrange(1, 16)):
+            parts.append(rng.choice(joins if k % 2 else operands))
+            if rng.random() < 0.15:
+                parts.append(rng.choice(noise))
+        yield "".join(parts)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_token_soup_parses_to_a_round_trip_tree_or_a_syntax_error(seed):
+    rng = random.Random(seed)
+    trees = 0
+    for text in _token_soup(rng, 4000):
+        try:
+            e = parse(text)
+        except ExprSyntaxError:  # ArityError, UnknownIdentifier too
+            continue
+        trees += 1
+        assert parse(format_expr(e)) == e, text
+    assert trees > 100
+
+
 def test_deep_nesting_is_rejected_not_crashing():
     with pytest.raises(ExprSyntaxError):
         parse("(" * 5000 + "z" + ")" * 5000)
@@ -400,7 +478,8 @@ def test_each_nesting_check_reports_its_offset(text, offset, site):
     with pytest.raises(ExprSyntaxError, match="nested too deeply") as info:
         parse(text)
     assert info.value.offset == offset
-    assert info.traceback[-1].name == site
+    # the grammar rule that called the one depth check
+    assert info.traceback[-2].name == site
 
 
 # --------------------------------------------------------------------------

@@ -96,6 +96,23 @@ def test_inner_dimension_mismatch():
         hb.inner(hb.hvec([1, 2]), hb.hvec([1, 2, 3]))
 
 
+@pytest.mark.parametrize("f, g, error", [
+    ([[1, 2], [3, 4]], [[1, 2], [3, 4]], DimensionMismatch),
+    ([1, 2], [[1, 2]], DimensionMismatch),
+    ([], [], DimensionMismatch),
+    ([float("inf")], [1], DomainError),
+    ([1], [float("nan")], DomainError),
+    ([1e200], [1e200], DomainError),
+    ([1e200j, 1], [1e200j, 1], DomainError),
+])
+def test_inner_keeps_the_hvec_contract(f, g, error):
+    # plain lists too, and an overflowed sum raises before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            hb.inner(f, g)
+
+
 def test_hvec_validation():
     with pytest.raises(DomainError):
         hb.hvec([float("inf"), 0])
