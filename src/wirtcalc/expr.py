@@ -371,6 +371,7 @@ def _run(tape: Tape, c, rules):
 # --------------------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC_PARENS = 6    # an atom already in parentheses: a complex constant
 
 
 def _fmt_float(x: float) -> str:
@@ -397,7 +398,7 @@ def _fmt_const(w: complex) -> tuple[str, int]:
     sign = "+" if im_ > 0 else "-"
     mag = abs(im_)
     imag_part = "i" if mag == 1.0 else _fmt_float(mag) + "i"
-    return f"({_fmt_float(re_)}{sign}{imag_part})", _PREC_ATOM
+    return f"({_fmt_float(re_)}{sign}{imag_part})", _PREC_PARENS
 
 
 def _paren(p: tuple[str, int], prec: int) -> str:
@@ -417,7 +418,7 @@ _PRINT_RULES = (
     _infix("*", _PREC_MUL), _infix("/", _PREC_MUL),
     lambda a: ("-" + _paren(a, _PREC_UNARY), _PREC_UNARY),
     lambda a, k: (f"{_paren(a, _PREC_ATOM)}^{k}", _PREC_POW),
-    lambda name, a: (f"{name}({a[0]})", _PREC_ATOM),
+    lambda name, a: (name + _paren(a, _PREC_PARENS), _PREC_ATOM),
 )
 
 

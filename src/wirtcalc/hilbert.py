@@ -2,9 +2,10 @@
 scalar value plus a pair of gradient vectors.
 
 Vectors are 1-D ``complex128`` numpy arrays, frozen so every value handed
-around is immutable.  A caller's array is copied where it enters (``hvec``,
-the ``FunctionalJet`` constructor, ``ip_functional``); the new arrays of a
-``forward`` rule are frozen in place by its result class's ``_fresh``.
+around is immutable.  A caller's array that is kept is copied where it
+enters (``hvec``, ``FunctionalJet(...)``, ``ip_functional``), a parameter
+that is only read is checked in place (a least-squares program's), and the
+new arrays of a ``forward`` rule are frozen once, by ``_fresh``.
 The inner product is linear in the FIRST argument and conjugate-linear in
 the second,
 
@@ -55,24 +56,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _filled(cls, value, dz, dzc):
-    """``forward``'s slot filler, freezing the new gradients in place."""
+    """``forward``'s slot filler for ``cls``: stores the slots as given."""
     j = _new(cls)
     _set_value(j, value)
-    dz.setflags(write=False)
     _set_dz(j, dz)
-    dzc.setflags(write=False)
     _set_dzc(j, dzc)
     return j
 
 
-def hvec(coords) -> HVec:
-    """Validate and freeze a coordinate vector (length >= 1, all finite)."""
-    a = np.array(coords, dtype=np.complex128, copy=True)
+def _checked(a: np.ndarray) -> np.ndarray:
+    """``a``, once it is found a 1-D vector of length >= 1, all finite."""
     if a.ndim != 1 or a.size < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a)):
         raise DomainError("vector has non-finite coordinates")
-    return _freeze(a)
+    return a
+
+
+def hvec(coords) -> HVec:
+    """Validate and freeze a coordinate vector (length >= 1, all finite)."""
+    return _freeze(_checked(np.array(coords, dtype=np.complex128, copy=True)))
 
 
 def inner(f: HVec, g: HVec) -> complex:
@@ -131,10 +134,10 @@ class FunctionalJet(fw.WirtingerJet):
     def _fresh(value, dz, dzc) -> FunctionalJet:
         """Jet from slot arrays nothing else holds: complex128 gradients of
         shape (n,) or (n, m), such as a ``forward`` rule computes from
-        frozen slots.  They are frozen in place and stored by the slot
-        filler of ``forward``; the constructor's copy and checks are for
-        arrays a caller passes in.  The value must be finite (DomainError),
-        a stack's an (m,) array (DimensionMismatch); gradients go unchecked."""
+        frozen slots.  They are frozen in place, not copied; the
+        constructor's copy and checks are for arrays a caller passes in.
+        The value must be finite (DomainError), a stack's an (m,) array
+        (DimensionMismatch); gradients go unchecked."""
         if dz.ndim == 1:
             value = complex(value)
             if not cmath.isfinite(value):
@@ -146,6 +149,8 @@ class FunctionalJet(fw.WirtingerJet):
             raise DomainError("a stacked jet's value is not finite")
         else:
             value.setflags(write=False)
+        dz.setflags(write=False)
+        dzc.setflags(write=False)
         return _filled(FunctionalJet, value, dz, dzc)
 
     @property
@@ -184,12 +189,16 @@ class _Batch(fw.WirtingerJet):
         if not np.logical_and.reduce(np.isfinite(value)):
             raise DomainError("a batch jet's value is not finite")
         value.setflags(write=False)
+        dz.setflags(write=False)
+        dzc.setflags(write=False)
         return _filled(_Batch, value, dz, dzc)
 
     def total(self) -> FunctionalJet:
         """The jet of f -> sum_k g_k(f_k), jet k being g_k's at f_k."""
-        return FunctionalJet._fresh(np.add.reduce(self.value), self.dz,
-                                    self.dzc)
+        value = complex(np.add.reduce(self.value))
+        if not cmath.isfinite(value):
+            raise DomainError(f"a jet's value {value!r} is not finite")
+        return _filled(FunctionalJet, value, self.dz, self.dzc)
 
 
 def functional_constant(k, n: int) -> FunctionalJet:
@@ -261,10 +270,10 @@ def squared_distance(w: HVec) -> Functional:
         c = np.asarray(c, dtype=np.complex128)
         if c.shape != w.shape:
             raise DimensionMismatch(f"shape {c.shape}, need {w.shape}")
+        # an overflow in c - w or a rule is a DomainError, with no warning
         with np.errstate(over="ignore", invalid="ignore"):
-            d = c - w
-        r = _filled(_Batch, hvec(d), ones, zeros)
-        return fw.mul(r, fw.conj(r)).total()
+            r = _filled(_Batch, hvec(c - w), ones, zeros)
+            return fw.mul(r, fw.conj(r)).total()
 
     return program
 

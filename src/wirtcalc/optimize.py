@@ -241,7 +241,10 @@ class LeastSquaresProgram:
     and ``[W | d] = Q [R_W | r_d]`` with ``R_W = [R_X, conj(R_X)]``.  As ``Q``
     has orthonormal columns, ``e = r_d - R_W conj(c)`` gives the value
     ``||r||^2 = ||e||^2`` and ``grad_f = -W^H r = -R_W^H e``, and
-    ``grad_fc`` is its conjugate: a call runs one path in both modes and
+    ``grad_fc`` is its conjugate.  Cached in conjugate space, as
+    ``conj(R_W)``, ``-R_W^T`` and ``conj(r_d)``, the triangle gives
+    ``grad_fc = -R_W^T e*``, ``e* = conj(r_d) - conj(R_W) c``, with no
+    conjugate of ``c`` and no negation: a call runs one path in both modes and
     makes no pass over the N samples.  ``e`` carries a rounding of order
     eps ||[X | d]||, also at an exact fit, so for ||[X | d]|| above about
     1e160 the value or gradient overflows there (DomainError); so does
@@ -285,8 +288,8 @@ class LeastSquaresProgram:
 
     @functools.cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``R_W``, its contiguous conjugate transpose and ``r_d`` of
-        ``[W | d] = Q [R_W | r_d]``."""
+        """``conj(R_W)``, ``-R_W^T`` and ``conj(r_d)`` of
+        ``[W | d] = Q [R_W | r_d]``, each a contiguous array."""
         np = _lib()[0]
         Z = np.hstack([self._X, self._d[:, None]])
         if self.widely_linear:
@@ -299,23 +302,23 @@ class LeastSquaresProgram:
                               "factor: a column norm overflows")
         n = self._X.shape[1]
         RX = R[:, :n]
-        RW = (np.hstack([RX, RX.conj()]) if self.widely_linear
-              else np.ascontiguousarray(RX))
-        return RW, np.ascontiguousarray(RW.conj().T), R[:, n]
+        RW = np.hstack([RX, RX.conj()]) if self.widely_linear else RX
+        return (np.ascontiguousarray(RW.conj()),
+                np.ascontiguousarray(-RW.T), R[:, n].conj())
 
     def __call__(self, c: hb.HVec) -> hb.FunctionalJet:
         np, hb = _lib()
-        c = hb.hvec(c)
+        c = hb._checked(np.asarray(c, dtype=np.complex128))
         if c.shape[0] != self.n_params:
             raise DimensionMismatch(
                 f"parameter has dimension {c.shape[0]}, need {self.n_params}")
-        RW, RWH, rd = self._factor
-        e = rd - RW @ c.conj()
+        RWc, mRWT, rdc = self._factor
+        ec = rdc - RWc @ c                      # conj(e)
         # ||e||^2 over the real view: an overflow reads inf, never nan
-        value = complex(np.vdot(e.view(np.float64), e.view(np.float64)))
-        grad_f = -(RWH @ e)
+        value = complex(np.vdot(ec.view(np.float64), ec.view(np.float64)))
+        grad_fc = mRWT @ ec
         # both slot arrays are new: frozen in place, not copied
-        return hb.FunctionalJet._fresh(value, grad_f, grad_f.conj())
+        return hb.FunctionalJet._fresh(value, grad_fc.conj(), grad_fc)
 
     def eval_assembled(self, c: hb.HVec) -> hb.FunctionalJet:
         np, hb = _lib()

@@ -469,6 +469,15 @@ def test_nesting_cap_is_as_documented(opener, count):
         parse(opener * (count + 1) + "z" + closer * (count + 1))
 
 
+@pytest.mark.parametrize("text", ["exp(1+2i)", "sin(-1-2i)",
+                                  "exp(" * 39 + "1+2i" + ")" * 39])
+def test_complex_constant_call_text_round_trips_at_the_cap(text):
+    # a call's complex-constant argument gets one pair of parentheses, not
+    # two, so a canonical text nests no deeper than the text it came from
+    assert format_expr(parse(text)) == text
+    assert parse(format_expr(parse(text))) == parse(text)
+
+
 @pytest.mark.parametrize("text, offset, site", [
     ("-" * 196 + "(z)", 197, "expr"),
     ("-" * 195 + "(z)", 196, "unary"),

@@ -741,12 +741,16 @@ def test_squared_distance_copies_and_checks_its_point_once(monkeypatch,
 
 
 def test_squared_distance_warns_nothing_before_its_domain_error():
-    # no errstate here: c - w overflows, and hvec's DomainError is all
-    prog = hb.squared_distance([-1e308, 0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError):
-            prog([1e308, 0])
+    # no errstate here: the program's DomainError is all the caller sees
+    for w, c in (([-1e308, 0], [1e308, 0]),   # c - w overflows
+                 ([0, 0], [1e200, 0]),        # a square overflows
+                 ([0, 0], [1e155, 1e155]),
+                 ([0, 0], [1e154, 1e154])):   # finite squares, their sum not
+        prog = hb.squared_distance(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                prog(c)
 
 
 @pytest.mark.parametrize("w, c", [

@@ -398,13 +398,56 @@ def test_least_squares_factor_keeps_the_gram_of_w_and_d(m, n, np_rng,
     for layout, X in sample_layouts(np_rng, m, n).items():
         for wl in (False, True):
             prog = build_least_squares(X, d, widely_linear=wl)
-            RW, RWH, rd = prog._factor
+            # cached in conjugate space: conj(R_W), -R_W^T and conj(r_d)
+            RWc, mRWT, rdc = prog._factor
             assert qr_dtypes.pop() == (np.float64 if wl else np.complex128)
-            assert np.array_equal(RWH, np.conj(RW).T)
+            RW, rd = np.conj(RWc), np.conj(rdc)
+            assert np.array_equal(mRWT, -RW.T)
             Wd = np.column_stack([X, np.conj(X), d] if wl else [X, d])
             Rd = np.column_stack([RW, rd])
             assert_rel_close(np.conj(Rd).T @ Rd, np.conj(Wd).T @ Wd,
                              (layout, wl))
+
+
+@pytest.mark.parametrize("m, n", [(40, 5), (40, 1), (3, 5), (1, 3),
+                                  (500, 16)])
+def test_least_squares_call_is_bitwise_the_old_formula(m, n, np_rng):
+    # the formula before the triangle was cached in conjugate space:
+    # e = r_d - R_W conj(c), grad_f = -(R_W^H e), grad_fc = conj(grad_f)
+    X, d = rand_rows(np_rng, m, n), rand_vec(np_rng, m)
+    for wl in (False, True):
+        prog = build_least_squares(X, d, widely_linear=wl)
+        RWc, _, rdc = prog._factor
+        RW, rd = np.conj(RWc), np.conj(rdc)
+        RWH = np.ascontiguousarray(np.conj(RW).T)
+        for _ in range(4):
+            c = rand_vec(np_rng, prog.n_params)
+            e = rd - RW @ np.conj(c)
+            value = complex(np.vdot(e.view(np.float64), e.view(np.float64)))
+            grad_f = -(RWH @ e)
+            got = prog(c)
+            for a, b in ((got.value, value), (got.grad_f, grad_f),
+                         (got.grad_fc, np.conj(grad_f))):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (
+                    m, n, wl)
+
+
+def test_least_squares_call_keeps_nothing_of_its_parameter(np_rng):
+    X, d = rand_rows(np_rng, 30, 3), rand_vec(np_rng, 30)
+    for wl in (False, True):
+        prog = build_least_squares(X, d, widely_linear=wl)
+        c = np.array(rand_vec(np_rng, prog.n_params))
+        as_list = c.tolist()
+        jet = prog(c)
+        assert c.flags.writeable
+        assert not any(np.shares_memory(c, s) for s in (jet.dz, jet.dzc))
+        assert_frozen_slots(jet)
+        want = (jet.value, jet.dz.copy(), jet.dzc.copy())
+        c *= 3
+        assert jet.value == want[0]
+        assert np.array_equal(jet.dz, want[1])
+        assert np.array_equal(jet.dzc, want[2])
+        assert prog(as_list) == jet
 
 
 def test_least_squares_keeps_one_copy_of_the_samples(np_rng):
