@@ -129,11 +129,15 @@ def _complex_list(entries, key: str) -> list[complex]:
             f"[re, im] pairs")
     out = []
     for w in entries:
-        if not (isinstance(w, list) and len(w) == 2
-                and all(isinstance(x, (int, float)) for x in w)):
+        if not (isinstance(w, list) and len(w) == 2     # no JSON true/false
+                and all(type(x) in (int, float) for x in w)):
             raise DimensionMismatch(
                 f"data file: {key!r} entry {w!r} is not an [re, im] pair")
-        out.append(complex(w[0], w[1]))
+        try:
+            out.append(complex(w[0], w[1]))
+        except OverflowError:       # an int beyond float range, as 1e999
+            raise DomainError(f"data file: a {key!r} entry is beyond float "
+                              f"range: not finite") from None
     return out
 
 

@@ -81,7 +81,7 @@ def _as_callable(f: Evaluable) -> Callable[[complex], complex]:
 def fd_partials(f: Evaluable, c: complex,
                 step: float = DEFAULT_STEP) -> tuple[complex, complex]:
     """Central-difference partials (df/dx, df/dy) at ``c``."""
-    if step < MIN_STEP:
+    if not step >= MIN_STEP:       # a NaN step too
         raise StepTooSmall(f"step {step:g} below {MIN_STEP:g}")
     g = _as_callable(f)
     c = complex(c)

@@ -18,7 +18,8 @@ just computed in place of copying them.  A result equals, prints and
 pickles like the publicly constructed jet with the same slots, and is
 frozen like it; the public constructors are unchanged:
 ``FunctionalJet(...)`` keeps its conversion, shape checks and copies for
-arrays a caller passes in.
+arrays a caller passes in.  A plain ``WirtingerJet`` with (n,) array slots,
+unchecked and unfrozen, is n scalar jets inside a ``squared_distance`` call.
 
 The binary rules raise DimensionMismatch unless both operands are jets of
 one kind and slot shape; ``div``, ``apply_primitive`` and scalar partials

@@ -2,10 +2,9 @@
 scalar value plus a pair of gradient vectors.
 
 Vectors are 1-D ``complex128`` numpy arrays, frozen so every value handed
-around is immutable.  A caller's array that is kept is copied where it
-enters (``hvec``, ``FunctionalJet(...)``, ``ip_functional``), a parameter
-that is only read is checked in place (a least-squares program's), and the
-new arrays of a ``forward`` rule are frozen once, by ``_fresh``.
+around is immutable.  One check, ``_checked``, reads every vector argument
+in place; only what is kept is copied (``hvec``, ``FunctionalJet(...)``),
+and the new arrays of a ``forward`` rule are frozen once, by ``_fresh``.
 The inner product is linear in the FIRST argument and conjugate-linear in
 the second,
 
@@ -25,7 +24,7 @@ so the scalar rules of ``forward`` (``add``, ``mul``, ``div``, ``conj``,
 calculus is the case n = 1.  A stacked ``FunctionalJet`` holds m jets in
 (m,) and (n, m) slots: the jet of an operator C^n -> C^m, one component
 per column, so the assembled least-squares cost applies each rule once to
-its m terms; ``squared_distance``, to a private batch of n scalar jets.
+its m terms; ``squared_distance``, to the (n,) slots of a ``WirtingerJet``.
 ``fd_gradients`` is the independent oracle: coordinate-wise central
 differences along the real and imaginary unit directions.
 """
@@ -40,8 +39,8 @@ import numpy as np
 
 from . import expr as ex
 from . import forward as fw
-from .errors import DimensionMismatch, DomainError, StepTooSmall
-from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, MIN_STEP, HolomorphyReport,
+from .errors import DimensionMismatch, DomainError
+from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, HolomorphyReport,
                       fd_partials, holomorphy_report, wirtinger_pair)
 from .forward import _new, _set_dz, _set_dzc, _set_value
 
@@ -55,19 +54,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _filled(cls, value, dz, dzc):
-    """``forward``'s slot filler for ``cls``: stores the slots as given."""
-    j = _new(cls)
-    _set_value(j, value)
-    _set_dz(j, dz)
-    _set_dzc(j, dzc)
-    return j
+def _array(x) -> np.ndarray:
+    """``x`` as a complex128 array, the caller's own where it is one."""
+    try:
+        return np.asarray(x, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:      # ragged, or not numbers
+        raise DimensionMismatch(f"not an array of numbers: {exc}") from None
+    except OverflowError as exc:                # an int beyond float range
+        raise DomainError(f"not a finite array: {exc}") from None
 
 
-def _checked(a: np.ndarray) -> np.ndarray:
-    """``a``, once it is found a 1-D vector of length >= 1, all finite."""
-    if a.ndim != 1 or a.size < 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {a.shape}")
+def _checked(coords, n: int = 0) -> np.ndarray:
+    """``coords`` as a complex128 array, read in place, once it is found a
+    1-D vector of dimension ``n`` (any dimension >= 1 when ``n`` is 0),
+    then all finite."""
+    a = _array(coords)
+    if a.ndim != 1 or a.size < 1 or (n and a.size != n):
+        raise DimensionMismatch(f"expected a 1-D vector of dimension "
+                                f"{n or '>= 1'}, got shape {a.shape}")
     if not np.logical_and.reduce(np.isfinite(a)):
         raise DomainError("vector has non-finite coordinates")
     return a
@@ -75,15 +79,14 @@ def _checked(a: np.ndarray) -> np.ndarray:
 
 def hvec(coords) -> HVec:
     """Validate and freeze a coordinate vector (length >= 1, all finite)."""
-    return _freeze(_checked(np.array(coords, dtype=np.complex128, copy=True)))
+    return _freeze(_checked(coords).copy())
 
 
 def inner(f: HVec, g: HVec) -> complex:
     """sum_k f_k * conj(g_k); linear in f, conjugate-linear in g.  Takes
     two ``hvec``-valid vectors of one dimension; DomainError on overflow."""
-    f, g = hvec(f), hvec(g)
-    if f.shape != g.shape:
-        raise DimensionMismatch(f"dimension mismatch: {f.shape} vs {g.shape}")
+    f = _checked(f)
+    g = _checked(g, f.size)
     v = complex(np.vdot(g, f))
     if not cmath.isfinite(v):
         raise DomainError(f"inner product is not finite: {v!r}")
@@ -112,9 +115,8 @@ class FunctionalJet(fw.WirtingerJet):
                 and np.array_equal(self.dzc, other.dzc))
 
     def __post_init__(self):
-        value = np.array(self.value, dtype=np.complex128)
-        gf = np.array(self.dz, dtype=np.complex128)
-        gfc = np.array(self.dzc, dtype=np.complex128)
+        value, gf, gfc = (_array(a).copy()
+                          for a in (self.value, self.dz, self.dzc))
         if (value.ndim > 1 or gf.ndim != value.ndim + 1
                 or gf.shape[1:] != value.shape or gfc.shape != gf.shape):
             raise DimensionMismatch(
@@ -122,10 +124,9 @@ class FunctionalJet(fw.WirtingerJet):
                 "not make a FunctionalJet")
         if not all(np.isfinite(a).all() for a in (value, gf, gfc)):
             raise DomainError("a FunctionalJet slot is not finite")
-        object.__setattr__(self, "value",
-                           _freeze(value) if value.ndim else complex(value))
-        object.__setattr__(self, "dz", _freeze(gf))
-        object.__setattr__(self, "dzc", _freeze(gfc))
+        _set_value(self, _freeze(value) if value.ndim else complex(value))
+        _set_dz(self, _freeze(gf))
+        _set_dzc(self, _freeze(gfc))
 
     def __reduce__(self):  # as a rule result, whose gradient may be inf
         return _unpickle, (self.value, self.dz, self.dzc)
@@ -151,7 +152,11 @@ class FunctionalJet(fw.WirtingerJet):
             value.setflags(write=False)
         dz.setflags(write=False)
         dzc.setflags(write=False)
-        return _filled(FunctionalJet, value, dz, dzc)
+        j = _new(FunctionalJet)
+        _set_value(j, value)
+        _set_dz(j, dz)
+        _set_dzc(j, dzc)
+        return j
 
     @property
     def grad_f(self) -> np.ndarray:
@@ -177,37 +182,13 @@ def _unpickle(value, dz, dzc) -> FunctionalJet:
                                 dz.copy(), dzc.copy())
 
 
-class _Batch(fw.WirtingerJet):
-    """m scalar jets at m points in frozen (m,) slots, never mixed with
-    another jet (DimensionMismatch).  Private: div, apply_primitive and
-    power_int (k < 0) are not audited for it."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _fresh(value, dz, dzc) -> _Batch:
-        if not np.logical_and.reduce(np.isfinite(value)):
-            raise DomainError("a batch jet's value is not finite")
-        value.setflags(write=False)
-        dz.setflags(write=False)
-        dzc.setflags(write=False)
-        return _filled(_Batch, value, dz, dzc)
-
-    def total(self) -> FunctionalJet:
-        """The jet of f -> sum_k g_k(f_k), jet k being g_k's at f_k."""
-        value = complex(np.add.reduce(self.value))
-        if not cmath.isfinite(value):
-            raise DomainError(f"a jet's value {value!r} is not finite")
-        return _filled(FunctionalJet, value, self.dz, self.dzc)
-
-
 def functional_constant(k, n: int) -> FunctionalJet:
     """Jet of the constant functional ``k`` on C^n; a vector of m
     constants gives their stack."""
-    k = np.array(k, dtype=np.complex128)
-    if k.ndim > 1:
-        raise DimensionMismatch(
-            f"expected a constant or a vector of them, got shape {k.shape}")
+    k = _array(k).copy()
+    if k.ndim > 1 or n < 1:
+        raise DimensionMismatch(f"need a constant or a vector of them and "
+                                f"n >= 1, got shape {k.shape} and n = {n}")
     shape = (n,) + k.shape
     return FunctionalJet._fresh(k, np.zeros(shape, dtype=np.complex128),
                                 np.zeros(shape, dtype=np.complex128))
@@ -224,12 +205,11 @@ def ip_functional(kind: str, w, c: HVec) -> FunctionalJet:
     A row stack ``w`` of shape (m, n) gives the stack of the m
     functionals, one per row.
     """
-    w = np.asarray(w, dtype=np.complex128)
-    c = hvec(c)
+    w = _array(w)
+    c = _checked(c)
     if w.ndim not in (1, 2) or w.shape[-1:] != c.shape:
-        raise DimensionMismatch(
-            f"expected a vector or a row stack of dimension {c.shape[0]}, "
-            f"got shape {w.shape}")
+        raise DimensionMismatch(f"expected a vector or a row stack of "
+                                f"dimension {c.size}, got shape {w.shape}")
     # every slot array is made here: w itself may be the caller's array;
     # each value is the inner(...) of the docstring, one per row of w, and
     # a non-finite one is _fresh's DomainError, with no numpy warning first
@@ -258,22 +238,22 @@ def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
 
 
 def squared_distance(w: HVec) -> Functional:
-    """Program for f -> ||f - w||^2 = sum_j |f_j - w_j|^2: the jets of the
-    f_j - w_j at c (value c_j - w_j, partials 1 and 0) as one batch, times
-    their conjugates, then totalled.  O(n) time and memory per call."""
+    """Program for f -> ||f - w||^2 = sum_j |f_j - w_j|^2: the n scalar
+    jets of the f_j - w_j at c (value c_j - w_j, partials 1 and 0) in the
+    (n,) slots of one ``WirtingerJet``, times their conjugates, then
+    summed.  O(n) time and memory per call."""
     w = hvec(w)
     ones, zeros = (_freeze(np.full(w.shape, k, dtype=np.complex128))
                    for k in (1, 0))
 
     def program(c: HVec) -> FunctionalJet:
-        # shape before c - w broadcasts; hvec's copy is checked and frozen
-        c = np.asarray(c, dtype=np.complex128)
-        if c.shape != w.shape:
-            raise DimensionMismatch(f"shape {c.shape}, need {w.shape}")
-        # an overflow in c - w or a rule is a DomainError, with no warning
+        c = _checked(c, w.size)     # before c - w can broadcast
+        # an overflow in c - w, a rule or the sum raises no warning: any
+        # non-finite term makes the sum non-finite, _fresh's DomainError
         with np.errstate(over="ignore", invalid="ignore"):
-            r = _filled(_Batch, hvec(c - w), ones, zeros)
-            return fw.mul(r, fw.conj(r)).total()
+            r = fw.WirtingerJet(hvec(c - w), ones, zeros)
+            p = fw.mul(r, fw.conj(r))
+            return FunctionalJet._fresh(np.add.reduce(p.value), p.dz, p.dzc)
 
     return program
 
@@ -287,14 +267,10 @@ def fd_gradients(T: Callable[[HVec], complex], c: HVec,
                  step: float = DEFAULT_STEP) -> tuple[HVec, HVec]:
     """``fd_partials`` of T along each coordinate's real and imaginary unit
     directions; returns the complex-valued pair (grad1, grad2)."""
-    if step < MIN_STEP:
-        raise StepTooSmall(f"step {step:g} below {MIN_STEP:g}")
-    c = hvec(c)
-    n = c.shape[0]
-    g1 = np.empty(n, dtype=np.complex128)
-    g2 = np.empty(n, dtype=np.complex128)
-    e = np.zeros(n, dtype=np.complex128)   # e_j while coordinate j runs
-    for j in range(n):
+    c = _checked(c)
+    g1, g2 = np.empty_like(c), np.empty_like(c)
+    e = np.zeros_like(c)                   # e_j while coordinate j runs
+    for j in range(c.size):
         e[j] = 1
         g1[j], g2[j] = fd_partials(lambda t: complex(T(c + t * e)), 0j, step)
         e[j] = 0

@@ -76,8 +76,10 @@ class DescentConfig:
     step_mode: str = "fixed"          # "fixed" | "backtracking"
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.step_mode not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step_mode {self.step_mode!r}")
         if self.max_iter < 0:
@@ -267,7 +269,7 @@ class LeastSquaresProgram:
             # C order: [X | d] is then C-ordered too, as its real view needs
             X = np.array(X, dtype=np.complex128, order="C")
             d = np.array(d, dtype=np.complex128)
-        except ValueError as exc:      # ragged rows
+        except (TypeError, ValueError) as exc:  # ragged rows, not numbers
             raise DimensionMismatch(
                 f"samples and targets do not make arrays: {exc}") from None
         if X.ndim and not X.shape[0]:
@@ -308,10 +310,7 @@ class LeastSquaresProgram:
 
     def __call__(self, c: hb.HVec) -> hb.FunctionalJet:
         np, hb = _lib()
-        c = hb._checked(np.asarray(c, dtype=np.complex128))
-        if c.shape[0] != self.n_params:
-            raise DimensionMismatch(
-                f"parameter has dimension {c.shape[0]}, need {self.n_params}")
+        c = hb._checked(c, self.n_params)
         RWc, mRWT, rdc = self._factor
         ec = rdc - RWc @ c                      # conj(e)
         # ||e||^2 over the real view: an overflow reads inf, never nan

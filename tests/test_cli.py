@@ -141,9 +141,10 @@ def test_check_exits_1_when_residual_above_tol(capsys):
 
 
 def test_check_step_below_the_floor_exits_1(capsys):
-    code, out, err = run(capsys, "check", "z", "--at", "1", "--step", "1e-13")
-    assert code == 1 and out == ""
-    assert err == "error: step 1e-13 below 1e-12\n"
+    for step in ("1e-13", "nan"):
+        code, out, err = run(capsys, "check", "z", "--at", "1", "--step", step)
+        assert code == 1 and out == ""
+        assert err == f"error: step {step} below 1e-12\n"
 
 
 def test_check_evaluates_the_jet_once(capsys, monkeypatch):
@@ -253,13 +254,15 @@ def test_minimize_data_file(capsys, tmp_path, np_rng):
     ({"X": [[[1]]], "d": [[1, 0]]}, "[1]"),
     ({"X": [[[1, 0]]], "d": [[1, 0, 2]]}, "[1, 0, 2]"),
     ({"X": ["row"], "d": [[1, 0]]}, "'row'"),
+    ({"X": [[[1, 0]]], "d": [[True, 0]]}, "[True, 0]"),
+    ({"X": [[[1, False]]], "d": [[1, 0]]}, "[1, False]"),
     (b'{"X": [[[1,0]]], "d": [[1,0]', "not valid JSON: Expecting ','"),
     (b"\xff\xfe", "not UTF-8"),
     (b"[" * 100_000, "not readable JSON: maximum recursion depth"),
     (b'{"X": [[[1, 0]]], "d": [[' + b"9" * 5000 + b', 0]]}',
      "not readable JSON: Exceeds the limit"),
 ], ids=["no-d", "empty-X", "short-pair", "long-pair", "row-not-list",
-        "truncated-json", "not-utf8", "nested-100k", "5000-digits"])
+        "bool-target", "bool-sample", "truncated-json", "not-utf8", "nested-100k", "5000-digits"])
 def test_minimize_malformed_data_file_exits_2(capsys, tmp_path, payload,
                                               names):
     path = tmp_path / "lsq.json"
@@ -278,7 +281,9 @@ def test_minimize_malformed_data_file_exits_2(capsys, tmp_path, payload,
     {"X": [[[1, 0]], [[0, 1]]], "d": [[1, 0], [0, math.inf]]},
     # finite data whose cost overflows at the start
     {"X": [[[1, 0]], [[0, 1]]], "d": [[1e200, 0], [3e200, 1]]},
-], ids=["nan-target", "inf-target", "cost-overflow"])
+    # an integer literal beyond float range, where 1e999 reads as inf
+    {"X": [[[1, 0]]], "d": [[10 ** 400, 0]]},
+], ids=["nan-target", "inf-target", "cost-overflow", "401-digit-target"])
 def test_minimize_non_finite_data_exits_3(capsys, tmp_path, payload):
     path = tmp_path / "lsq.json"
     path.write_text(json.dumps(payload))

@@ -50,8 +50,9 @@ def test_callable_input():
 
 
 def test_step_floor():
-    with pytest.raises(StepTooSmall):
-        fd_partials("z", 0, step=1e-13)
+    for step in (1e-13, float("nan")):
+        with pytest.raises(StepTooSmall):
+            fd_partials("z", 0, step=step)
 
 
 def test_classify_goldens():

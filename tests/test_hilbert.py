@@ -10,7 +10,8 @@ from wirtcalc import hilbert as hb
 from wirtcalc.errors import (DimensionMismatch, DomainError, PoleError,
                              StepTooSmall)
 from wirtcalc.fdcheck import DEFAULT_STEP, Verdict, fd_partials
-from wirtcalc.optimize import build_least_squares
+from wirtcalc.optimize import (DescentConfig, build_least_squares,
+                               steepest_descent_hilbert)
 
 
 def rand_vec(rng, n):
@@ -104,6 +105,10 @@ def test_inner_dimension_mismatch():
     ([1], [float("nan")], DomainError),
     ([1e200], [1e200], DomainError),
     ([1e200j, 1], [1e200j, 1], DomainError),
+    ([[1, 2], [3]], [1, 2], DimensionMismatch),
+    (["a", 1], [1, 2], DimensionMismatch),
+    ([1, 2], [[1, 2], [3]], DimensionMismatch),
+    ([10 ** 400, 1], [1, 2], DomainError),
 ])
 def test_inner_keeps_the_hvec_contract(f, g, error):
     # plain lists too, and an overflowed sum raises before any numpy warning
@@ -305,9 +310,11 @@ def test_fd_gradients_constant(np_rng):
 
 
 def test_fd_gradients_step_floor(np_rng):
-    with pytest.raises(StepTooSmall):
-        hb.fd_gradients(lambda f: hb.inner(f, f), rand_vec(np_rng, 2),
-                        step=1e-13)
+    # a NaN step too, also where a constant T would turn it into NaN slots
+    for T in (lambda f: hb.inner(f, f), lambda f: 0j):
+        for step in (1e-13, math.nan):
+            with pytest.raises(StepTooSmall):
+                hb.fd_gradients(T, rand_vec(np_rng, 2), step=step)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
@@ -565,10 +572,12 @@ def test_stacked_rules_enter_through_the_public_names(kind, np_rng):
                    [hb.functional_constant(v, 3) for v in k], "constant")
     for arr in (W, c, k):          # caller arrays are copied, not frozen
         assert arr.flags.writeable
-    with pytest.raises(DimensionMismatch):
-        hb.functional_constant(np.ones((2, 2)), 3)
-    with pytest.raises(DimensionMismatch):
-        hb.ip_functional(kind, np.ones((2, 2, 3)), c)
+    for k, n in ((np.ones((2, 2)), 3), ([[1, 2], [3]], 3), (1, 0), (1, -1)):
+        with pytest.raises(DimensionMismatch):
+            hb.functional_constant(k, n)
+    for w in (np.ones((2, 2, 3)), [[1, 2, 3], [4, 5]], ["a", 1, 2]):
+        with pytest.raises(DimensionMismatch):
+            hb.ip_functional(kind, w, c)
     with pytest.raises(DimensionMismatch):
         hb.ip_functional(kind, W, np.ones(4))
 
@@ -632,7 +641,8 @@ def test_jet_stack_constructor_checks_and_copies(np_rng):
     assert public != hb.FunctionalJet(value + 1, dz, sa.dzc)
     assert sa != hb.FunctionalJet(sa.value[0], sa.dz[:, 0], sa.dzc[:, 0])
     for bad in ((value[0], dz, dz), (value, dz[:, :2], dz[:, :2]),
-                (value, dz, dz[:, :2]), (value, dz[0], dz[0])):
+                (value, dz, dz[:, :2]), (value, dz[0], dz[0]),
+                (1j, [[1, 2], [3]], dz[:, 0]), (1j, ["a", 1], [0, 0])):
         with pytest.raises(DimensionMismatch):
             hb.FunctionalJet(*bad)
 
@@ -785,49 +795,6 @@ def test_squared_distance_call_is_linear_in_memory(np_rng):
     assert_close(got.value, hb.inner(c - w, c - w), "value")
 
 
-def batch(np_rng, m):
-    """A batch of m scalar jets with all three slots populated."""
-    v, dz, dzc = (np_rng.standard_normal(m) + 1j * np_rng.standard_normal(m)
-                  for _ in range(3))
-    return hb._Batch._fresh(v, dz, dzc)
-
-
-def test_batch_jets_mix_with_no_other_jet(np_rng):
-    b = batch(np_rng, 3)
-    single = hb.functional_constant(1, 3)           # dz of b's shape, (3,)
-    stack = hb.ip_functional("wf", rand_rows(np_rng, 3, 3),
-                             rand_vec(np_rng, 3))
-    others = [single, stack, fw.seed_variable(1 + 1j), batch(np_rng, 4)]
-    for other in others:
-        for rule in (fw.add, fw.mul):
-            for x, y in ((b, other), (other, b)):
-                with pytest.raises(DimensionMismatch):
-                    rule(x, y)
-
-
-def test_batch_refuses_a_non_finite_value(np_rng):
-    for bad in (np.inf, np.nan, complex(0, np.inf)):
-        value = np.ones(3, dtype=np.complex128)
-        value[1] = bad
-        with pytest.raises(DomainError):
-            hb._Batch._fresh(value, np.ones(3, dtype=np.complex128),
-                             np.zeros(3, dtype=np.complex128))
-    huge = hb._Batch._fresh(np.full(2, 1e200 + 0j), np.ones(2, complex),
-                            np.zeros(2, complex))
-    with np.errstate(over="ignore"), pytest.raises(DomainError):
-        fw.mul(huge, huge)
-
-
-def test_batch_rule_results_are_frozen(np_rng):
-    a, b = batch(np_rng, 5), batch(np_rng, 5)
-    for name, rule in STACK_RULES.items():
-        got = rule(a, b)
-        assert got.__class__ is hb._Batch, name
-        for slot in (got.value, got.dz, got.dzc):
-            assert slot.shape == (5,) and slot.dtype == np.complex128, name
-            assert not slot.flags.writeable, name
-
-
 BAD_PARAMETERS = [
     (np.ones((2, 2)), DimensionMismatch),
     (np.ones(3), DimensionMismatch),
@@ -835,6 +802,8 @@ BAD_PARAMETERS = [
     ([np.nan, 0], DomainError),
     ([0, np.inf], DomainError),
     ([1j, complex("nan+1j")], DomainError),
+    ([[1, 2], [3]], DimensionMismatch),
+    (["a", 1], DimensionMismatch),
 ]
 
 
@@ -850,11 +819,15 @@ def test_programs_check_their_parameter(bad, error, np_rng):
             "wf", np.ones((3, 2)), c),
         "least-squares call": lsq,
         "eval_assembled": lsq.eval_assembled,
+        "steepest descent": lambda c: steepest_descent_hilbert(
+            lsq, c, DescentConfig()),
     }
     for name, entry in entries.items():
         with pytest.raises(error):
             entry(bad)
             pytest.fail(name)
-    if error is DomainError or np.ndim(bad) != 1:
-        with pytest.raises(error):
-            hb.fd_gradients(lambda f: 0j, bad)
+    if error is DomainError or getattr(bad, "ndim", None) != 1:
+        # no dimension to miss: only the vectors of length 3 and 1 are valid
+        for entry in (hb.hvec, lambda c: hb.fd_gradients(lambda f: 0j, c)):
+            with pytest.raises(error):
+                entry(bad)

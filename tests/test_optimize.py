@@ -43,8 +43,10 @@ REAL_TWINS = [
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DescentConfig(mu=0)
+    for bad in ({"mu": 0}, {"mu": math.nan}, {"mu": math.inf},
+                {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-8}):
+        with pytest.raises(ValueError):
+            DescentConfig(**bad)
     with pytest.raises(ValueError):
         DescentConfig(step_mode="bisect")
     with pytest.raises(ValueError):
@@ -232,9 +234,13 @@ def test_least_squares_validation():
         build_least_squares([[1 + 0j]], [0j, 0j])
     with pytest.raises(DimensionMismatch):
         build_least_squares([[], []], [0j, 0j])
-    prog = build_least_squares([[1 + 0j, 0j]], [0j])
     with pytest.raises(DimensionMismatch):
-        prog(np.zeros(3, dtype=complex))
+        build_least_squares([[{}]], [0j])           # not a number
+    prog = build_least_squares([[1 + 0j, 0j]], [0j])
+    # the dimension is checked before the values
+    for bad in (np.zeros(3, dtype=complex), [math.nan, 0, 0]):
+        with pytest.raises(DimensionMismatch):
+            prog(bad)
     for bad in (math.nan, complex(0, math.inf), -math.inf):
         with pytest.raises(DomainError):
             build_least_squares([[1 + 0j], [1j]], [1 + 0j, bad])
