@@ -2,11 +2,13 @@
 holomorphy classification, Hilbert-space gradients, and steepest descent
 on complex domains.
 
-The scalar calculus (jets, the order-2 block, holomorphy verdicts, scalar
-descent and Newton steps) is pure ``cmath``: ``import wirtcalc`` does not
-load numpy.  The Hilbert-space names (``FunctionalJet``, ``hvec``,
-``inner``, ...) are resolved on first access, which
-imports ``wirtcalc.hilbert`` and numpy; so does the first call of
+``import wirtcalc`` loads ``wirtcalc.errors`` and nothing else of the
+package.  Every other public name is resolved on first access, which
+imports its module and binds the name here, so later reads are plain
+attribute reads.  The scalar calculus (jets, the order-2 block, holomorphy
+verdicts, scalar descent and Newton steps) is pure ``cmath``; the
+Hilbert-space names (``FunctionalJet``, ``hvec``, ``inner``, ...) import
+``wirtcalc.hilbert`` and numpy, and so does the first call of
 ``build_least_squares`` or ``steepest_descent_hilbert``.
 """
 
@@ -15,53 +17,41 @@ __version__ = "0.1.0"
 from .errors import (ArityError, DimensionMismatch, DomainError, EmptyData,
                      ExprSyntaxError, NonRealCost, PoleError, SingularHessian,
                      StepTooSmall, UnknownIdentifier, WirtcalcError)
-from .expr import (Expr, compile_expr, eval_jet, format_expr, parse,
-                   parse_complex)
-from .fdcheck import (HolomorphyReport, Verdict, classify, fd_partials,
-                      fd_wirtinger)
-from .forward import (PRIMITIVES, WirtingerJet, add, apply_primitive, conj,
-                      constant, div, linear_combine, mul, power_int,
-                      seed_variable, sub)
-from .optimize import (DescentConfig, DescentTrace, Termination,
-                       build_least_squares, newton_step_scalar,
-                       steepest_descent_hilbert, steepest_descent_scalar)
-from .second import (SecondOrderJet, hessian_is_real_consistent,
-                     second_order_taylor)
+
+#: module of each public name that is not an error class, in ``__all__`` order
+_LAZY = {name: module for module, names in (
+    ("expr", "Expr compile_expr eval_jet format_expr parse parse_complex"),
+    ("fdcheck", "HolomorphyReport Verdict classify fd_partials fd_wirtinger"),
+    ("forward", "PRIMITIVES WirtingerJet add apply_primitive conj constant "
+                "div linear_combine mul power_int seed_variable sub"),
+    ("hilbert", "FunctionalJet classify_functional fd_gradients "
+                "fd_wirtinger_gradients functional_constant hvec inner "
+                "ip_functional outer_chain squared_distance "
+                "stack_vector_operator"),
+    ("optimize", "DescentConfig DescentTrace Termination build_least_squares "
+                 "newton_step_scalar steepest_descent_hilbert "
+                 "steepest_descent_scalar"),
+    ("second", "SecondOrderJet hessian_is_real_consistent "
+               "second_order_taylor"),
+) for name in names.split()}
 
 __all__ = [
     "ArityError", "DimensionMismatch", "DomainError", "EmptyData",
     "ExprSyntaxError", "NonRealCost", "PoleError", "SingularHessian",
-    "StepTooSmall", "UnknownIdentifier", "WirtcalcError", "Expr",
-    "compile_expr", "eval_jet", "format_expr", "parse", "parse_complex",
-    "HolomorphyReport", "Verdict", "classify", "fd_partials", "fd_wirtinger",
-    "PRIMITIVES", "WirtingerJet", "add", "apply_primitive", "conj", "constant",
-    "div", "linear_combine", "mul", "power_int", "seed_variable", "sub",
-    "FunctionalJet", "classify_functional", "fd_gradients",
-    "fd_wirtinger_gradients", "functional_constant", "hvec", "inner",
-    "ip_functional", "outer_chain", "squared_distance",
-    "stack_vector_operator", "DescentConfig", "DescentTrace", "Termination",
-    "build_least_squares", "newton_step_scalar", "steepest_descent_hilbert",
-    "steepest_descent_scalar", "SecondOrderJet", "hessian_is_real_consistent",
-    "second_order_taylor",
+    "StepTooSmall", "UnknownIdentifier", "WirtcalcError", *_LAZY,
 ]
-
-#: names of ``hilbert`` (which needs numpy), bound on first access
-_HILBERT_NAMES = frozenset({
-    "FunctionalJet", "classify_functional", "fd_gradients",
-    "fd_wirtinger_gradients", "functional_constant", "hvec", "inner",
-    "ip_functional", "outer_chain", "squared_distance",
-    "stack_vector_operator",
-})
 
 
 def __getattr__(name):
-    # not cached in the package namespace: each access reads the current
-    # attribute of ``hilbert``
-    if name in _HILBERT_NAMES:
-        from . import hilbert
-        return getattr(hilbert, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # called only while ``name`` is unbound: bind it, so that the next
+    # access does not come here
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 
 def __dir__():
-    return sorted(set(globals()) | _HILBERT_NAMES)
+    return sorted(set(globals()) | set(_LAZY))

@@ -19,6 +19,11 @@ at the start, 4 diverged or non-real cost, 5 line search stalled.  Set
 WIRT_LOG=debug for diagnostics.
 
 Only ``minimize --data`` loads numpy; the other commands run on ``cmath``.
+Start-up loads ``expr``, ``forward`` and ``fdcheck`` (the parser defaults
+read the latter); ``diff``, ``check`` and ``classify`` load nothing more,
+``hessian`` adds ``second``, ``minimize`` adds ``optimize`` (and
+``logging``) and ``minimize --data`` adds numpy and ``hilbert``.
+``logging`` is otherwise loaded only when WIRT_LOG is set.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import logging
 import os
 import sys
 
@@ -36,8 +40,6 @@ from .errors import (DimensionMismatch, DomainError, EmptyData,
 from .expr import compile_expr, eval_jet, format_expr, parse_complex
 from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, classify, fd_wirtinger,
                       holomorphy_report)
-from .optimize import (DescentConfig, Termination, build_least_squares,
-                       steepest_descent_hilbert, steepest_descent_scalar)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,12 +55,9 @@ ERROR_EXIT = (
     ((DomainError, PoleError), EXIT_DOMAIN),
     (NonRealCost, EXIT_DIVERGED),
 )
-TERMINATION_EXIT = {
-    Termination.CONVERGED: EXIT_OK,
-    Termination.MAX_ITER: EXIT_FAIL,
-    Termination.STALLED: EXIT_STALLED,
-    Termination.DIVERGED: EXIT_DIVERGED,
-}
+#: exit code of each ``Termination`` value
+TERMINATION_EXIT = {"Converged": EXIT_OK, "MaxIter": EXIT_FAIL,
+                    "Stalled": EXIT_STALLED, "Diverged": EXIT_DIVERGED}
 
 CHECK_DEFAULT_TOL = 1e-6
 
@@ -169,6 +168,8 @@ def _load_data_file(path: str):
 
 
 def cmd_minimize(args) -> int:
+    from .optimize import (DescentConfig, build_least_squares,
+                           steepest_descent_hilbert, steepest_descent_scalar)
     cfg = DescentConfig(
         mu=args.mu,
         tol=args.tol,
@@ -200,7 +201,7 @@ def cmd_minimize(args) -> int:
     report["final_cost"] = trace.costs[-1]
     report["final_grad_norm"] = trace.grad_norms[-1]
     _emit(report)
-    return TERMINATION_EXIT[trace.termination]
+    return TERMINATION_EXIT[trace.termination.value]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("WIRT_LOG", "").upper()
     if level:
+        import logging
         logging.basicConfig(level=getattr(logging, level, logging.INFO))
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -42,7 +42,6 @@ import re
 from dataclasses import dataclass, fields
 
 from . import forward as fw
-from . import second as so
 from .errors import (ArityError, DomainError, ExprSyntaxError, PoleError,
                      UnknownIdentifier)
 from .forward import PRIMITIVES
@@ -457,14 +456,20 @@ _ORDER0 = (lambda c: c, lambda k: k, operator.add, operator.sub,
            operator.mul, operator.truediv, operator.neg, _pow0,
            lambda name, v: PRIMITIVES[name].value(v))
 
+
+def _order2_rules():
+    from . import second as so      # on the first order-2 evaluation
+    return (so.seed_variable2, so.constant2, so.add2, so.sub2, so.mul2,
+            so.div2, so.neg2, so.power_int2, so.apply_primitive2)
+
+
 # The jet rules are looked up on their modules at every evaluation, so a
 # caller that rebinds them (a profiler, a test double) is honoured.
 _RULES = {
     0: lambda: _ORDER0,
     1: lambda: (fw.seed_variable, fw.constant, fw.add, fw.sub, fw.mul,
                 fw.div, fw.neg, fw.power_int, fw.apply_primitive),
-    2: lambda: (so.seed_variable2, so.constant2, so.add2, so.sub2, so.mul2,
-                so.div2, so.neg2, so.power_int2, so.apply_primitive2),
+    2: _order2_rules,
 }
 
 

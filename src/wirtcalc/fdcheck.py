@@ -10,6 +10,7 @@ against rounding for double precision; classification threshold 1e-4.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -81,8 +82,9 @@ def _as_callable(f: Evaluable) -> Callable[[complex], complex]:
 def fd_partials(f: Evaluable, c: complex,
                 step: float = DEFAULT_STEP) -> tuple[complex, complex]:
     """Central-difference partials (df/dx, df/dy) at ``c``."""
-    if not step >= MIN_STEP:       # a NaN step too
-        raise StepTooSmall(f"step {step:g} below {MIN_STEP:g}")
+    if not MIN_STEP <= step < math.inf:     # NaN and inf too
+        raise StepTooSmall(f"step {step:g} " + (
+            "is not finite" if step == math.inf else f"below {MIN_STEP:g}"))
     g = _as_callable(f)
     c = complex(c)
     s = float(step)

@@ -25,6 +25,7 @@ import functools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -70,6 +71,10 @@ class Termination(enum.Enum):
 
 @dataclass
 class DescentConfig:
+    """Step size, stop tolerance, iteration budget and step rule of a run.
+    A bad value raises ValueError, and a ``max_iter`` that is not an
+    integer (``1.5``, ``nan``) TypeError."""
+
     mu: float = 0.1
     tol: float = 1e-8
     max_iter: int = 1000
@@ -82,7 +87,7 @@ class DescentConfig:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.step_mode not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step_mode {self.step_mode!r}")
-        if self.max_iter < 0:
+        if operator.index(self.max_iter) < 0:
             raise ValueError("max_iter must be non-negative")
 
 
@@ -272,6 +277,9 @@ class LeastSquaresProgram:
         except (TypeError, ValueError) as exc:  # ragged rows, not numbers
             raise DimensionMismatch(
                 f"samples and targets do not make arrays: {exc}") from None
+        except OverflowError:       # an int beyond float range
+            raise DomainError("a least-squares sample or target is beyond "
+                              "float range: not finite") from None
         if X.ndim and not X.shape[0]:
             raise EmptyData("least squares needs at least one sample")
         if X.ndim != 2 or not X.shape[1] or d.shape != X.shape[:1]:

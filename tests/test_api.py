@@ -1,6 +1,7 @@
 """Snapshot of the package's public names: adding or removing one must be a
 deliberate edit of this list.  Also pins what importing the package costs:
-the scalar calculus and the scalar CLI commands never load numpy."""
+the scalar calculus and the scalar CLI commands never load numpy, and each
+command loads only the modules it runs."""
 
 import json
 import os
@@ -76,6 +77,28 @@ def fresh_python(code, *args):
     return json.loads(proc.stdout)
 
 
+def test_import_loads_only_the_errors():
+    code = ("import json, sys, wirtcalc; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith('wirtcalc'))))")
+    assert fresh_python(code) == ["wirtcalc", "wirtcalc.errors"]
+
+
+def test_a_name_is_bound_on_its_first_access():
+    # bound, not looked up again: rebinding the module's attribute later
+    # leaves the package's name as it was
+    code = """
+import json, wirtcalc
+names = ("eval_jet", "hvec")
+unbound = [name in vars(wirtcalc) for name in names]
+from wirtcalc import expr, hilbert
+same = [wirtcalc.eval_jet is expr.eval_jet, wirtcalc.hvec is hilbert.hvec]
+bound = [name in vars(wirtcalc) for name in names]
+hvec, hilbert.hvec = hilbert.hvec, None
+print(json.dumps(unbound + same + bound + [wirtcalc.hvec is hvec]))
+"""
+    assert fresh_python(code) == [False] * 2 + [True] * 5
+
+
 @pytest.mark.parametrize("module", ["wirtcalc", "wirtcalc.cli"])
 def test_import_does_not_load_numpy(module):
     code = f"import json, sys, {module}; print(json.dumps('numpy' in sys.modules))"
@@ -87,7 +110,7 @@ import contextlib, io, json, sys
 from wirtcalc.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, *(name in sys.modules for name in sys.argv[2:])]))
 """
 
 
@@ -99,7 +122,24 @@ print(json.dumps([code, "numpy" in sys.modules]))
     ["minimize", "(z-2)*conj(z-2)", "--from", "0", "--mu", "0.5"],
 ], ids=lambda argv: argv[0])
 def test_scalar_commands_do_not_load_numpy(argv):
-    assert fresh_python(RUN_CLI, json.dumps(argv)) == [0, False]
+    assert fresh_python(RUN_CLI, json.dumps(argv), "numpy") == [0, False]
+
+
+LAZY_MODULES = ("wirtcalc.optimize", "wirtcalc.second", "wirtcalc.hilbert",
+                "logging")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["diff", "z^2", "--at", "1+1i"], ()),
+    (["check", "z*conj(z)", "--at", "2"], ()),
+    (["classify", "conj(z)", "--at", "1-1i"], ()),
+    (["hessian", "z*conj(z)", "--at", "1+2i"], ("wirtcalc.second",)),
+    (["minimize", "(z-2)*conj(z-2)", "--from", "0", "--mu", "0.5"],
+     ("wirtcalc.optimize", "logging")),
+], ids=["diff", "check", "classify", "hessian", "minimize"])
+def test_each_command_loads_only_what_it_runs(argv, loaded):
+    got = fresh_python(RUN_CLI, json.dumps(argv), *LAZY_MODULES)
+    assert got == [0, *(name in loaded for name in LAZY_MODULES)]
 
 
 def test_minimize_data_loads_numpy(tmp_path):
@@ -109,7 +149,7 @@ def test_minimize_data_loads_numpy(tmp_path):
         "d": [[0.5, -1.0], [1.0, 0.0]],
     }))
     argv = ["minimize", "--data", str(path), "--mu", "0.2"]
-    assert fresh_python(RUN_CLI, json.dumps(argv)) == [0, True]
+    assert fresh_python(RUN_CLI, json.dumps(argv), "numpy") == [0, True]
 
 
 def test_least_squares_build_leaves_hilbert_unloaded():

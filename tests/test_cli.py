@@ -145,6 +145,10 @@ def test_check_step_below_the_floor_exits_1(capsys):
         code, out, err = run(capsys, "check", "z", "--at", "1", "--step", step)
         assert code == 1 and out == ""
         assert err == f"error: step {step} below 1e-12\n"
+    # an infinite step is named as such, not as a non-finite point
+    code, out, err = run(capsys, "check", "z*conj(z)", "--at", "1",
+                         "--step", "inf")
+    assert (code, out, err) == (1, "", "error: step inf is not finite\n")
 
 
 def test_check_evaluates_the_jet_once(capsys, monkeypatch):

@@ -50,9 +50,11 @@ def test_callable_input():
 
 
 def test_step_floor():
-    for step in (1e-13, float("nan")):
-        with pytest.raises(StepTooSmall):
-            fd_partials("z", 0, step=step)
+    # an infinite step too, which would give a callable zero partials
+    for step in (1e-13, float("nan"), float("inf")):
+        for f in ("z", lambda c: 1 + 0j):
+            with pytest.raises(StepTooSmall, match=f"step {step:g} "):
+                fd_partials(f, 1, step=step)
 
 
 def test_classify_goldens():

@@ -310,9 +310,10 @@ def test_fd_gradients_constant(np_rng):
 
 
 def test_fd_gradients_step_floor(np_rng):
-    # a NaN step too, also where a constant T would turn it into NaN slots
+    # a NaN or infinite step too, also where a constant T would turn it
+    # into NaN or zero slots
     for T in (lambda f: hb.inner(f, f), lambda f: 0j):
-        for step in (1e-13, math.nan):
+        for step in (1e-13, math.nan, math.inf):
             with pytest.raises(StepTooSmall):
                 hb.fd_gradients(T, rand_vec(np_rng, 2), step=step)
 

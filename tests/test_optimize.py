@@ -51,6 +51,9 @@ def test_config_validation():
         DescentConfig(step_mode="bisect")
     with pytest.raises(ValueError):
         DescentConfig(max_iter=-1)
+    for bad in (math.nan, 1.5):         # not an integer
+        with pytest.raises(TypeError):
+            DescentConfig(max_iter=bad)
 
 
 def test_scalar_descent_geometric_decay():
@@ -241,7 +244,7 @@ def test_least_squares_validation():
     for bad in (np.zeros(3, dtype=complex), [math.nan, 0, 0]):
         with pytest.raises(DimensionMismatch):
             prog(bad)
-    for bad in (math.nan, complex(0, math.inf), -math.inf):
+    for bad in (math.nan, complex(0, math.inf), -math.inf, 10 ** 400):
         with pytest.raises(DomainError):
             build_least_squares([[1 + 0j], [1j]], [1 + 0j, bad])
         with pytest.raises(DomainError):

@@ -187,3 +187,14 @@ def test_power2_matches_repeated_multiplication(rng):
         for slot in ("value", "dz", "dzc", "dzz", "dzzc", "dzcz", "dzczc"):
             x, y = getattr(p, slot), getattr(m, slot)
             assert abs(x - y) < 1e-10 * (1 + abs(y))
+
+
+def test_order_2_evaluation_reads_the_rules_from_second(monkeypatch):
+    # second is imported on demand, and its rules are still looked up at
+    # every evaluation, so a double put on the module is called
+    want = eval_jet("z*conj(z) + z + 1", 1 + 2j, order=2)
+    calls = []
+    add2 = so.add2
+    monkeypatch.setattr(so, "add2", lambda a, b: calls.append(1) or add2(a, b))
+    assert eval_jet("z*conj(z) + z + 1", 1 + 2j, order=2) == want
+    assert len(calls) == 2
