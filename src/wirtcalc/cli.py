@@ -9,6 +9,8 @@ Commands::
     wirtcalc minimize EXPR --from C [--mu ...] | --data FILE [--widely-linear]
 
 Complex literals use the expression grammar itself (``1+2i``, ``-3i``).
+A token that starts with one '-', other than ``-h``, is a value, so
+``--at -3i`` and ``diff "-z^2"`` need no ``=`` or ``--``.
 Output is a JSON record on stdout (schema version 1); numbers are emitted
 as [re, im] pairs.  Exit codes: 0 success, 1 residual above tolerance,
 iteration budget exhausted or an error without a code of its own (a
@@ -69,7 +71,13 @@ def _pair(w: complex) -> list[float]:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (``| head -1``): not a failure of the command;
+        # stdout goes to devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _report(command: str, e, at: complex, **fields) -> dict:
@@ -204,8 +212,18 @@ def cmd_minimize(args) -> int:
     return TERMINATION_EXIT[trace.termination.value]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with a single '-' (``-1i``, ``-z^2``) as a
+    value, not as an option; ``-h`` stays the help option."""
+
+    def _parse_optional(self, arg):
+        if arg[:1] == "-" and arg[:2] != "--" and arg != "-h":
+            return None
+        return super()._parse_optional(arg)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="wirtcalc",
         description="Derivatives with respect to z and z*, holomorphy "
                     "checks, and steepest descent for complex arguments.")

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all wirtcalc modules."""
+"""Exception hierarchy shared by all wirtcalc modules.
+
+The scalar contract: a complex scalar a caller passes to a public entry (a
+point, a constant, a coefficient, a displacement) that is not finite, or
+is an integer beyond float range, raises DomainError; one that is not a
+number raises the TypeError or ValueError of ``complex``.
+"""
 
 
 class WirtcalcError(Exception):

@@ -482,12 +482,11 @@ def eval_jet(e, c: complex, order: int = 1):
     where evaluation failures become library errors.  A division by zero
     anywhere in the tree raises PoleError; an overflow (also a negative
     power of a nonzero value whose true result overflows), a cmath domain
-    failure or an inf/nan slot in the result raises DomainError.
+    failure or an inf/nan slot in the result raises DomainError.  The
+    point ``c`` keeps the scalar contract of ``errors``.
     """
     tape = compile_expr(e)
-    c = complex(c)
-    if not cmath.isfinite(c):
-        raise DomainError(f"non-finite evaluation point: {c!r}")
+    c = fw._require_finite(c, "evaluation point")
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     try:

@@ -5,6 +5,7 @@ All derivative values here come from central differences of plain function
 evaluations, never from the jet rules, so this module can arbitrate every
 rule in the forward-mode engine.  Default step 1e-5 balances truncation
 against rounding for double precision; classification threshold 1e-4.
+Every point ``c`` keeps the scalar contract of ``errors``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, Union
 
 from .errors import StepTooSmall
 from .expr import Expr, Tape, compile_expr, eval_jet
+from .forward import _require_finite
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -51,8 +53,11 @@ class HolomorphyReport:
 
 def holomorphy_report(w, cw, w_size: float, cw_size: float,
                       tol: float) -> HolomorphyReport:
-    """Threshold the sizes of W and CW at ``tol``: the one verdict ladder
-    behind ``classify`` and ``hilbert.classify_functional``."""
+    """Threshold the sizes of W and CW at ``tol``, a number >= 0 and not
+    NaN (ValueError): the one verdict ladder behind ``classify`` and
+    ``hilbert.classify_functional``."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     cr_ok = cw_size < tol
     conj_cr_ok = w_size < tol
     if cr_ok and conj_cr_ok:
@@ -86,7 +91,7 @@ def fd_partials(f: Evaluable, c: complex,
         raise StepTooSmall(f"step {step:g} " + (
             "is not finite" if step == math.inf else f"below {MIN_STEP:g}"))
     g = _as_callable(f)
-    c = complex(c)
+    c = _require_finite(c, "evaluation point")
     s = float(step)
     fx = (g(c + s) - g(c - s)) / (2.0 * s)
     fy = (g(c + 1j * s) - g(c - 1j * s)) / (2.0 * s)
@@ -95,7 +100,7 @@ def fd_partials(f: Evaluable, c: complex,
 
 def fd_wirtinger(f: Evaluable, c: complex,
                  step: float = DEFAULT_STEP) -> tuple[complex, complex]:
-    """Central-difference (d/dz, d/dz*) pair at ``c``."""
+    """Central-difference (d/dz, d/dz*) pair at ``c``, as ``fd_partials``."""
     return wirtinger_pair(*fd_partials(f, c, step))
 
 
@@ -106,6 +111,7 @@ def classify(f: Evaluable, c: complex, step: float = DEFAULT_STEP,
     For expressions (text, AST or tape; compiled once), an order-1
     evaluation runs first, so that non-differentiable points (abs or arg at
     0) raise instead of giving a spurious verdict; callables get no check.
+    A ``tol`` that is NaN or below 0 raises ValueError.
     """
     if isinstance(f, (Expr, str, Tape)):
         f = compile_expr(f)

@@ -24,6 +24,8 @@ unchecked and unfrozen, is n scalar jets inside a ``squared_distance`` call.
 The binary rules raise DimensionMismatch unless both operands are jets of
 one kind and slot shape; ``div``, ``apply_primitive`` and scalar partials
 in ``chain`` take no stack, whose m values they would read as one.
+``_require_finite`` is the package's one conversion of a scalar from
+outside, and it keeps the scalar contract in ``errors``.
 
 Everything here is a pure function of its inputs; jets are immutable and can
 be shared freely between threads.  Jets do not remember their base point:
@@ -53,8 +55,11 @@ from .errors import DimensionMismatch, DomainError, PoleError
 
 
 def _require_finite(w: complex, what: str = "value") -> complex:
-    w = complex(w)
-    if not (cmath.isfinite(w)):
+    try:
+        w = complex(w)
+    except OverflowError:                       # an int beyond float range
+        raise DomainError(f"non-finite {what}: beyond float range") from None
+    if not cmath.isfinite(w):
         raise DomainError(f"non-finite {what}: {w!r}")
     return w
 
@@ -90,14 +95,19 @@ def _fill(value, dz, dzc) -> WirtingerJet:
 WirtingerJet._fresh = staticmethod(_fill)
 
 
-def _mismatch(a: WirtingerJet, b: WirtingerJet) -> DimensionMismatch:
-    a_dim, b_dim = (f"{j.__class__.__name__}{getattr(j.dz, 'shape', ())}"
-                    for j in (a, b))
-    return DimensionMismatch(f"dimension mismatch: {a_dim} vs {b_dim}")
+def _same_kind(a: WirtingerJet, b: WirtingerJet, stack: bool = True) -> None:
+    """DimensionMismatch unless a and b are jets of one class and slot shape
+    (numpy would broadcast n=1 against n=3), single jets if not ``stack``."""
+    if (a.__class__ is not b.__class__ or a.dz.shape != b.dz.shape
+            or not (stack or a.dz.ndim == 1)):
+        a_dim, b_dim = (f"{j.__class__.__name__}{getattr(j.dz, 'shape', ())}"
+                        for j in (a, b))
+        raise DimensionMismatch(f"dimension mismatch: {a_dim} vs {b_dim}")
 
 
 def seed_variable(c: complex) -> WirtingerJet:
-    """Jet of the identity function at ``c``: (c, 1, 0)."""
+    """Jet of the identity function at ``c``: (c, 1, 0).  The scalars here
+    and of ``constant`` and ``linear_combine`` keep ``errors``' contract."""
     return _fill(_require_finite(c, "seed point"), 1.0 + 0.0j, 0.0 + 0.0j)
 
 
@@ -106,21 +116,14 @@ def constant(k: complex) -> WirtingerJet:
     return _fill(_require_finite(k, "constant"), 0.0 + 0.0j, 0.0 + 0.0j)
 
 
-# The binary rules check inline that both operands are scalar jets or both
-# vector jets of one dimension (numpy would silently broadcast n=1 against
-# n=3); a helper call for the check measurably slows the scalar rules.
-
-
 def linear_combine(alpha: complex, a: WirtingerJet,
                    beta: complex, b: WirtingerJet) -> WirtingerJet:
     """Jet of ``alpha*a + beta*b`` (operands at the same base point)."""
-    cls = a.__class__
-    if cls is not b.__class__ or (cls is not WirtingerJet
-                                  and a.dz.shape != b.dz.shape):
-        raise _mismatch(a, b)
-    alpha = complex(alpha)
-    beta = complex(beta)
-    return cls._fresh(
+    if a.__class__ is not WirtingerJet or b.__class__ is not WirtingerJet:
+        _same_kind(a, b)
+    alpha = _require_finite(alpha, "coefficient")
+    beta = _require_finite(beta, "coefficient")
+    return a._fresh(
         alpha * a.value + beta * b.value,
         alpha * a.dz + beta * b.dz,
         alpha * a.dzc + beta * b.dzc,
@@ -128,19 +131,15 @@ def linear_combine(alpha: complex, a: WirtingerJet,
 
 
 def add(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    cls = a.__class__
-    if cls is not b.__class__ or (cls is not WirtingerJet
-                                  and a.dz.shape != b.dz.shape):
-        raise _mismatch(a, b)
-    return cls._fresh(a.value + b.value, a.dz + b.dz, a.dzc + b.dzc)
+    if a.__class__ is not WirtingerJet or b.__class__ is not WirtingerJet:
+        _same_kind(a, b)
+    return a._fresh(a.value + b.value, a.dz + b.dz, a.dzc + b.dzc)
 
 
 def sub(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
-    cls = a.__class__
-    if cls is not b.__class__ or (cls is not WirtingerJet
-                                  and a.dz.shape != b.dz.shape):
-        raise _mismatch(a, b)
-    return cls._fresh(a.value - b.value, a.dz - b.dz, a.dzc - b.dzc)
+    if a.__class__ is not WirtingerJet or b.__class__ is not WirtingerJet:
+        _same_kind(a, b)
+    return a._fresh(a.value - b.value, a.dz - b.dz, a.dzc - b.dzc)
 
 
 def neg(a: WirtingerJet) -> WirtingerJet:
@@ -149,11 +148,9 @@ def neg(a: WirtingerJet) -> WirtingerJet:
 
 def mul(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     """Product rule, applied independently in the dz and dzc slots."""
-    cls = a.__class__
-    if cls is not b.__class__ or (cls is not WirtingerJet
-                                  and a.dz.shape != b.dz.shape):
-        raise _mismatch(a, b)
-    return cls._fresh(
+    if a.__class__ is not WirtingerJet or b.__class__ is not WirtingerJet:
+        _same_kind(a, b)
+    return a._fresh(
         a.value * b.value,
         a.dz * b.value + a.value * b.dz,
         a.dzc * b.value + a.value * b.dzc,
@@ -173,17 +170,13 @@ def div(a: WirtingerJet, b: WirtingerJet) -> WirtingerJet:
     """Quotient rule in both derivative slots, ``(a' - q b') / b`` with
     ``q = a / b``, divided step by step so that no ``b**2`` can underflow;
     raises PoleError when ``b.value`` is 0."""
-    cls = a.__class__
-    if cls is not b.__class__ or (cls is not WirtingerJet
-                                  and (a.dz.shape != b.dz.shape
-                                       or a.dz.ndim != 1)):
-        # the pole test takes one value, and a stack holds m
-        raise _mismatch(a, b)
+    if a.__class__ is not WirtingerJet or b.__class__ is not WirtingerJet:
+        _same_kind(a, b, stack=False)   # the pole test takes one value
     v = b.value
     if v == 0:
         raise PoleError(f"division by a value at a pole: value = {v!r}")
     q = a.value / v
-    return cls._fresh(q, (a.dz - q * b.dz) / v, (a.dzc - q * b.dzc) / v)
+    return a._fresh(q, (a.dz - q * b.dz) / v, (a.dzc - q * b.dzc) / v)
 
 
 def power_int(a: WirtingerJet, k: int) -> WirtingerJet:

@@ -287,7 +287,8 @@ def fd_wirtinger_gradients(T: Callable[[HVec], complex], c: HVec,
 def classify_functional(T: Callable[[HVec], complex], c: HVec,
                         step: float = DEFAULT_STEP,
                         tol: float = DEFAULT_TOL) -> HolomorphyReport:
-    """Threshold the finite-difference W/CW gradient norms at ``c``."""
+    """Threshold the finite-difference W/CW gradient norms at ``c``.  A
+    ``tol`` that is NaN or below 0 raises ValueError."""
     gw, gcw = fd_wirtinger_gradients(T, c, step)
     return holomorphy_report(gw, gcw, float(np.linalg.norm(gw)),
                              float(np.linalg.norm(gcw)), tol)

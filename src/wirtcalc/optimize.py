@@ -197,13 +197,13 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
 def steepest_descent_scalar(cost: str | ex.Expr | ex.Tape, z0: complex,
                             cfg: DescentConfig) -> DescentTrace:
     """Minimize a real-valued expression in z, z* (text, AST or tape) from
-    the point ``z0``.  The cost is compiled once for the whole run."""
+    the point ``z0`` (scalar contract: ``errors``), compiling it once."""
     tape = ex.compile_expr(cost)
     return _descend(
         value_of=lambda z: ex.eval_jet(tape, z, order=0),
         jet_of=lambda z: ex.eval_jet(tape, z, order=1),
         grad_norm_of=abs,
-        x0=complex(z0),
+        x0=fw._require_finite(z0, "starting point"),
         cfg=cfg,
     )
 
@@ -362,8 +362,8 @@ def newton_step_scalar(cost: str | ex.Expr | ex.Tape, z: complex) -> complex:
     conjugate; a violation (like a singular or non-real block) raises
     SingularHessian and callers should fall back to a gradient step.  A
     caller that steps repeatedly compiles ``cost`` (text, AST or tape) once.
-    """
-    j = ex.eval_jet(cost, complex(z), order=2)
+    ``z`` keeps the scalar contract of ``errors``."""
+    j = ex.eval_jet(cost, z, order=2)
     _check_real(j.value, IMAG_TOL_DRIFT)
     scale = max(abs(j.dzz), abs(j.dzzc), abs(j.dzcz), abs(j.dzczc))
     if scale == 0.0:

@@ -183,11 +183,12 @@ def apply_primitive2(name: str, a: SecondOrderJet) -> SecondOrderJet:
 
 
 def second_order_taylor(jet: SecondOrderJet, h: complex) -> complex:
-    """Quadratic model value at displacement ``h`` from the jet's base point:
+    """Quadratic model value at displacement ``h`` (scalar contract:
+    ``errors``) from the jet's base point:
 
         f(c) + dz*h + dzc*h* + (dzz*h^2 + (dzzc+dzcz)*h*h* + dzczc*h*^2) / 2
     """
-    h = complex(h)
+    h = _require_finite(h, "displacement")
     hc = h.conjugate()
     quad = (jet.dzz * h * h + (jet.dzzc + jet.dzcz) * h * hc
             + jet.dzczc * hc * hc)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -16,6 +19,18 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, (json.loads(out) if out.strip() else None), err
+
+
+def cli_process(argv, env=(), **kwargs):
+    """``python -m wirtcalc.cli ARGV`` in a subprocess that imports the
+    wirtcalc these tests import."""
+    import wirtcalc
+
+    src = os.path.dirname(os.path.dirname(wirtcalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "wirtcalc.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path, **dict(env)},
+                          **kwargs)
 
 
 def walk_numbers(obj):
@@ -181,6 +196,13 @@ def test_check_and_classify_report_the_same_fd_pair(capsys, expr, at, step):
     assert chk["classification"] == cls["classification"]
 
 
+def test_classify_refuses_a_nan_tolerance(capsys):
+    # every residual < nan is false: the verdict would be a silent Neither
+    code, out, err = run(capsys, "classify", "z", "--at", "1", "--tol", "nan")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tol must be a number >= 0")
+
+
 def test_minimize_quadratic(capsys):
     code, rep, _ = run_json(capsys, "minimize", "(z-2)*conj(z-2)",
                             "--from", "0", "--mu", "0.5", "--tol", "1e-8")
@@ -316,6 +338,33 @@ def test_json_output_round_trips(capsys):
     assert json.loads(json.dumps(rep)) == rep
 
 
+@pytest.mark.parametrize("argv, same_as", [
+    (["diff", "z", "--at", "-1i"], ["diff", "z", "--at=-1i"]),
+    (["minimize", "(z-2)*conj(z-2)", "--from", "-1i", "--mu", "0.5"],
+     ["minimize", "(z-2)*conj(z-2)", "--from=-1i", "--mu", "0.5"]),
+    (["diff", "-z^2", "--at", "1"], ["diff", "--at", "1", "--", "-z^2"]),
+    (["diff", "-z^2", "--at", "-1i"], ["diff", "--at=-1i", "--", "-z^2"]),
+    (["check", "-conj(z)", "--at", "-2", "--tol", "1e-5"],
+     ["check", "--at=-2", "--tol", "1e-5", "--", "-conj(z)"]),
+], ids=["at", "from", "expr", "expr-and-at", "check"])
+def test_values_that_start_with_a_dash(capsys, argv, same_as):
+    want = run(capsys, *same_as)
+    assert want[0] == 0 and want[1] and not want[2]
+    assert run(capsys, *argv) == want
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["diff", "-h"], 0), (["diff", "--help"], 0), (["-h"], 0),
+    (["diff", "z", "--at", "1", "--bogus"], 2),
+    (["diff", "z", "--at", "1", "-x"], 2),
+])
+def test_options_still_parse_as_options(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr().out.startswith("usage: wirtcalc") == (not code)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -325,29 +374,31 @@ def test_version_flag(capsys):
 @pytest.mark.parametrize("level, logs", [("debug", True), ("chatty", False)])
 def test_wirt_log_sets_the_log_level(level, logs):
     # a subprocess, so that logging.basicConfig leaves this one alone
-    import os
-    import subprocess
-    import sys
-
-    import wirtcalc
-
-    src = os.path.dirname(os.path.dirname(wirtcalc.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wirtcalc.cli", "minimize", "abs2(z-1)",
-         "--from", "0", "--max-iter", "2"],
-        capture_output=True, text=True,
-        env={**os.environ, "WIRT_LOG": level, "PYTHONPATH": path})
+    proc = cli_process(
+        ["minimize", "abs2(z-1)", "--from", "0", "--max-iter", "2"],
+        env={"WIRT_LOG": level}, capture_output=True, text=True)
     assert proc.returncode == 1             # the budget of 2 runs out
     assert json.loads(proc.stdout)["iterations"] == 2
     assert ("DEBUG:wirtcalc.optimize:iter 0: " in proc.stderr) is logs
     assert ("DEBUG" in proc.stderr) is logs
 
 
-def test_installed_entry_point():
-    import subprocess
-    import sys
+@pytest.mark.parametrize("argv, code", [
+    (["diff", "z", "--at", "1"], 0),
+    (["minimize", "abs2(z-1)", "--from", "0", "--max-iter", "2"], 1),
+])
+def test_a_closed_stdout_is_not_a_failure(argv, code):
+    # stdout is a pipe whose reader has gone, as in ``wirtcalc ... | head -1``
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")
 
+
+def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wirtcalc.cli", "diff", "z^2", "--at", "1+1i"],
         capture_output=True, text=True)
