@@ -40,8 +40,8 @@ from . import __version__
 from .errors import (DimensionMismatch, DomainError, EmptyData,
                      ExprSyntaxError, NonRealCost, PoleError, WirtcalcError)
 from .expr import compile_expr, eval_jet, format_expr, parse_complex
-from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, classify, fd_wirtinger,
-                      holomorphy_report)
+from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, _require_tol, classify,
+                      fd_wirtinger, holomorphy_report)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -103,6 +103,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _require_tol(args.tol)
     at = parse_complex(args.at)
     e = compile_expr(args.expr)
     j = eval_jet(e, at, order=1)

@@ -2,8 +2,9 @@
 
 The scalar contract: a complex scalar a caller passes to a public entry (a
 point, a constant, a coefficient, a displacement) that is not finite, or
-is an integer beyond float range, raises DomainError; one that is not a
-number raises the TypeError or ValueError of ``complex``.
+is an integer beyond float range, raises DomainError.  A bool raises
+TypeError, a str (even "1+2j") ValueError, and any other value that is not
+a number the TypeError or ValueError of ``complex``.
 """
 
 

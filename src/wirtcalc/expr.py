@@ -29,9 +29,9 @@ flat instructions that printing, evaluation and a tree's ``==``, ``hash``
 and ``repr`` replay in one loop.  So the nesting cap (a depth of 200
 grammar steps: 39 nested parentheses or calls, or 196 stacked unary minus
 signs) and |k| <= 64 are the only size limits: a chain such as
-``z+z+...+z`` of any length prints, compares and evaluates.  A
-caller that evaluates one expression at many points compiles it once and
-passes the tape.
+``z+z+...+z`` of any length prints, compares and evaluates.  A tree is
+compiled once while it lives (text on every call), and a replay runs each
+distinct subtree once: ``abs2(z-1) + (z-1)^2`` computes ``z-1`` once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ from __future__ import annotations
 import cmath
 import operator
 import re
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass, field, fields
+from math import copysign
 
 from . import forward as fw
 from .errors import (ArityError, DomainError, ExprSyntaxError, PoleError,
@@ -304,15 +306,26 @@ class Tape:
 
     tree: Expr
     ops: tuple
+    _plan: tuple = field(default=None, repr=False)  # _value_number(ops)
+
+
+#: id(tree) -> (weak reference to the tree, its ops, its plan).  The
+#: reference's callback drops the entry, so the cache keeps no tree alive;
+#: a WeakKeyDictionary would hash the tree, which compiles it.
+_TAPES = {}
 
 
 def compile_expr(e) -> Tape:
     """Tape of ``e`` (text, AST or tape, returned as is), built in one walk
-    without recursion; the only code that knows which fields hold children."""
+    without recursion; the only code that knows which fields hold children.
+    A tree is compiled once while it lives."""
     if isinstance(e, Tape):
         return e
     if isinstance(e, str):
         e = parse(e)
+    hit = _TAPES.get(id(e))
+    if hit is not None:
+        return Tape(e, *hit[1:])
     ops, stack = [], [e]
     emit, push = ops.append, stack.append
     while stack:
@@ -337,32 +350,70 @@ def compile_expr(e) -> Tape:
             push(n.base)
         else:
             raise TypeError(f"not an Expr node: {n!r}")
-    ops.reverse()
-    return Tape(e, tuple(ops))
+    ops = tuple(ops[::-1])
+    plan = _value_number(ops)
+    # ``pop`` is bound now: at interpreter exit the global may be gone
+    _TAPES[id(e)] = (weakref.ref(e, lambda _, k=id(e), pop=_TAPES.pop:
+                                 pop(k, None)), ops, plan)
+    return Tape(e, ops, plan)
+
+
+def _value_number(ops) -> tuple:
+    """``ops`` with each distinct subtree once, at its first occurrence, as
+    ``(code, payload, i, j, d)``: the rule reads registers ``i`` and ``j``
+    and writes ``d``, the root register 0.  A complex payload is keyed with
+    the signs of its parts (``sqrt(-4-0i)`` is ``-2i``, ``sqrt(-4+0i)``
+    ``2i``), an int or a name by value, any other payload by identity."""
+    plan, seen, stack = [], {}, []
+    pop, push = stack.pop, stack.append
+    for code, p in ops:
+        j = pop() if 1 < code < 6 else -1
+        i = pop() if code > 1 else -1
+        t = p.__class__
+        key = (code, (p, copysign(1.0, p.real), copysign(1.0, p.imag))
+               if t is complex else p if p is None or t in (int, str)
+               else (id(p),), i, j)
+        v = seen.setdefault(key, len(plan))
+        if v == len(plan):
+            plan.append((code, p, i, j))
+        push(v)
+    # Registers, handed out backwards: a result takes one at its last reader
+    # and frees it where it is written, so a replay holds no more results
+    # than a stack would.  A missing operand (-1) reads the root's entry, 0.
+    reg = [-1] * (len(plan) - 1) + [0]
+    free = list(range(len(plan) - 1, 0, -1))
+    for k in range(len(plan) - 1, -1, -1):
+        code, p, i, j = plan[k]
+        free.append(reg[k])
+        for v in (i, j):
+            if reg[v] < 0:
+                reg[v] = free.pop()
+        plan[k] = (code, p, reg[i], reg[j], reg[k])
+    return tuple(plan)
 
 
 def _run(tape: Tape, c, rules):
-    """Replay ``tape`` with ``rules``; ``variable(c)`` is made once and
-    shared by every occurrence of z."""
+    """Replay ``tape`` with ``rules``, each distinct subtree once, at its
+    first occurrence in the post-order: the first rule to fail is the one a
+    replay of every node would meet first, and a rule with side effects (a
+    test double) sees one call per distinct subtree."""
     variable, constant, _, _, _, _, neg, power, call = rules
-    x = variable(c)
-    stack = []
-    push, pop = stack.append, stack.pop
-    for code, p in tape.ops:
+    plan = tape._plan or _value_number(tape.ops)
+    regs = [None] * len(plan)
+    for code, p, i, j, d in plan:
         if code == 0:
-            push(x)
+            regs[d] = variable(c)
         elif code == 1:
-            push(constant(p))
+            regs[d] = constant(p)
         elif code < 6:
-            b = pop()
-            stack[-1] = rules[code](stack[-1], b)
+            regs[d] = rules[code](regs[i], regs[j])
         elif code == 6:
-            stack[-1] = neg(stack[-1])
+            regs[d] = neg(regs[i])
         elif code == 7:
-            stack[-1] = power(stack[-1], p)
+            regs[d] = power(regs[i], p)
         else:
-            stack[-1] = call(p, stack[-1])
-    return stack[0]
+            regs[d] = call(p, regs[i])
+    return regs[0]
 
 
 # --------------------------------------------------------------------------

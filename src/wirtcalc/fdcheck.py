@@ -51,13 +51,17 @@ class HolomorphyReport:
     conj_cr_residual: float
 
 
+def _require_tol(tol: float) -> None:
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+
+
 def holomorphy_report(w, cw, w_size: float, cw_size: float,
                       tol: float) -> HolomorphyReport:
     """Threshold the sizes of W and CW at ``tol``, a number >= 0 and not
     NaN (ValueError): the one verdict ladder behind ``classify`` and
     ``hilbert.classify_functional``."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    _require_tol(tol)
     cr_ok = cw_size < tol
     conj_cr_ok = w_size < tol
     if cr_ok and conj_cr_ok:

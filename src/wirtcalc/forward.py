@@ -55,10 +55,15 @@ from .errors import DimensionMismatch, DomainError, PoleError
 
 
 def _require_finite(w: complex, what: str = "value") -> complex:
-    try:
-        w = complex(w)
-    except OverflowError:                       # an int beyond float range
-        raise DomainError(f"non-finite {what}: beyond float range") from None
+    if w.__class__ is not complex:
+        if isinstance(w, (bool, str)):  # complex() takes True and "1+2j"
+            raise (ValueError if isinstance(w, str) else TypeError)(
+                f"{what} must be a number, got {w!r}")
+        try:
+            w = complex(w)
+        except OverflowError:                   # an int beyond float range
+            raise DomainError(
+                f"non-finite {what}: beyond float range") from None
     if not cmath.isfinite(w):
         raise DomainError(f"non-finite {what}: {w!r}")
     return w

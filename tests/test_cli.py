@@ -203,6 +203,14 @@ def test_classify_refuses_a_nan_tolerance(capsys):
     assert err.startswith("error: tol must be a number >= 0")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_check_refuses_a_bad_tolerance(capsys, tol):
+    # NaN printed as "tol": NaN, which is not JSON; below 0 nothing passes
+    code, out, err = run(capsys, "check", "z", "--at", "1", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err == f"error: tol must be a number >= 0, got {float(tol)!r}\n"
+
+
 def test_minimize_quadratic(capsys):
     code, rep, _ = run_json(capsys, "minimize", "(z-2)*conj(z-2)",
                             "--from", "0", "--mu", "0.5", "--tol", "1e-8")

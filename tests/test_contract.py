@@ -2,8 +2,9 @@
 
 Every public entry that takes a complex scalar from outside is called with
 each hostile value of ``HOSTILE_SCALARS`` in that argument.  A non-finite
-number, or an integer beyond float range, must raise DomainError; a value
-that is not a number must raise the TypeError or ValueError of ``complex``.
+number, or an integer beyond float range, must raise DomainError; a bool
+must raise TypeError, any str ValueError, and any other value that is not a
+number the TypeError or ValueError of ``complex``.
 No entry may warn first, or return an inf or a nan.
 """
 
@@ -26,6 +27,8 @@ HOSTILE_SCALARS = [
     (10 ** 400, DomainError),
     (None, TypeError),
     ("abc", ValueError),
+    (True, TypeError),          # complex(True) is 1
+    ("1+2j", ValueError),       # Python's syntax, not the grammar's 2i
 ]
 
 _A = seed_variable(0.5 - 1j)
@@ -50,7 +53,7 @@ SCALAR_ENTRIES = {
 
 @pytest.mark.parametrize("bad, error", HOSTILE_SCALARS,
                          ids=["nan", "inf", "-inf", "nanj", "10**400",
-                              "None", "str"])
+                              "None", "str", "bool", "numeric-str"])
 @pytest.mark.parametrize("name", SCALAR_ENTRIES)
 def test_scalar_entries_keep_the_contract(name, bad, error):
     with warnings.catch_warnings():

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, random_ast, sample_points
 from wirtcalc import expr as ex
 from wirtcalc import forward as fw
+from wirtcalc import second as so
 from wirtcalc.errors import (ArityError, DomainError, ExprSyntaxError,
                              PoleError, UnknownIdentifier, WirtcalcError)
 from wirtcalc.expr import (Add, Call, Const, Div, Mul, Neg, Pow, Sub, Tape,
@@ -525,6 +527,78 @@ def test_tape_run_looks_up_rebound_rules(monkeypatch):
     monkeypatch.setattr(fw, "mul", counting_mul)
     j = eval_jet(tape, 3, order=1)
     assert len(calls) == 1 and (j.value, j.dz) == (10, 0)
+
+
+def test_each_distinct_subtree_runs_once_per_evaluation(monkeypatch):
+    calls = []
+    mul, mul2 = fw.mul, so.mul2
+    monkeypatch.setattr(fw, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    monkeypatch.setattr(so, "mul2",
+                        lambda a, b: calls.append(2) or mul2(a, b))
+    j = eval_jet("z*z + z*z", 2, 1)
+    assert calls == [1] and (j.value, j.dz, j.dzc) == (8, 8, 0)
+    j2 = eval_jet("z*z + z*z", 2, 2)
+    assert calls == [1, 2] and (j2.value, j2.dzz) == (8, 4)
+
+
+def test_constants_with_signed_zeros_are_not_shared():
+    # sqrt(-4-0i) is -2i and sqrt(-4+0i) is 2i; one shared result gives +-4i
+    e = Add(Call("sqrt", Const(complex(-4, -0.0))),
+            Call("sqrt", Const(complex(-4, 0.0))))
+    assert eval_jet(e, 1, order=0) == 0j
+
+
+def test_a_tree_is_compiled_once_and_the_cache_keeps_no_tree_alive():
+    tree = parse("abs2(z-1) + (z-1)^2")
+    assert compile_expr(tree).ops is compile_expr(tree).ops
+    ref, key = weakref.ref(tree), id(tree)
+    assert key in ex._TAPES
+    del tree
+    assert ref() is None and key not in ex._TAPES
+
+
+def _replay_every_node(tape, c, rules):
+    """The replay before value numbering: every node of the post-order, on
+    a stack, with one shared result for z."""
+    variable, constant, _, _, _, _, neg, power, call = rules
+    x = variable(c)
+    stack = []
+    for code, p in tape.ops:
+        if code == 0:
+            stack.append(x)
+        elif code == 1:
+            stack.append(constant(p))
+        elif code < 6:
+            b = stack.pop()
+            stack[-1] = rules[code](stack[-1], b)
+        elif code == 6:
+            stack[-1] = neg(stack[-1])
+        elif code == 7:
+            stack[-1] = power(stack[-1], p)
+        else:
+            stack[-1] = call(p, stack[-1])
+    return stack[0]
+
+
+def _outcome(replay, tape, c, rules, order):
+    try:
+        r = replay(tape, c, rules)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return r if order is None else [repr(w) for w in _slots(r, order)]
+
+
+def test_shared_replay_matches_a_replay_of_every_node():
+    rng = random.Random(2028)
+    for _ in range(150):
+        tape = compile_expr(random_ast(rng, 6))
+        runs = [(ex._PRINT_RULES, None, None), (ex._REPR_RULES, None, None)]
+        runs += [(ex._RULES[order](), order, c)
+                 for order in (0, 1, 2) for c in CONTRACT_POINTS]
+        for rules, order, c in runs:
+            assert (_outcome(ex._run, tape, c, rules, order)
+                    == _outcome(_replay_every_node, tape, c, rules, order)
+                    ), (tape.ops, c, order)
 
 
 DESCENT_COST = "abs2(z - (0.5-0.25i)) + 0.1*abs2(z)^2"
