@@ -503,9 +503,9 @@ def _pow0(v: complex, k: int) -> complex:
         raise fw._pow_error(v, k) from None
 
 
-_ORDER0 = (lambda c: c, lambda k: k, operator.add, operator.sub,
-           operator.mul, operator.truediv, operator.neg, _pow0,
-           lambda name, v: PRIMITIVES[name].value(v))
+_ORDER0 = (lambda c: c, lambda k: fw._require_finite(k, "constant"),
+           operator.add, operator.sub, operator.mul, operator.truediv,
+           operator.neg, _pow0, lambda name, v: PRIMITIVES[name].value(v))
 
 
 def _order2_rules():

@@ -4,7 +4,8 @@ scalar value plus a pair of gradient vectors.
 Vectors are 1-D ``complex128`` numpy arrays, frozen so every value handed
 around is immutable.  One check, ``_checked``, reads every vector argument
 in place; only what is kept is copied (``hvec``, ``FunctionalJet(...)``),
-and the new arrays of a ``forward`` rule are frozen once, by ``_fresh``.
+so a program call runs one ``_checked`` and no copy, and the new arrays of
+a ``forward`` rule are frozen once, by ``_fresh``.
 The inner product is linear in the FIRST argument and conjugate-linear in
 the second,
 
@@ -72,7 +73,7 @@ def _checked(coords, n: int = 0) -> np.ndarray:
     if a.ndim != 1 or a.size < 1 or (n and a.size != n):
         raise DimensionMismatch(f"expected a 1-D vector of dimension "
                                 f"{n or '>= 1'}, got shape {a.shape}")
-    if not np.logical_and.reduce(np.isfinite(a)):
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise DomainError("vector has non-finite coordinates")
     return a
 
@@ -146,7 +147,7 @@ class FunctionalJet(fw.WirtingerJet):
         elif value.__class__ is not np.ndarray or value.shape != dz.shape[1:]:
             raise DimensionMismatch(
                 f"a stack of {dz.shape[-1]} jets got the value {value!r}")
-        elif not np.logical_and.reduce(np.isfinite(value)):
+        elif np.count_nonzero(np.isfinite(value)) != value.size:
             raise DomainError("a stacked jet's value is not finite")
         else:
             value.setflags(write=False)
@@ -189,9 +190,8 @@ def functional_constant(k, n: int) -> FunctionalJet:
     if k.ndim > 1 or n < 1:
         raise DimensionMismatch(f"need a constant or a vector of them and "
                                 f"n >= 1, got shape {k.shape} and n = {n}")
-    shape = (n,) + k.shape
-    return FunctionalJet._fresh(k, np.zeros(shape, dtype=np.complex128),
-                                np.zeros(shape, dtype=np.complex128))
+    zero = np.zeros((n,) + k.shape, dtype=np.complex128)  # _fresh freezes it
+    return FunctionalJet._fresh(k, zero, zero)
 
 
 def ip_functional(kind: str, w, c: HVec) -> FunctionalJet:
@@ -241,17 +241,17 @@ def squared_distance(w: HVec) -> Functional:
     """Program for f -> ||f - w||^2 = sum_j |f_j - w_j|^2: the n scalar
     jets of the f_j - w_j at c (value c_j - w_j, partials 1 and 0) in the
     (n,) slots of one ``WirtingerJet``, times their conjugates, then
-    summed.  O(n) time and memory per call."""
+    summed: one ``_checked`` and no copy per call, O(n) time and memory."""
     w = hvec(w)
     ones, zeros = (_freeze(np.full(w.shape, k, dtype=np.complex128))
                    for k in (1, 0))
 
     def program(c: HVec) -> FunctionalJet:
         c = _checked(c, w.size)     # before c - w can broadcast
-        # an overflow in c - w, a rule or the sum raises no warning: any
-        # non-finite term makes the sum non-finite, _fresh's DomainError
+        # c - w is new and unchecked: an overflow in it, a rule or the sum
+        # raises no warning; any non-finite term is _fresh's DomainError
         with np.errstate(over="ignore", invalid="ignore"):
-            r = fw.WirtingerJet(hvec(c - w), ones, zeros)
+            r = fw._fill(c - w, ones, zeros)
             p = fw.mul(r, fw.conj(r))
             return FunctionalJet._fresh(np.add.reduce(p.value), p.dz, p.dzc)
 

@@ -141,6 +141,7 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
     trace = DescentTrace()
     x = x0
     initial_cost = None
+    debug = log.isEnabledFor(logging.DEBUG)     # read once per run
     for k in range(cfg.max_iter + 1):
         try:
             jet = jet_of(x)
@@ -160,7 +161,8 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
         trace.iterates.append(x)
         trace.costs.append(cost)
         trace.grad_norms.append(gn)
-        log.debug("iter %d: cost=%.6e grad_norm=%.6e", k, cost, gn)
+        if debug:
+            log.debug("iter %d: cost=%.6e grad_norm=%.6e", k, cost, gn)
         if initial_cost is None:
             initial_cost = cost
         if cost > DIVERGENCE_FACTOR * abs(initial_cost) + 1e-30:

@@ -18,6 +18,7 @@ from wirtcalc import (DescentConfig, DomainError, classify,
                       fd_wirtinger, linear_combine, newton_step_scalar,
                       second_order_taylor, seed_variable,
                       steepest_descent_scalar)
+from wirtcalc.expr import Const
 
 HOSTILE_SCALARS = [
     (math.nan, DomainError),
@@ -60,6 +61,25 @@ def test_scalar_entries_keep_the_contract(name, bad, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             SCALAR_ENTRIES[name](bad)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("k, error", [(10 ** 400, DomainError),
+                                      (True, TypeError)],
+                         ids=["10**400", "bool"])
+def test_hand_built_constants_keep_the_contract(k, error, order):
+    # a tree's constant is an outside scalar too, at every order
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            eval_jet(Const(k), 1, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_hand_built_int_constant_is_a_complex(order):
+    r = eval_jet(Const(1), 1, order)
+    value = r if order == 0 else r.value
+    assert value.__class__ is complex and value == 1
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-4])

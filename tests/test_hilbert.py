@@ -732,23 +732,28 @@ def test_squared_distance_refuses_an_overflowing_difference():
         prog([1e308, 0])
 
 
-def test_squared_distance_copies_and_checks_its_point_once(monkeypatch,
-                                                           np_rng):
+def test_squared_distance_checks_its_point_once_and_copies_nothing(
+        monkeypatch, np_rng):
     w = rand_vec(np_rng, 4)
     prog = hb.squared_distance(w)
     c = rand_vec(np_rng, 4)
     want = prog(c)
     calls = []
-    real_hvec = hb.hvec
+    real_checked = hb._checked
 
-    def counting_hvec(coords):
+    def counting_checked(coords, n=0):
         calls.append(1)
-        return real_hvec(coords)
+        return real_checked(coords, n)
 
-    monkeypatch.setattr(hb, "hvec", counting_hvec)
+    monkeypatch.setattr(hb, "_checked", counting_checked)
     for k in range(1, 4):
-        assert prog(c) == want
+        got = prog(c)
+        assert got == want
         assert len(calls) == k
+        for slot in (got.dz, got.dzc):      # the value is a complex
+            assert not slot.flags.writeable
+            assert not np.shares_memory(slot, c)
+            assert not np.shares_memory(slot, w)
 
 
 def test_squared_distance_warns_nothing_before_its_domain_error():
@@ -805,6 +810,8 @@ BAD_PARAMETERS = [
     ([1j, complex("nan+1j")], DomainError),
     ([[1, 2], [3]], DimensionMismatch),
     (["a", 1], DimensionMismatch),
+    ([1, complex(0, -np.inf)], DomainError),    # only the imaginary part
+    ([1, 10 ** 400], DomainError),              # an int beyond float range
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import warnings
 
@@ -626,6 +627,25 @@ def test_newton_refuses_a_pair_that_is_not_conjugate():
     # (-1.5, -1)
     with pytest.raises(SingularHessian, match="not a conjugate pair"):
         newton_step_scalar("z^2 + conj(z)^2 + z", 1)
+
+
+@pytest.mark.parametrize("level, logs", [(logging.DEBUG, True),
+                                         (logging.WARNING, False)])
+def test_descent_logs_each_iterate_at_debug_only(level, logs, caplog,
+                                                 np_rng):
+    # the level is read when a run starts, so it is set before the run
+    caplog.set_level(level, logger="wirtcalc.optimize")
+    lsq = build_least_squares(rand_rows(np_rng, 6, 2), rand_vec(np_rng, 6))
+    cfg = DescentConfig(mu=0.05, max_iter=5)
+    for run in (lambda: steepest_descent_scalar(QUAD, 0j, cfg),
+                lambda: steepest_descent_hilbert(lsq, np.zeros(2), cfg)):
+        caplog.clear()
+        trace = run()
+        got = [r.getMessage().split(":")[0] for r in caplog.records
+               if r.name == "wirtcalc.optimize"]
+        want = [f"iter {k}" for k in range(len(trace.iterates))]
+        assert got == (want if logs else [])
+        assert len(trace.iterates) > 1
 
 
 def test_trace_defaults():
