@@ -8,8 +8,11 @@ imports its module and binds the name here, so later reads are plain
 attribute reads.  The scalar calculus (jets, the order-2 block, holomorphy
 verdicts, scalar descent and Newton steps) is pure ``cmath``; the
 Hilbert-space names (``FunctionalJet``, ``hvec``, ``inner``, ...) import
-``wirtcalc.hilbert`` and numpy, and so does the first call of
-``build_least_squares`` or ``steepest_descent_hilbert``.
+``wirtcalc.hilbert`` and numpy.  ``build_least_squares`` loads numpy and
+``optimize`` only; ``hilbert`` follows on a program's first call or
+``steepest_descent_hilbert``'s.  The expression engine ``wirtcalc.expr``
+loads only where an expression is read: no Hilbert-space program,
+descent or FD check loads it.
 """
 
 __version__ = "0.1.0"

@@ -21,11 +21,13 @@ at the start, 4 diverged or non-real cost, 5 line search stalled.  Set
 WIRT_LOG=debug for diagnostics.
 
 Only ``minimize --data`` loads numpy; the other commands run on ``cmath``.
-Start-up loads ``expr``, ``forward`` and ``fdcheck`` (the parser defaults
-read the latter); ``diff``, ``check`` and ``classify`` load nothing more,
-``hessian`` adds ``second``, ``minimize`` adds ``optimize`` (and
-``logging``) and ``minimize --data`` adds numpy and ``hilbert``.
-``logging`` is otherwise loaded only when WIRT_LOG is set.
+Start-up loads ``fdcheck`` and ``forward`` (the parser defaults read the
+former); each command that reads expression text loads ``expr``.
+``diff``, ``check`` and ``classify`` load nothing more, ``hessian`` adds
+``second``, ``minimize`` adds ``optimize`` (and ``logging``), and
+``minimize --data`` loads numpy, ``optimize``, ``logging`` and
+``hilbert``, but no ``expr``.  ``logging`` is otherwise loaded only when
+WIRT_LOG is set.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import sys
 from . import __version__
 from .errors import (DimensionMismatch, DomainError, EmptyData,
                      ExprSyntaxError, NonRealCost, PoleError, WirtcalcError)
-from .expr import compile_expr, eval_jet, format_expr, parse_complex
 from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, _require_tol, classify,
                       fd_wirtinger, holomorphy_report)
 
@@ -81,11 +82,13 @@ def _emit(report: dict) -> None:
 
 
 def _report(command: str, e, at: complex, **fields) -> dict:
+    from .expr import format_expr
     return {"schema": 1, "command": command, "expr": format_expr(e),
             "at": _pair(at), **fields}
 
 
 def cmd_diff(args) -> int:
+    from .expr import compile_expr, eval_jet, parse_complex
     at = parse_complex(args.at)
     e = compile_expr(args.expr)
     j = eval_jet(e, at, order=args.order)
@@ -103,6 +106,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .expr import compile_expr, eval_jet, parse_complex
     _require_tol(args.tol)
     at = parse_complex(args.at)
     e = compile_expr(args.expr)
@@ -120,6 +124,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .expr import compile_expr, parse_complex
     at = parse_complex(args.at)
     e = compile_expr(args.expr)
     rep = classify(e, at, step=args.step, tol=args.tol)
@@ -199,6 +204,7 @@ def cmd_minimize(args) -> int:
     else:
         if args.expr is None:
             raise ExprSyntaxError("minimize needs an expression or --data", 0)
+        from .expr import compile_expr, format_expr, parse_complex
         z0 = parse_complex(getattr(args, "from"))
         e = compile_expr(args.expr)
         trace = steepest_descent_scalar(e, z0, cfg)

@@ -534,7 +534,8 @@ def eval_jet(e, c: complex, order: int = 1):
     anywhere in the tree raises PoleError; an overflow (also a negative
     power of a nonzero value whose true result overflows), a cmath domain
     failure or an inf/nan slot in the result raises DomainError.  The
-    point ``c`` keeps the scalar contract of ``errors``.
+    point ``c`` and a hand-built tree's constants keep the scalar contract
+    of ``errors``.
     """
     tape = compile_expr(e)
     c = fw._require_finite(c, "evaluation point")
@@ -544,6 +545,8 @@ def eval_jet(e, c: complex, order: int = 1):
         r = _run(tape, c, _RULES[order]())
     except ZeroDivisionError as exc:
         raise PoleError(f"division at a pole: {exc}") from None
+    except fw._NotANumber:      # a hand-built str constant
+        raise
     except (OverflowError, ValueError) as exc:
         raise DomainError(f"{type(exc).__name__}: {exc}") from None
     slots = (r,) if order == 0 else [getattr(r, f) for f in r.__slots__]

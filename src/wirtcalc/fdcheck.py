@@ -5,25 +5,37 @@ All derivative values here come from central differences of plain function
 evaluations, never from the jet rules, so this module can arbitrate every
 rule in the forward-mode engine.  Default step 1e-5 balances truncation
 against rounding for double precision; classification threshold 1e-4.
-Every point ``c`` keeps the scalar contract of ``errors``.
+Every point ``c`` keeps the scalar contract of ``errors``.  Only an
+expression (text, AST or tape) loads ``expr``, on first use: differencing
+a callable, as the Hilbert-space oracle does, never loads it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import StepTooSmall
-from .expr import Expr, Tape, compile_expr, eval_jet
 from .forward import _require_finite
+
+if TYPE_CHECKING:
+    from .expr import Expr, Tape
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
 MIN_STEP = 1e-12
 
-Evaluable = Union[Expr, str, Tape, Callable[[complex], complex]]
+Evaluable = Union["Expr", str, "Tape", Callable[[complex], complex]]
+
+
+@functools.cache
+def _expr():
+    """``expr``, whose names are looked up at each call (and rebindable)."""
+    from . import expr
+    return expr
 
 
 class Verdict(enum.Enum):
@@ -82,10 +94,11 @@ def wirtinger_pair(fx, fy):
 
 
 def _as_callable(f: Evaluable) -> Callable[[complex], complex]:
-    if callable(f) and not isinstance(f, Expr):
+    if callable(f):     # an AST node or a tape is not
         return f
-    tape = compile_expr(f)
-    return lambda c: eval_jet(tape, c, order=0)
+    ex = _expr()
+    tape = ex.compile_expr(f)
+    return lambda c: ex.eval_jet(tape, c, order=0)
 
 
 def fd_partials(f: Evaluable, c: complex,
@@ -117,8 +130,9 @@ def classify(f: Evaluable, c: complex, step: float = DEFAULT_STEP,
     0) raise instead of giving a spurious verdict; callables get no check.
     A ``tol`` that is NaN or below 0 raises ValueError.
     """
-    if isinstance(f, (Expr, str, Tape)):
-        f = compile_expr(f)
-        eval_jet(f, c, order=1)
+    if not callable(f):
+        ex = _expr()
+        f = ex.compile_expr(f)
+        ex.eval_jet(f, c, order=1)
     w, cw = fd_wirtinger(f, c, step)
     return holomorphy_report(w, cw, abs(w), abs(cw), tol)

@@ -54,10 +54,14 @@ from typing import Callable
 from .errors import DimensionMismatch, DomainError, PoleError
 
 
+class _NotANumber(ValueError):
+    """A str's ValueError, which ``expr.eval_jet`` passes on unmapped."""
+
+
 def _require_finite(w: complex, what: str = "value") -> complex:
     if w.__class__ is not complex:
         if isinstance(w, (bool, str)):  # complex() takes True and "1+2j"
-            raise (ValueError if isinstance(w, str) else TypeError)(
+            raise (_NotANumber if isinstance(w, str) else TypeError)(
                 f"{what} must be a number, got {w!r}")
         try:
             w = complex(w)

@@ -38,10 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import expr as ex
 from . import forward as fw
 from .errors import DimensionMismatch, DomainError
-from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, HolomorphyReport,
+from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, HolomorphyReport, _expr,
                       fd_partials, holomorphy_report, wirtinger_pair)
 from .forward import _new, _set_dz, _set_dzc, _set_value
 
@@ -230,10 +229,11 @@ def ip_functional(kind: str, w, c: HVec) -> FunctionalJet:
 
 def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
     """Jet of S(T(f)) for a scalar outer function S given as an expression
-    in z (and conj(z)); its scalar jet is evaluated at the value slot."""
+    in z (and conj(z)); its scalar jet is evaluated at the value slot.
+    The first call loads ``expr``, which no other function here needs."""
     if a.dz.ndim != 1:
         raise DimensionMismatch("outer_chain takes one jet, not a stack")
-    sj = ex.eval_jet(s, a.value, order=1)
+    sj = _expr().eval_jet(s, a.value, order=1)
     return fw.chain(sj.value, sj.dz, sj.dzc, a)
 
 

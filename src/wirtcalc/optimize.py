@@ -10,11 +10,13 @@ increase.  Stationarity of real costs is symmetric: the two derivative
 slots are conjugates of each other, so driving one below the threshold
 drives both.
 
-The scalar path (``steepest_descent_scalar``, ``newton_step_scalar``) runs
-on ``cmath`` alone.  numpy and ``hilbert`` are imported by the Hilbert-space
-path only: ``build_least_squares`` loads numpy, and ``hilbert`` loads when
-``steepest_descent_hilbert`` first runs or a least-squares program is first
-called.
+Importing this module loads neither numpy nor another module of the
+package but ``errors``.  The scalar path (``steepest_descent_scalar``,
+``newton_step_scalar``) runs on ``cmath`` and loads ``expr`` and
+``forward`` on its first call.  The Hilbert-space path never loads
+``expr``: ``build_least_squares`` loads numpy, and ``hilbert`` (with
+``forward``) loads when ``steepest_descent_hilbert`` first runs or a
+least-squares program is first called.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import expr as ex
-from . import forward as fw
 from .errors import (DimensionMismatch, DomainError, EmptyData, NonRealCost,
                      PoleError, SingularHessian)
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from . import expr as ex
     from . import hilbert as hb
 
 log = logging.getLogger("wirtcalc.optimize")
@@ -50,6 +51,13 @@ def _lib():
 
     from . import hilbert as hb
     return np, hb
+
+
+@functools.cache
+def _scalar():
+    """``expr`` and ``forward``, bound by the first scalar run."""
+    from . import expr, forward
+    return expr, forward
 
 
 #: tolerated |imag(cost)| at the starting point / along the run
@@ -200,6 +208,7 @@ def steepest_descent_scalar(cost: str | ex.Expr | ex.Tape, z0: complex,
                             cfg: DescentConfig) -> DescentTrace:
     """Minimize a real-valued expression in z, z* (text, AST or tape) from
     the point ``z0`` (scalar contract: ``errors``), compiling it once."""
+    ex, fw = _scalar()
     tape = ex.compile_expr(cost)
     return _descend(
         value_of=lambda z: ex.eval_jet(tape, z, order=0),
@@ -334,6 +343,7 @@ class LeastSquaresProgram:
         # the augmented rows live for this call only
         W = (np.hstack([self._X, np.conj(self._X)]) if self.widely_linear
              else self._X)
+        fw = hb.fw
         r = fw.sub(hb.functional_constant(self._d, self.n_params),
                    hb.ip_functional("wf", W, c))
         return fw.mul(r, fw.conj(r)).total()
@@ -365,7 +375,7 @@ def newton_step_scalar(cost: str | ex.Expr | ex.Tape, z: complex) -> complex:
     SingularHessian and callers should fall back to a gradient step.  A
     caller that steps repeatedly compiles ``cost`` (text, AST or tape) once.
     ``z`` keeps the scalar contract of ``errors``."""
-    j = ex.eval_jet(cost, z, order=2)
+    j = _scalar()[0].eval_jet(cost, z, order=2)
     _check_real(j.value, IMAG_TOL_DRIFT)
     scale = max(abs(j.dzz), abs(j.dzzc), abs(j.dzcz), abs(j.dzczc))
     if scale == 0.0:

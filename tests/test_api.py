@@ -164,3 +164,58 @@ prog([0j, 0j])
 print(json.dumps(loaded + ["wirtcalc.hilbert" in sys.modules]))
 """
     assert fresh_python(code) == [False, True]
+
+
+LOADED = ("json.dumps([m in sys.modules for m in "
+          "('wirtcalc.expr', 'wirtcalc.forward', 'wirtcalc.hilbert')])")
+
+
+def test_least_squares_build_loads_no_expression_engine():
+    code = f"""
+import json, sys
+from wirtcalc import DescentConfig, build_least_squares
+build_least_squares([[1 + 0j, 2j], [0.5, -1]], [1 + 1j, 2], True)
+DescentConfig(mu=0.2)
+print({LOADED})
+"""
+    assert fresh_python(code) == [False, False, False]
+
+
+HILBERT_CALLS = {
+    "program call": "prog([0j, 0j])",
+    "descent": "wc.steepest_descent_hilbert(prog, [0j, 0j], "
+               "wc.DescentConfig(mu=0.2))",
+    "fd check": "sq = wc.squared_distance([1, 2j]); "
+                "wc.fd_gradients(lambda v: sq(v).value, [0j, 1])",
+    "classify": "wc.classify_functional(lambda v: complex(v[0] ** 2), "
+                "[1j, 0j])",
+}
+
+
+@pytest.mark.parametrize("call", HILBERT_CALLS.values(), ids=HILBERT_CALLS)
+def test_hilbert_path_never_loads_the_expression_engine(call):
+    # the Hilbert-space calculus reads no expression text
+    code = f"""
+import json, sys
+import wirtcalc as wc
+prog = wc.build_least_squares([[1 + 0j, 2j], [0.5, -1]], [1 + 1j, 2])
+{call}
+print({LOADED})
+"""
+    assert fresh_python(code) == [False, True, True]
+
+
+def test_minimize_data_loads_no_expression_engine(tmp_path):
+    path = tmp_path / "lsq.json"
+    path.write_text(json.dumps({"X": [[[1.0, 0.0]], [[0.5, 0.5]]],
+                                "d": [[0.5, -1.0], [1.0, 0.0]]}))
+    argv = ["minimize", "--data", str(path), "--mu", "0.2"]
+    got = fresh_python(RUN_CLI, json.dumps(argv), "numpy",
+                       "wirtcalc.hilbert", "wirtcalc.expr")
+    assert got == [0, True, True, False]
+
+
+def test_cli_import_loads_no_expression_engine():
+    code = ("import json, sys, wirtcalc.cli; "
+            "print(json.dumps('wirtcalc.expr' in sys.modules))")
+    assert fresh_python(code) is False

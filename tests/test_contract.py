@@ -65,8 +65,10 @@ def test_scalar_entries_keep_the_contract(name, bad, error):
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("k, error", [(10 ** 400, DomainError),
-                                      (True, TypeError)],
-                         ids=["10**400", "bool"])
+                                      (True, TypeError),
+                                      ("abc", ValueError),
+                                      ("1+2j", ValueError)],
+                         ids=["10**400", "bool", "str", "numeric-str"])
 def test_hand_built_constants_keep_the_contract(k, error, order):
     # a tree's constant is an outside scalar too, at every order
     with warnings.catch_warnings():

@@ -115,3 +115,22 @@ def test_classification_consistent_with_jets():
                 assert abs(j.dzc) < 1e-3
             elif rep.verdict is Verdict.CONJUGATE_HOLOMORPHIC:
                 assert abs(j.dz) < 1e-3
+
+
+def test_expressions_reach_a_rebound_eval_jet(monkeypatch):
+    # eval_jet is looked up on expr at each call, so a profiler or a test
+    # double that rebinds it sees every evaluation of an expression
+    import wirtcalc.expr as ex
+    calls = []
+    original = ex.eval_jet
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("order", args[2] if len(args) > 2 else 1))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "eval_jet", counting)
+    classify("z*conj(z)", 1)
+    assert calls[0] == 1 and len(calls) == 5    # the order-1 check, 4 evals
+    calls.clear()
+    fd_partials("z^2", 1)
+    assert calls == [0] * 4
