@@ -5,6 +5,10 @@ point, a constant, a coefficient, a displacement) that is not finite, or
 is an integer beyond float range, raises DomainError.  A bool raises
 TypeError, a str (even "1+2j") ValueError, and any other value that is not
 a number the TypeError or ValueError of ``complex``.
+
+The vector contract: a coordinate vector passed to ``hvec``, ``inner`` or a
+Hilbert-space program that is not 1-D numbers of the needed dimension raises
+DimensionMismatch, a non-finite one DomainError, one with a bool TypeError.
 """
 
 

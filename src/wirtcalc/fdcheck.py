@@ -101,15 +101,19 @@ def _as_callable(f: Evaluable) -> Callable[[complex], complex]:
     return lambda c: ex.eval_jet(tape, c, order=0)
 
 
-def fd_partials(f: Evaluable, c: complex,
-                step: float = DEFAULT_STEP) -> tuple[complex, complex]:
-    """Central-difference partials (df/dx, df/dy) at ``c``."""
+def _checked_step(step: float) -> float:
     if not MIN_STEP <= step < math.inf:     # NaN and inf too
         raise StepTooSmall(f"step {step:g} " + (
             "is not finite" if step == math.inf else f"below {MIN_STEP:g}"))
+    return float(step)
+
+
+def fd_partials(f: Evaluable, c: complex,
+                step: float = DEFAULT_STEP) -> tuple[complex, complex]:
+    """Central-difference partials (df/dx, df/dy) at ``c``."""
+    s = _checked_step(step)
     g = _as_callable(f)
     c = _require_finite(c, "evaluation point")
-    s = float(step)
     fx = (g(c + s) - g(c - s)) / (2.0 * s)
     fy = (g(c + 1j * s) - g(c - 1j * s)) / (2.0 * s)
     return fx, fy

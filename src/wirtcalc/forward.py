@@ -18,8 +18,7 @@ just computed in place of copying them.  A result equals, prints and
 pickles like the publicly constructed jet with the same slots, and is
 frozen like it; the public constructors are unchanged:
 ``FunctionalJet(...)`` keeps its conversion, shape checks and copies for
-arrays a caller passes in.  A plain ``WirtingerJet`` with (n,) array slots,
-unchecked and unfrozen, is n scalar jets inside a ``squared_distance`` call.
+arrays a caller passes in.  ``hilbert.squared_distance`` runs no rule.
 
 The binary rules raise DimensionMismatch unless both operands are jets of
 one kind and slot shape; ``div``, ``apply_primitive`` and scalar partials

@@ -4,8 +4,7 @@ scalar value plus a pair of gradient vectors.
 Vectors are 1-D ``complex128`` numpy arrays, frozen so every value handed
 around is immutable.  One check, ``_checked``, reads every vector argument
 in place; only what is kept is copied (``hvec``, ``FunctionalJet(...)``),
-so a program call runs one ``_checked`` and no copy, and the new arrays of
-a ``forward`` rule are frozen once, by ``_fresh``.
+and the new arrays of a ``forward`` rule are frozen once, by ``_fresh``.
 The inner product is linear in the FIRST argument and conjugate-linear in
 the second,
 
@@ -25,7 +24,7 @@ so the scalar rules of ``forward`` (``add``, ``mul``, ``div``, ``conj``,
 calculus is the case n = 1.  A stacked ``FunctionalJet`` holds m jets in
 (m,) and (n, m) slots: the jet of an operator C^n -> C^m, one component
 per column, so the assembled least-squares cost applies each rule once to
-its m terms; ``squared_distance``, to the (n,) slots of a ``WirtingerJet``.
+its m terms; ``squared_distance`` gives their jet in closed form.
 ``fd_gradients`` is the independent oracle: coordinate-wise central
 differences along the real and imaginary unit directions.
 """
@@ -40,8 +39,8 @@ import numpy as np
 
 from . import forward as fw
 from .errors import DimensionMismatch, DomainError
-from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, HolomorphyReport, _expr,
-                      fd_partials, holomorphy_report, wirtinger_pair)
+from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, HolomorphyReport,
+                      _checked_step, _expr, holomorphy_report, wirtinger_pair)
 from .forward import _new, _set_dz, _set_dzc, _set_value
 
 HVec = np.ndarray
@@ -67,11 +66,15 @@ def _array(x) -> np.ndarray:
 def _checked(coords, n: int = 0) -> np.ndarray:
     """``coords`` as a complex128 array, read in place, once it is found a
     1-D vector of dimension ``n`` (any dimension >= 1 when ``n`` is 0),
-    then all finite."""
+    with no bool (TypeError) if it was converted, then all finite."""
     a = _array(coords)
     if a.ndim != 1 or a.size < 1 or (n and a.size != n):
         raise DimensionMismatch(f"expected a 1-D vector of dimension "
                                 f"{n or '>= 1'}, got shape {a.shape}")
+    if a is not coords and (
+            coords.dtype == bool if getattr(coords, "dtype", object) != object
+            else any(isinstance(x, (bool, np.bool_)) for x in coords)):
+        raise TypeError(f"a coordinate is a bool, not a number: {coords!r}")
     if np.count_nonzero(np.isfinite(a)) != a.size:
         raise DomainError("vector has non-finite coordinates")
     return a
@@ -238,22 +241,19 @@ def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
 
 
 def squared_distance(w: HVec) -> Functional:
-    """Program for f -> ||f - w||^2 = sum_j |f_j - w_j|^2: the n scalar
-    jets of the f_j - w_j at c (value c_j - w_j, partials 1 and 0) in the
-    (n,) slots of one ``WirtingerJet``, times their conjugates, then
-    summed: one ``_checked`` and no copy per call, O(n) time and memory."""
+    """Program for f -> ||f - w||^2 in the paper's closed form: with
+    u = c - w, the value sum_j u_j conj(u_j) and gradients (conj(u), u),
+    by one ``_checked`` and no copy per call.  ``test_squared_distance_is_*``
+    pin it to the rule stack: bitwise, but for the sign of a zero."""
     w = hvec(w)
-    ones, zeros = (_freeze(np.full(w.shape, k, dtype=np.complex128))
-                   for k in (1, 0))
 
     def program(c: HVec) -> FunctionalJet:
         c = _checked(c, w.size)     # before c - w can broadcast
-        # c - w is new and unchecked: an overflow in it, a rule or the sum
-        # raises no warning; any non-finite term is _fresh's DomainError
+        # overflow warns nothing: a non-finite value is _fresh's DomainError
         with np.errstate(over="ignore", invalid="ignore"):
-            r = fw._fill(c - w, ones, zeros)
-            p = fw.mul(r, fw.conj(r))
-            return FunctionalJet._fresh(np.add.reduce(p.value), p.dz, p.dzc)
+            u = c - w
+            uc = u.conj()
+            return FunctionalJet._fresh(np.add.reduce(u * uc), uc, u)
 
     return program
 
@@ -268,12 +268,15 @@ def fd_gradients(T: Callable[[HVec], complex], c: HVec,
     """``fd_partials`` of T along each coordinate's real and imaginary unit
     directions; returns the complex-valued pair (grad1, grad2)."""
     c = _checked(c)
+    s = _checked_step(step)
+    t = np.array([0j + s, 0j - s, 0j + 1j * s, 0j - 1j * s])  # fd_partials' t
+    base = c + t[:, None] * np.zeros_like(c)    # row k: c + t_k 0, made once
     g1, g2 = np.empty_like(c), np.empty_like(c)
-    e = np.zeros_like(c)                   # e_j while coordinate j runs
-    for j in range(c.size):
-        e[j] = 1
-        g1[j], g2[j] = fd_partials(lambda t: complex(T(c + t * e)), 0j, step)
-        e[j] = 0
+    for j, cj in enumerate(c):
+        p = base.copy()     # row k: c + t_k e_j to the bit, T's to keep
+        p[:, j] = cj + t
+        fp, fm, fpi, fmi = (complex(T(point)) for point in p)
+        g1[j], g2[j] = (fp - fm) / (2.0 * s), (fpi - fmi) / (2.0 * s)
     return _freeze(g1), _freeze(g2)
 
 

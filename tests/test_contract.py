@@ -6,18 +6,23 @@ number, or an integer beyond float range, must raise DomainError; a bool
 must raise TypeError, any str ValueError, and any other value that is not a
 number the TypeError or ValueError of ``complex``.
 No entry may warn first, or return an inf or a nan.
+
+The vector contract is checked the same way: each entry that takes a
+coordinate vector is called with each vector of ``HOSTILE_VECTORS``.
 """
 
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from wirtcalc import (DescentConfig, DomainError, classify,
-                      classify_functional, constant, eval_jet, fd_partials,
-                      fd_wirtinger, linear_combine, newton_step_scalar,
-                      second_order_taylor, seed_variable,
-                      steepest_descent_scalar)
+from wirtcalc import (DescentConfig, DomainError, build_least_squares,
+                      classify, classify_functional, constant, eval_jet,
+                      fd_partials, fd_wirtinger, hvec, inner,
+                      linear_combine, newton_step_scalar,
+                      second_order_taylor, seed_variable, squared_distance,
+                      steepest_descent_hilbert, steepest_descent_scalar)
 from wirtcalc.expr import Const
 
 HOSTILE_SCALARS = [
@@ -91,3 +96,46 @@ def test_verdict_tolerance_is_a_number_at_least_zero(tol):
         classify("z", 1, tol=tol)
     with pytest.raises(ValueError, match="tol must be a number >= 0"):
         classify_functional(lambda f: f[0], [1 + 0j], tol=tol)
+
+
+#: vectors of dimension 2 that numpy would read as numbers
+HOSTILE_VECTORS = [
+    ([1, True], TypeError),             # np.asarray reads True as 1
+    ([np.True_, 2j], TypeError),
+    ((0.5, False), TypeError),
+    (np.array([True, False]), TypeError),
+    (np.array([1j, True], dtype=object), TypeError),
+]
+
+_LSQ = build_least_squares([[1, 2j], [0.5, -1]], [1j, 2])
+
+#: each entry with the hostile vector in its one coordinate-vector argument
+VECTOR_ENTRIES = {
+    "hvec": hvec,
+    "inner, first": lambda v: inner(v, [1, 1j]),
+    "inner, second": lambda v: inner([1, 1j], v),
+    "squared_distance program": lambda v: squared_distance([1, 1j])(v),
+    "squared_distance parameter": squared_distance,
+    "least-squares call": _LSQ,
+    "eval_assembled": _LSQ.eval_assembled,
+    "steepest_descent_hilbert": lambda v: steepest_descent_hilbert(
+        _LSQ, v, DescentConfig()),
+}
+
+
+@pytest.mark.parametrize("bad, error", HOSTILE_VECTORS,
+                         ids=["bool", "numpy-bool", "tuple-bool",
+                              "bool-array", "object-array"])
+@pytest.mark.parametrize("name", VECTOR_ENTRIES)
+def test_vector_entries_keep_the_contract(name, bad, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            VECTOR_ENTRIES[name](bad)
+
+
+@pytest.mark.parametrize("good", [[1, 0], (2, -1.5), np.array([0, 1]),
+                                  np.array([0.0, 1.0])])
+def test_vector_of_plain_numbers_is_no_bool(good):
+    assert np.array_equal(hvec(good), np.asarray(good, dtype=complex))
+    assert squared_distance([0, 0])(good).value == float(np.vdot(good, good))

@@ -343,6 +343,51 @@ def test_fd_gradients_is_bitwise_the_identity_loop(n, np_rng):
         assert got.tobytes() == want.tobytes()
 
 
+def test_fd_gradients_gives_each_point_its_own_array(np_rng):
+    # T keeps every point it gets and then spoils it; no later point, and
+    # no gradient, may see the spoiled values
+    n = 5
+    w = rand_vec(np_rng, n)
+    c = np.array(rand_vec(np_rng, n))
+    c[1] = complex(-0.0, 2.0)
+    c = hb.hvec(c)
+    kept = []
+
+    def clean(f):
+        return hb.inner(f - w, f - w) + np.angle(f).sum()
+
+    def T(f):
+        v = clean(f)
+        kept.append(f)
+        f[...] = np.nan
+        return v
+
+    got = hb.fd_gradients(T, c)
+    assert len(kept) == 4 * n
+    assert len({id(f) for f in kept}) == 4 * n
+    for i, f in enumerate(kept):
+        assert not np.shares_memory(f, c)
+        for g in kept[i + 1:]:
+            assert not np.shares_memory(f, g)
+    want = ([], [])
+    for e_j in np.eye(n, dtype=np.complex128):
+        for slot, d in zip(want, fd_partials(
+                lambda t: complex(clean(c + t * e_j)), 0j, DEFAULT_STEP)):
+            slot.append(d)
+    for g, d in zip(got, want):
+        assert g.tobytes() == np.array(d).tobytes()
+
+
+@pytest.mark.parametrize("step", [1e-13, math.nan, math.inf])
+def test_fd_gradients_checks_its_step_before_any_call(step, np_rng):
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepTooSmall):
+            hb.fd_gradients(calls.append, rand_vec(np_rng, 3), step=step)
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_jet_algebra_matches_fd(n, np_rng):
     w, v = rand_vec(np_rng, n), rand_vec(np_rng, n)
@@ -723,6 +768,28 @@ def test_squared_distance_is_bitwise_the_six_rule_stack(n, np_rng):
         for slot in ("value", "dz", "dzc"):
             assert (np.asarray(getattr(got, slot)).tobytes()
                     == np.asarray(getattr(want, slot)).tobytes()), (n, slot)
+
+
+@pytest.mark.parametrize("w, c", [
+    ([1 + 2j, -3j], [1 + 2j, -3j]),                    # c == w
+    ([1 + 2j, 0.5, -1j], [1 + 2j, 2 - 1j, -1j]),       # some c_j == w_j
+    ([complex(-0.0, 1), complex(2, -0.0)],             # -0.0 parts in w
+     [complex(0.0, 1), complex(2, 0.0)]),
+    ([complex(0.0, 1), 1], [complex(-0.0, -0.0), complex(1, -0.0)]),
+    ([complex(-0.0, -0.0)] * 3, [complex(-0.0, 0.0), 0j, 1 - 1j]),
+])
+def test_squared_distance_is_the_rule_stack_at_zero_differences(w, c):
+    # where a part of c - w is zero, the rules may give that zero another
+    # sign than the closed form: equal by ==, the value to the bit
+    n = len(w)
+    got = hb.squared_distance(w)(c)
+    r = fw.sub(hb.ip_functional("fw", np.eye(n, dtype=complex), c),
+               hb.functional_constant(w, n))
+    want = fw.mul(r, fw.conj(r)).total()
+    assert (np.asarray(got.value).tobytes()
+            == np.asarray(want.value).tobytes())
+    for slot in ("dz", "dzc"):
+        assert np.array_equal(getattr(got, slot), getattr(want, slot)), slot
 
 
 def test_squared_distance_refuses_an_overflowing_difference():
