@@ -8,8 +8,20 @@ a number the TypeError or ValueError of ``complex``.
 
 The vector contract: a coordinate vector passed to ``hvec``, ``inner`` or a
 Hilbert-space program that is not 1-D numbers of the needed dimension raises
-DimensionMismatch, a non-finite one DomainError, one with a bool TypeError.
+DimensionMismatch, a non-finite one DomainError.  Any array that a
+Hilbert-space entry or a least-squares build reads raises TypeError if it
+holds a bool at any depth.
 """
+
+
+def _holds_bool(x) -> bool:
+    """Whether ``x``, which numpy has read as numbers (so its depth is
+    bounded), is a bool or holds one: numpy read each as 0 or 1."""
+    kind = getattr(getattr(x, "dtype", None), "kind", None)
+    if kind is None:    # not numpy's
+        return isinstance(x, bool) or (isinstance(x, (list, tuple))
+                                       and any(map(_holds_bool, x)))
+    return kind == "b" or kind == "O" and any(map(_holds_bool, x.flat))
 
 
 class WirtcalcError(Exception):

@@ -306,7 +306,7 @@ class Tape:
 
     tree: Expr
     ops: tuple
-    _plan: tuple = field(default=None, repr=False)  # _value_number(ops)
+    _plan: tuple = field(repr=False)    # _value_number(ops)
 
 
 #: id(tree) -> (weak reference to the tree, its ops, its plan).  The
@@ -398,9 +398,8 @@ def _run(tape: Tape, c, rules):
     replay of every node would meet first, and a rule with side effects (a
     test double) sees one call per distinct subtree."""
     variable, constant, _, _, _, _, neg, power, call = rules
-    plan = tape._plan or _value_number(tape.ops)
-    regs = [None] * len(plan)
-    for code, p, i, j, d in plan:
+    regs = [None] * len(tape._plan)
+    for code, p, i, j, d in tape._plan:
         if code == 0:
             regs[d] = variable(c)
         elif code == 1:

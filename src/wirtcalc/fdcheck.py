@@ -5,15 +5,13 @@ All derivative values here come from central differences of plain function
 evaluations, never from the jet rules, so this module can arbitrate every
 rule in the forward-mode engine.  Default step 1e-5 balances truncation
 against rounding for double precision; classification threshold 1e-4.
-Every point ``c`` keeps the scalar contract of ``errors``.  Only an
-expression (text, AST or tape) loads ``expr``, on first use: differencing
-a callable, as the Hilbert-space oracle does, never loads it.
+Every point ``c`` keeps the scalar contract of ``errors``; what loads
+when is stated in the package docstring.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
@@ -29,13 +27,6 @@ DEFAULT_TOL = 1e-4
 MIN_STEP = 1e-12
 
 Evaluable = Union["Expr", str, "Tape", Callable[[complex], complex]]
-
-
-@functools.cache
-def _expr():
-    """``expr``, whose names are looked up at each call (and rebindable)."""
-    from . import expr
-    return expr
 
 
 class Verdict(enum.Enum):
@@ -96,15 +87,16 @@ def wirtinger_pair(fx, fy):
 def _as_callable(f: Evaluable) -> Callable[[complex], complex]:
     if callable(f):     # an AST node or a tape is not
         return f
-    ex = _expr()
-    tape = ex.compile_expr(f)
-    return lambda c: ex.eval_jet(tape, c, order=0)
+    from . import expr
+    tape = expr.compile_expr(f)
+    return lambda c: expr.eval_jet(tape, c, order=0)
 
 
 def _checked_step(step: float) -> float:
     if not MIN_STEP <= step < math.inf:     # NaN and inf too
         raise StepTooSmall(f"step {step:g} " + (
-            "is not finite" if step == math.inf else f"below {MIN_STEP:g}"))
+            "is not a number" if math.isnan(step) else "is not finite"
+            if step == math.inf else f"below {MIN_STEP:g}"))
     return float(step)
 
 
@@ -135,8 +127,8 @@ def classify(f: Evaluable, c: complex, step: float = DEFAULT_STEP,
     A ``tol`` that is NaN or below 0 raises ValueError.
     """
     if not callable(f):
-        ex = _expr()
-        f = ex.compile_expr(f)
-        ex.eval_jet(f, c, order=1)
+        from . import expr
+        f = expr.compile_expr(f)
+        expr.eval_jet(f, c, order=1)
     w, cw = fd_wirtinger(f, c, step)
     return holomorphy_report(w, cw, abs(w), abs(cw), tol)

@@ -38,9 +38,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import forward as fw
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, _holds_bool
 from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, HolomorphyReport,
-                      _checked_step, _expr, holomorphy_report, wirtinger_pair)
+                      _checked_step, holomorphy_report, wirtinger_pair)
 from .forward import _new, _set_dz, _set_dzc, _set_value
 
 HVec = np.ndarray
@@ -54,27 +54,27 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _array(x) -> np.ndarray:
-    """``x`` as a complex128 array, the caller's own where it is one."""
+    """``x`` as a complex128 array, the caller's own where it is one; one
+    that had to be converted must hold no bool (TypeError)."""
     try:
-        return np.asarray(x, dtype=np.complex128)
+        a = np.asarray(x, dtype=np.complex128)
     except (TypeError, ValueError) as exc:      # ragged, or not numbers
         raise DimensionMismatch(f"not an array of numbers: {exc}") from None
     except OverflowError as exc:                # an int beyond float range
         raise DomainError(f"not a finite array: {exc}") from None
+    if a is not x and _holds_bool(x):
+        raise TypeError(f"a bool is not a number: {x!r}")
+    return a
 
 
 def _checked(coords, n: int = 0) -> np.ndarray:
     """``coords`` as a complex128 array, read in place, once it is found a
     1-D vector of dimension ``n`` (any dimension >= 1 when ``n`` is 0),
-    with no bool (TypeError) if it was converted, then all finite."""
+    then all finite."""
     a = _array(coords)
     if a.ndim != 1 or a.size < 1 or (n and a.size != n):
         raise DimensionMismatch(f"expected a 1-D vector of dimension "
                                 f"{n or '>= 1'}, got shape {a.shape}")
-    if a is not coords and (
-            coords.dtype == bool if getattr(coords, "dtype", object) != object
-            else any(isinstance(x, (bool, np.bool_)) for x in coords)):
-        raise TypeError(f"a coordinate is a bool, not a number: {coords!r}")
     if np.count_nonzero(np.isfinite(a)) != a.size:
         raise DomainError("vector has non-finite coordinates")
     return a
@@ -187,7 +187,10 @@ def _unpickle(value, dz, dzc) -> FunctionalJet:
 
 def functional_constant(k, n: int) -> FunctionalJet:
     """Jet of the constant functional ``k`` on C^n; a vector of m
-    constants gives their stack."""
+    constants gives their stack.  An ``n`` that is not an integer, or is a
+    bool, raises TypeError."""
+    if isinstance(n, (bool, np.bool_)) or not hasattr(n, "__index__"):
+        raise TypeError(f"n must be an integer, got {n!r}")
     k = _array(k).copy()
     if k.ndim > 1 or n < 1:
         raise DimensionMismatch(f"need a constant or a vector of them and "
@@ -233,10 +236,11 @@ def ip_functional(kind: str, w, c: HVec) -> FunctionalJet:
 def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
     """Jet of S(T(f)) for a scalar outer function S given as an expression
     in z (and conj(z)); its scalar jet is evaluated at the value slot.
-    The first call loads ``expr``, which no other function here needs."""
+    Loads ``expr``: see the package docstring."""
     if a.dz.ndim != 1:
         raise DimensionMismatch("outer_chain takes one jet, not a stack")
-    sj = _expr().eval_jet(s, a.value, order=1)
+    from . import expr
+    sj = expr.eval_jet(s, a.value, order=1)
     return fw.chain(sj.value, sj.dz, sj.dzc, a)
 
 

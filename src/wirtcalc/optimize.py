@@ -10,13 +10,7 @@ increase.  Stationarity of real costs is symmetric: the two derivative
 slots are conjugates of each other, so driving one below the threshold
 drives both.
 
-Importing this module loads neither numpy nor another module of the
-package but ``errors``.  The scalar path (``steepest_descent_scalar``,
-``newton_step_scalar``) runs on ``cmath`` and loads ``expr`` and
-``forward`` on its first call.  The Hilbert-space path never loads
-``expr``: ``build_least_squares`` loads numpy, and ``hilbert`` (with
-``forward``) loads when ``steepest_descent_hilbert`` first runs or a
-least-squares program is first called.
+What each entry loads, and when, is stated in the package docstring.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (DimensionMismatch, DomainError, EmptyData, NonRealCost,
-                     PoleError, SingularHessian)
+                     PoleError, SingularHessian, _holds_bool)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,19 +39,11 @@ log = logging.getLogger("wirtcalc.optimize")
 
 @functools.cache
 def _lib():
-    """numpy and ``hilbert``, bound on first use, not by a build: hilbert's
-    import is slow."""
+    """numpy and ``hilbert``, cached: the least-squares hot path reads them."""
     import numpy as np
 
     from . import hilbert as hb
     return np, hb
-
-
-@functools.cache
-def _scalar():
-    """``expr`` and ``forward``, bound by the first scalar run."""
-    from . import expr, forward
-    return expr, forward
 
 
 #: tolerated |imag(cost)| at the starting point / along the run
@@ -208,13 +194,13 @@ def steepest_descent_scalar(cost: str | ex.Expr | ex.Tape, z0: complex,
                             cfg: DescentConfig) -> DescentTrace:
     """Minimize a real-valued expression in z, z* (text, AST or tape) from
     the point ``z0`` (scalar contract: ``errors``), compiling it once."""
-    ex, fw = _scalar()
-    tape = ex.compile_expr(cost)
+    from . import expr, forward
+    tape = expr.compile_expr(cost)
     return _descend(
-        value_of=lambda z: ex.eval_jet(tape, z, order=0),
-        jet_of=lambda z: ex.eval_jet(tape, z, order=1),
+        value_of=lambda z: expr.eval_jet(tape, z, order=0),
+        jet_of=lambda z: expr.eval_jet(tape, z, order=1),
         grad_norm_of=abs,
-        x0=fw._require_finite(z0, "starting point"),
+        x0=forward._require_finite(z0, "starting point"),
         cfg=cfg,
     )
 
@@ -271,10 +257,10 @@ class LeastSquaresProgram:
     the product-with-conjugate rule, each applied once to the stacked
     ``FunctionalJet`` of all N samples' terms, and the test suite pins the
     two paths together.  Data that are not a finite array of rows and one
-    target per row raise ``EmptyData``, ``DimensionMismatch`` or
-    ``DomainError``, and so does a parameter that is not a finite vector of
-    dimension ``n_params``.  A build loads numpy, and ``hilbert`` loads on a
-    program's first call, so a process that builds no program loads neither.
+    target per row raise ``EmptyData``, ``DimensionMismatch``,
+    ``DomainError`` or, for a bool, TypeError, and so does a parameter that is not a finite vector of
+    dimension ``n_params``.  What a build and a call load: see the package
+    docstring.
     """
 
     def __init__(self, X: Sequence, d: Sequence[complex],
@@ -283,14 +269,17 @@ class LeastSquaresProgram:
 
         try:
             # C order: [X | d] is then C-ordered too, as its real view needs
-            X = np.array(X, dtype=np.complex128, order="C")
-            d = np.array(d, dtype=np.complex128)
+            self._X = np.array(X, dtype=np.complex128, order="C")
+            self._d = np.array(d, dtype=np.complex128)
         except (TypeError, ValueError) as exc:  # ragged rows, not numbers
             raise DimensionMismatch(
                 f"samples and targets do not make arrays: {exc}") from None
         except OverflowError:       # an int beyond float range
             raise DomainError("a least-squares sample or target is beyond "
                               "float range: not finite") from None
+        if _holds_bool(X) or _holds_bool(d):     # numpy read it as 0 or 1
+            raise TypeError("a least-squares sample or target is a bool")
+        X, d = self._X, self._d
         if X.ndim and not X.shape[0]:
             raise EmptyData("least squares needs at least one sample")
         if X.ndim != 2 or not X.shape[1] or d.shape != X.shape[:1]:
@@ -300,8 +289,6 @@ class LeastSquaresProgram:
         if not (np.isfinite(X).all() and np.isfinite(d).all()):
             raise DomainError("a least-squares sample or target is not finite")
         self.widely_linear = bool(widely_linear)
-        self._X = X
-        self._d = d
 
     @property
     def n_params(self) -> int:
@@ -375,7 +362,8 @@ def newton_step_scalar(cost: str | ex.Expr | ex.Tape, z: complex) -> complex:
     SingularHessian and callers should fall back to a gradient step.  A
     caller that steps repeatedly compiles ``cost`` (text, AST or tape) once.
     ``z`` keeps the scalar contract of ``errors``."""
-    j = _scalar()[0].eval_jet(cost, z, order=2)
+    from . import expr
+    j = expr.eval_jet(cost, z, order=2)
     _check_real(j.value, IMAG_TOL_DRIFT)
     scale = max(abs(j.dzz), abs(j.dzzc), abs(j.dzcz), abs(j.dzczc))
     if scale == 0.0:

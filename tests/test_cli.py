@@ -156,10 +156,10 @@ def test_check_exits_1_when_residual_above_tol(capsys):
 
 
 def test_check_step_below_the_floor_exits_1(capsys):
-    for step in ("1e-13", "nan"):
+    for step, why in (("1e-13", "below 1e-12"), ("nan", "is not a number")):
         code, out, err = run(capsys, "check", "z", "--at", "1", "--step", step)
         assert code == 1 and out == ""
-        assert err == f"error: step {step} below 1e-12\n"
+        assert err == f"error: step {step} {why}\n"
     # an infinite step is named as such, not as a non-finite point
     code, out, err = run(capsys, "check", "z*conj(z)", "--at", "1",
                          "--step", "inf")

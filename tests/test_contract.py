@@ -8,7 +8,8 @@ number the TypeError or ValueError of ``complex``.
 No entry may warn first, or return an inf or a nan.
 
 The vector contract is checked the same way: each entry that takes a
-coordinate vector is called with each vector of ``HOSTILE_VECTORS``.
+coordinate vector is called with each vector of ``HOSTILE_VECTORS``, and
+each other array an entry reads is given a bool in ``BOOL_ARRAYS``.
 """
 
 import math
@@ -17,10 +18,11 @@ import warnings
 import numpy as np
 import pytest
 
-from wirtcalc import (DescentConfig, DomainError, build_least_squares,
-                      classify, classify_functional, constant, eval_jet,
-                      fd_partials, fd_wirtinger, hvec, inner,
-                      linear_combine, newton_step_scalar,
+from wirtcalc import (DescentConfig, DimensionMismatch, DomainError,
+                      FunctionalJet, build_least_squares, classify,
+                      classify_functional, constant, eval_jet, fd_partials,
+                      fd_wirtinger, functional_constant, hvec, inner,
+                      ip_functional, linear_combine, newton_step_scalar,
                       second_order_taylor, seed_variable, squared_distance,
                       steepest_descent_hilbert, steepest_descent_scalar)
 from wirtcalc.expr import Const
@@ -139,3 +141,52 @@ def test_vector_entries_keep_the_contract(name, bad, error):
 def test_vector_of_plain_numbers_is_no_bool(good):
     assert np.array_equal(hvec(good), np.asarray(good, dtype=complex))
     assert squared_distance([0, 0])(good).value == float(np.vdot(good, good))
+
+
+#: every other array argument, each with a bool in it: a 0-d one, one in a
+#: flat row and one in a nested row, where numpy would read 0 or 1
+BOOL_ARRAYS = {
+    "ip_functional row": lambda: ip_functional("fw", [1, True], [1, 2]),
+    "ip_functional nested row": lambda: ip_functional(
+        "fw", [[1, True]], [1, 2]),
+    "ip_functional object rows": lambda: ip_functional(
+        "wf", np.array([[1j, np.False_]], dtype=object), [1, 2]),
+    "functional_constant": lambda: functional_constant(True, 2),
+    "functional_constant, 0-d array": lambda: functional_constant(
+        np.array(True), 2),
+    "functional_constant, stack": lambda: functional_constant([2, True], 2),
+    "FunctionalJet value": lambda: FunctionalJet(True, [1, 0], [0, 0]),
+    "FunctionalJet dz": lambda: FunctionalJet(1, [True, 0], [0, 0]),
+    "FunctionalJet dzc": lambda: FunctionalJet(1, [1, 0], [0, np.True_]),
+    "least-squares samples": lambda: build_least_squares([[True, 1]], [1]),
+    "least-squares targets": lambda: build_least_squares([[2, 1]], [True]),
+    "least-squares bool samples": lambda: build_least_squares(
+        np.ones((2, 1), dtype=bool), [1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_ARRAYS)
+def test_no_array_reads_a_bool(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="bool"):
+            BOOL_ARRAYS[name]()
+
+
+def test_arrays_of_plain_numbers_are_read():
+    assert ip_functional("fw", [[1, 0]], [1, 2]).value.tolist() == [1]
+    assert functional_constant(np.array(0), np.int64(2)).dz.shape == (2,)
+    assert FunctionalJet(1, [1, 0], [0, 0]).value == 1
+    assert build_least_squares([[2, 1]], [0]).n_params == 2
+
+
+@pytest.mark.parametrize("n, error", [(0, DimensionMismatch),
+                                      (-1, DimensionMismatch),
+                                      (1.5, TypeError), (math.nan, TypeError),
+                                      (True, TypeError), (np.True_, TypeError)],
+                         ids=["0", "-1", "1.5", "nan", "True", "numpy-True"])
+def test_dimension_is_an_integer_at_least_one(n, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="n must be an integer|n >= 1"):
+            functional_constant(1, n)
