@@ -13,36 +13,36 @@ A token that starts with one '-', other than ``-h``, is a value, so
 ``--at -3i`` and ``diff "-z^2"`` need no ``=`` or ``--``.
 Output is a JSON record on stdout (schema version 1); numbers are emitted
 as [re, im] pairs.  Exit codes: 0 success, 1 residual above tolerance,
-iteration budget exhausted or an error without a code of its own (a
-WirtcalcError such as StepTooSmall, an OSError such as a missing data
-file), 2 malformed expression or data file, 3 domain/pole error, also
-a non-finite sample or target or a cost or gradient that is not finite
-at the start, 4 diverged or non-real cost, 5 line search stalled.  Set
-WIRT_LOG=debug for diagnostics.
+iteration budget exhausted or an error without a code of its own (such
+as StepTooSmall, an option value out of range or a missing data file),
+2 malformed option value, expression or data file, 3 domain/pole error,
+also a non-finite sample or target or a cost or gradient that is not
+finite at the start, 4 diverged or non-real cost, 5 line search stalled.
+Set WIRT_LOG=debug for diagnostics.
 
 Only ``minimize --data`` loads numpy; the other commands run on ``cmath``.
-Start-up loads ``fdcheck`` and ``forward`` (the parser defaults read the
-former); each command that reads expression text loads ``expr``.
-``diff``, ``check`` and ``classify`` load nothing more, ``hessian`` adds
-``second``, ``minimize`` adds ``optimize`` (and ``logging``), and
-``minimize --data`` loads numpy, ``optimize``, ``logging`` and
-``hilbert``, but no ``expr``.  ``logging`` is otherwise loaded only when
-WIRT_LOG is set.
+Start-up loads ``errors`` and ``fdcheck`` (the parser defaults read the
+latter); each command that reads expression text loads ``expr`` and its
+rules, ``forward``.  ``diff``, ``check`` and ``classify`` load nothing
+more, ``hessian`` adds ``second``, ``minimize`` adds ``optimize`` (and
+``logging``), and ``minimize --data`` loads numpy, ``optimize``,
+``logging``, ``hilbert`` and ``forward``, but no ``expr``.  ``logging`` is
+otherwise loaded only when WIRT_LOG is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import os
 import sys
 
 from . import __version__
 from .errors import (DimensionMismatch, DomainError, EmptyData,
-                     ExprSyntaxError, NonRealCost, PoleError, WirtcalcError)
-from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, _require_tol, classify,
-                      fd_wirtinger, holomorphy_report)
+                     ExprSyntaxError, NonRealCost, PoleError, WirtcalcError,
+                     _require_finite, _require_tol)
+from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, classify, fd_wirtinger,
+                      holomorphy_report)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,8 +66,7 @@ CHECK_DEFAULT_TOL = 1e-6
 
 
 def _pair(w: complex) -> list[float]:
-    if not cmath.isfinite(w):
-        raise DomainError(f"refusing to emit non-finite value {w!r}")
+    w = _require_finite(w, "value to emit")
     return [w.real, w.imag]
 
 

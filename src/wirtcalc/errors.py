@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all wirtcalc modules.
+"""Exceptions and the input contracts of all wirtcalc modules, in one place.
 
 The scalar contract: a complex scalar a caller passes to a public entry (a
 point, a constant, a coefficient, a displacement) that is not finite, or
@@ -11,17 +11,69 @@ Hilbert-space program that is not 1-D numbers of the needed dimension raises
 DimensionMismatch, a non-finite one DomainError.  Any array that a
 Hilbert-space entry or a least-squares build reads raises TypeError if it
 holds a bool at any depth.
+
+The parameter rule: a step, tol, mu, order, dimension or iteration budget
+that is a bool, or an integer one that is not an integer, raises TypeError
+naming it; a verdict tol that is NaN or below 0 raises ValueError.
 """
+
+import cmath
 
 
 def _holds_bool(x) -> bool:
     """Whether ``x``, which numpy has read as numbers (so its depth is
-    bounded), is a bool or holds one: numpy read each as 0 or 1."""
+    bounded), is a bool or holds one: the one bool test of the package."""
     kind = getattr(getattr(x, "dtype", None), "kind", None)
     if kind is None:    # not numpy's
         return isinstance(x, bool) or (isinstance(x, (list, tuple))
                                        and any(map(_holds_bool, x)))
     return kind == "b" or kind == "O" and any(map(_holds_bool, x.flat))
+
+
+class _NotANumber(ValueError):
+    """A str's ValueError, which ``expr.eval_jet`` passes on unmapped."""
+
+
+def _require_finite(w: complex, what: str = "value") -> complex:
+    if w.__class__ is not complex:
+        if isinstance(w, str) or _holds_bool(w):  # complex() takes "1j", True
+            raise (_NotANumber if isinstance(w, str) else TypeError)(
+                f"{what} must be a number, got {w!r}")
+        try:
+            w = complex(w)
+        except OverflowError:                   # an int beyond float range
+            raise DomainError(
+                f"non-finite {what}: beyond float range") from None
+    if not cmath.isfinite(w):
+        raise DomainError(f"non-finite {what}: {w!r}")
+    return w
+
+
+def _array(x):
+    """``x`` as complex128: itself if it is, else a copy holding no bool."""
+    import numpy as np      # here: ``errors`` loads no numpy
+    try:
+        a = np.asarray(x, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:      # ragged, or not numbers
+        raise DimensionMismatch(f"not an array of numbers: {exc}") from None
+    except OverflowError as exc:                # an int beyond float range
+        raise DomainError(f"not a finite array: {exc}") from None
+    if a is not x and _holds_bool(x):
+        raise TypeError(f"a bool is not a number: {x!r}")
+    return a
+
+
+def _parameter(x, name: str, integer: bool = False):
+    """``x`` once it keeps the parameter rule (``integer``: has __index__)."""
+    if _holds_bool(x) or integer and not hasattr(x, "__index__"):
+        kind = "an integer" if integer else "a number"
+        raise TypeError(f"{name} must be {kind}, got {x!r}")
+    return x
+
+
+def _require_tol(tol: float) -> None:
+    if not _parameter(tol, "tol") >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
 
 
 class WirtcalcError(Exception):

@@ -45,7 +45,8 @@ from math import copysign
 
 from . import forward as fw
 from .errors import (ArityError, DomainError, ExprSyntaxError, PoleError,
-                     UnknownIdentifier)
+                     UnknownIdentifier, _NotANumber, _parameter,
+                     _require_finite)
 from .forward import PRIMITIVES
 
 MAX_POW = 64
@@ -502,7 +503,7 @@ def _pow0(v: complex, k: int) -> complex:
         raise fw._pow_error(v, k) from None
 
 
-_ORDER0 = (lambda c: c, lambda k: fw._require_finite(k, "constant"),
+_ORDER0 = (lambda c: c, lambda k: _require_finite(k, "constant"),
            operator.add, operator.sub, operator.mul, operator.truediv,
            operator.neg, _pow0, lambda name, v: PRIMITIVES[name].value(v))
 
@@ -537,14 +538,14 @@ def eval_jet(e, c: complex, order: int = 1):
     of ``errors``.
     """
     tape = compile_expr(e)
-    c = fw._require_finite(c, "evaluation point")
-    if order not in (0, 1, 2):
+    c = _require_finite(c, "evaluation point")
+    if _parameter(order, "order") not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     try:
         r = _run(tape, c, _RULES[order]())
     except ZeroDivisionError as exc:
         raise PoleError(f"division at a pole: {exc}") from None
-    except fw._NotANumber:      # a hand-built str constant
+    except _NotANumber:         # a hand-built str constant
         raise
     except (OverflowError, ValueError) as exc:
         raise DomainError(f"{type(exc).__name__}: {exc}") from None

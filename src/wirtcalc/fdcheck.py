@@ -3,10 +3,10 @@ classification via the Cauchy-Riemann conditions.
 
 All derivative values here come from central differences of plain function
 evaluations, never from the jet rules, so this module can arbitrate every
-rule in the forward-mode engine.  Default step 1e-5 balances truncation
+rule in the forward-mode engine; it imports ``errors`` only, and ``expr``
+where an expression is read.  Default step 1e-5 balances truncation
 against rounding for double precision; classification threshold 1e-4.
-Every point ``c`` keeps the scalar contract of ``errors``; what loads
-when is stated in the package docstring.
+Every point ``c`` keeps the scalar contract of ``errors``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
-from .errors import StepTooSmall
-from .forward import _require_finite
+from .errors import StepTooSmall, _parameter, _require_finite, _require_tol
 
 if TYPE_CHECKING:
     from .expr import Expr, Tape
@@ -54,11 +53,6 @@ class HolomorphyReport:
     conj_cr_residual: float
 
 
-def _require_tol(tol: float) -> None:
-    if not tol >= 0:
-        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
-
-
 def holomorphy_report(w, cw, w_size: float, cw_size: float,
                       tol: float) -> HolomorphyReport:
     """Threshold the sizes of W and CW at ``tol``, a number >= 0 and not
@@ -93,7 +87,7 @@ def _as_callable(f: Evaluable) -> Callable[[complex], complex]:
 
 
 def _checked_step(step: float) -> float:
-    if not MIN_STEP <= step < math.inf:     # NaN and inf too
+    if not MIN_STEP <= _parameter(step, "step") < math.inf:  # NaN, inf too
         raise StepTooSmall(f"step {step:g} " + (
             "is not a number" if math.isnan(step) else "is not finite"
             if step == math.inf else f"below {MIN_STEP:g}"))
@@ -102,13 +96,13 @@ def _checked_step(step: float) -> float:
 
 def fd_partials(f: Evaluable, c: complex,
                 step: float = DEFAULT_STEP) -> tuple[complex, complex]:
-    """Central-difference partials (df/dx, df/dy) at ``c``."""
+    """Central-difference (df/dx, df/dy) at ``c``, finite or DomainError."""
     s = _checked_step(step)
     g = _as_callable(f)
     c = _require_finite(c, "evaluation point")
-    fx = (g(c + s) - g(c - s)) / (2.0 * s)
-    fy = (g(c + 1j * s) - g(c - 1j * s)) / (2.0 * s)
-    return fx, fy
+    what = f"difference quotient at step {s:g}"
+    return (_require_finite((g(c + s) - g(c - s)) / (2.0 * s), what),
+            _require_finite((g(c + 1j * s) - g(c - 1j * s)) / (2.0 * s), what))
 
 
 def fd_wirtinger(f: Evaluable, c: complex,

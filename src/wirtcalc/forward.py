@@ -23,8 +23,6 @@ arrays a caller passes in.  ``hilbert.squared_distance`` runs no rule.
 The binary rules raise DimensionMismatch unless both operands are jets of
 one kind and slot shape; ``div``, ``apply_primitive`` and scalar partials
 in ``chain`` take no stack, whose m values they would read as one.
-``_require_finite`` is the package's one conversion of a scalar from
-outside, and it keeps the scalar contract in ``errors``.
 
 Everything here is a pure function of its inputs; jets are immutable and can
 be shared freely between threads.  Jets do not remember their base point:
@@ -50,26 +48,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DimensionMismatch, DomainError, PoleError
-
-
-class _NotANumber(ValueError):
-    """A str's ValueError, which ``expr.eval_jet`` passes on unmapped."""
-
-
-def _require_finite(w: complex, what: str = "value") -> complex:
-    if w.__class__ is not complex:
-        if isinstance(w, (bool, str)):  # complex() takes True and "1+2j"
-            raise (_NotANumber if isinstance(w, str) else TypeError)(
-                f"{what} must be a number, got {w!r}")
-        try:
-            w = complex(w)
-        except OverflowError:                   # an int beyond float range
-            raise DomainError(
-                f"non-finite {what}: beyond float range") from None
-    if not cmath.isfinite(w):
-        raise DomainError(f"non-finite {what}: {w!r}")
-    return w
+from .errors import DimensionMismatch, DomainError, PoleError, _require_finite
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,7 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import forward as fw
-from .errors import DimensionMismatch, DomainError, _holds_bool
+from .errors import (DimensionMismatch, DomainError, _array, _parameter,
+                     _require_finite)
 from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, HolomorphyReport,
                       _checked_step, holomorphy_report, wirtinger_pair)
 from .forward import _new, _set_dz, _set_dzc, _set_value
@@ -53,25 +54,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _array(x) -> np.ndarray:
-    """``x`` as a complex128 array, the caller's own where it is one; one
-    that had to be converted must hold no bool (TypeError)."""
-    try:
-        a = np.asarray(x, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:      # ragged, or not numbers
-        raise DimensionMismatch(f"not an array of numbers: {exc}") from None
-    except OverflowError as exc:                # an int beyond float range
-        raise DomainError(f"not a finite array: {exc}") from None
-    if a is not x and _holds_bool(x):
-        raise TypeError(f"a bool is not a number: {x!r}")
-    return a
-
-
 def _checked(coords, n: int = 0) -> np.ndarray:
     """``coords`` as a complex128 array, read in place, once it is found a
     1-D vector of dimension ``n`` (any dimension >= 1 when ``n`` is 0),
-    then all finite."""
-    a = _array(coords)
+    then all finite.  A complex128 ndarray skips ``errors._array``."""
+    a = (coords if coords.__class__ is np.ndarray
+         and coords.dtype == np.complex128 else _array(coords))
     if a.ndim != 1 or a.size < 1 or (n and a.size != n):
         raise DimensionMismatch(f"expected a 1-D vector of dimension "
                                 f"{n or '>= 1'}, got shape {a.shape}")
@@ -90,10 +78,7 @@ def inner(f: HVec, g: HVec) -> complex:
     two ``hvec``-valid vectors of one dimension; DomainError on overflow."""
     f = _checked(f)
     g = _checked(g, f.size)
-    v = complex(np.vdot(g, f))
-    if not cmath.isfinite(v):
-        raise DomainError(f"inner product is not finite: {v!r}")
-    return v
+    return _require_finite(complex(np.vdot(g, f)), "inner product")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -187,12 +172,9 @@ def _unpickle(value, dz, dzc) -> FunctionalJet:
 
 def functional_constant(k, n: int) -> FunctionalJet:
     """Jet of the constant functional ``k`` on C^n; a vector of m
-    constants gives their stack.  An ``n`` that is not an integer, or is a
-    bool, raises TypeError."""
-    if isinstance(n, (bool, np.bool_)) or not hasattr(n, "__index__"):
-        raise TypeError(f"n must be an integer, got {n!r}")
+    constants gives their stack.  ``n`` keeps the parameter rule."""
     k = _array(k).copy()
-    if k.ndim > 1 or n < 1:
+    if k.ndim > 1 or _parameter(n, "n", integer=True) < 1:
         raise DimensionMismatch(f"need a constant or a vector of them and "
                                 f"n >= 1, got shape {k.shape} and n = {n}")
     zero = np.zeros((n,) + k.shape, dtype=np.complex128)  # _fresh freezes it
@@ -270,7 +252,7 @@ def squared_distance(w: HVec) -> Functional:
 def fd_gradients(T: Callable[[HVec], complex], c: HVec,
                  step: float = DEFAULT_STEP) -> tuple[HVec, HVec]:
     """``fd_partials`` of T along each coordinate's real and imaginary unit
-    directions; returns the complex-valued pair (grad1, grad2)."""
+    directions; returns the pair (grad1, grad2), finite as ``fd_partials``."""
     c = _checked(c)
     s = _checked_step(step)
     t = np.array([0j + s, 0j - s, 0j + 1j * s, 0j - 1j * s])  # fd_partials' t
@@ -281,6 +263,8 @@ def fd_gradients(T: Callable[[HVec], complex], c: HVec,
         p[:, j] = cj + t
         fp, fm, fpi, fmi = (complex(T(point)) for point in p)
         g1[j], g2[j] = (fp - fm) / (2.0 * s), (fpi - fmi) / (2.0 * s)
+    if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
+        raise DomainError(f"non-finite difference quotient at step {s:g}")
     return _freeze(g1), _freeze(g2)
 
 

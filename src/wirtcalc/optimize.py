@@ -21,12 +21,12 @@ import functools
 import json
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (DimensionMismatch, DomainError, EmptyData, NonRealCost,
-                     PoleError, SingularHessian, _holds_bool)
+                     PoleError, SingularHessian, _array, _parameter,
+                     _require_finite)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +66,7 @@ class Termination(enum.Enum):
 @dataclass
 class DescentConfig:
     """Step size, stop tolerance, iteration budget and step rule of a run.
-    A bad value raises ValueError, and a ``max_iter`` that is not an
-    integer (``1.5``, ``nan``) TypeError."""
+    Each keeps the parameter rule of ``errors``; a bad value is ValueError."""
 
     mu: float = 0.1
     tol: float = 1e-8
@@ -75,13 +74,13 @@ class DescentConfig:
     step_mode: str = "fixed"          # "fixed" | "backtracking"
 
     def __post_init__(self):
-        if not 0 < self.mu < math.inf:
+        if not 0 < _parameter(self.mu, "mu") < math.inf:
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
-        if not 0 <= self.tol < math.inf:
+        if not 0 <= _parameter(self.tol, "tol") < math.inf:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.step_mode not in ("fixed", "backtracking"):
             raise ValueError(f"unknown step_mode {self.step_mode!r}")
-        if operator.index(self.max_iter) < 0:
+        if _parameter(self.max_iter, "max_iter", integer=True) < 0:
             raise ValueError("max_iter must be non-negative")
 
 
@@ -194,13 +193,13 @@ def steepest_descent_scalar(cost: str | ex.Expr | ex.Tape, z0: complex,
                             cfg: DescentConfig) -> DescentTrace:
     """Minimize a real-valued expression in z, z* (text, AST or tape) from
     the point ``z0`` (scalar contract: ``errors``), compiling it once."""
-    from . import expr, forward
+    from . import expr
     tape = expr.compile_expr(cost)
     return _descend(
         value_of=lambda z: expr.eval_jet(tape, z, order=0),
         jet_of=lambda z: expr.eval_jet(tape, z, order=1),
         grad_norm_of=abs,
-        x0=forward._require_finite(z0, "starting point"),
+        x0=_require_finite(z0, "starting point"),
         cfg=cfg,
     )
 
@@ -256,30 +255,19 @@ class LeastSquaresProgram:
     ``eval_assembled`` builds the same jet from the inner-product rules and
     the product-with-conjugate rule, each applied once to the stacked
     ``FunctionalJet`` of all N samples' terms, and the test suite pins the
-    two paths together.  Data that are not a finite array of rows and one
-    target per row raise ``EmptyData``, ``DimensionMismatch``,
-    ``DomainError`` or, for a bool, TypeError, and so does a parameter that is not a finite vector of
-    dimension ``n_params``.  What a build and a call load: see the package
-    docstring.
+    two paths together.  No sample raises ``EmptyData``; data that are not
+    a finite array of rows and one target per row, and a parameter that is
+    not a finite vector of dimension ``n_params``, keep the vector contract
+    of ``errors``.  What a build and a call load: see the package docstring.
     """
 
     def __init__(self, X: Sequence, d: Sequence[complex],
                  widely_linear: bool = False):
         import numpy as np
 
-        try:
-            # C order: [X | d] is then C-ordered too, as its real view needs
-            self._X = np.array(X, dtype=np.complex128, order="C")
-            self._d = np.array(d, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:  # ragged rows, not numbers
-            raise DimensionMismatch(
-                f"samples and targets do not make arrays: {exc}") from None
-        except OverflowError:       # an int beyond float range
-            raise DomainError("a least-squares sample or target is beyond "
-                              "float range: not finite") from None
-        if _holds_bool(X) or _holds_bool(d):     # numpy read it as 0 or 1
-            raise TypeError("a least-squares sample or target is a bool")
-        X, d = self._X, self._d
+        # C order: [X | d] is then C-ordered too, as its real view needs
+        X = self._X = _array(X).copy(order="C")
+        d = self._d = _array(d).copy()
         if X.ndim and not X.shape[0]:
             raise EmptyData("least squares needs at least one sample")
         if X.ndim != 2 or not X.shape[1] or d.shape != X.shape[:1]:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .forward import PRIMITIVES, _new, _pow_error, _require_finite
+from .errors import DomainError, _require_finite, _require_tol
+from .forward import PRIMITIVES, _new, _pow_error
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +198,8 @@ def second_order_taylor(jet: SecondOrderJet, h: complex) -> complex:
 def hessian_is_real_consistent(jet: SecondOrderJet,
                                tol: float = 1e-10) -> bool:
     """Checks the structure a real-valued function must produce: dzzc real,
-    dzz the conjugate of dzczc, and (dz)* = dzc."""
+    dzz the conjugate of dzczc, and (dz)* = dzc; ``tol`` as ``classify``'s."""
+    _require_tol(tol)
     scale = 1.0 + max(abs(jet.dzz), abs(jet.dzzc), abs(jet.dzcz),
                       abs(jet.dzczc))
     return (abs(jet.dzzc.imag) <= tol * scale

@@ -219,3 +219,16 @@ def test_cli_import_loads_no_expression_engine():
     code = ("import json, sys, wirtcalc.cli; "
             "print(json.dumps('wirtcalc.expr' in sys.modules))")
     assert fresh_python(code) is False
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("wirtcalc.fdcheck", ["wirtcalc", "wirtcalc.errors", "wirtcalc.fdcheck"]),
+    ("wirtcalc.cli", ["wirtcalc", "wirtcalc.cli", "wirtcalc.errors",
+                      "wirtcalc.fdcheck"]),
+])
+def test_the_oracle_loads_none_of_the_rules_it_judges(module, loaded):
+    # the scalar check is in errors: the oracle and the CLI's start-up load
+    # no forward (nor second, expr or hilbert)
+    code = (f"import json, sys, {module}; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith('wirtcalc'))))")
+    assert fresh_python(code) == loaded

@@ -211,6 +211,57 @@ def test_check_refuses_a_bad_tolerance(capsys, tol):
     assert err == f"error: tol must be a number >= 0, got {float(tol)!r}\n"
 
 
+#: each option given hostile text, with its documented exit code: 2 for
+#: text that is not a value of the option (argparse's usage error, or a
+#: point that is not an expression), 1 for a value out of range, 3 for a
+#: step whose difference quotient overflows
+HOSTILE_OPTIONS = [
+    *((["diff", "z", "--at", at], 2) for at in ("nan", "1e999", "", "abc")),
+    *((["minimize", "abs2(z)", "--from", at], 2)
+      for at in ("nan", "1e999", "", "abc")),
+    (["diff", "z", "--at", "1", "--order", "3"], 2),
+    (["diff", "z", "--at", "1", "--order", "x"], 2),
+    *((["check" if c else "classify", "z", "--at", "1", "--step", step], code)
+      for c in (True, False)
+      for step, code in (("-1", 1), ("nan", 1), ("inf", 1), ("1e308", 3),
+                         ("abc", 2))),
+    *((["check" if c else "classify", "z", "--at", "1", "--tol", tol], code)
+      for c in (True, False)
+      for tol, code in (("nan", 1), ("-1", 1), ("abc", 2))),
+    *((["minimize", "abs2(z)", "--tol", tol], code)
+      for tol, code in (("nan", 1), ("-1", 1), ("abc", 2))),
+    *((["minimize", "abs2(z)", "--mu", mu], code)
+      for mu, code in (("0", 1), ("nan", 1), ("inf", 1), ("abc", 2))),
+    *((["minimize", "abs2(z)", "--max-iter", n], code)
+      for n, code in (("-1", 1), ("1e3", 2), ("abc", 2))),
+]
+
+
+@pytest.mark.parametrize("argv, code", HOSTILE_OPTIONS,
+                         ids=[" ".join(argv) for argv, _ in HOSTILE_OPTIONS])
+def test_hostile_option_values_exit_with_one_error_line(capsys, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = main(argv)
+        except SystemExit as exc:       # argparse's usage error
+            got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    lines = err.splitlines()
+    assert "error: " in lines[-1] and "Traceback" not in err
+    assert sum("error:" in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_an_overflowing_step_is_the_oracles_domain_error(capsys, command):
+    # not a nan pair refused on output: the oracle names the step
+    code, out, err = run(capsys, command, "z", "--at", "1", "--step", "1e308")
+    assert (code, out) == (3, "")
+    assert err == ("error: non-finite difference quotient at step 1e+308: "
+                   "(nan+nanj)\n")
+
+
 def test_minimize_quadratic(capsys):
     code, rep, _ = run_json(capsys, "minimize", "(z-2)*conj(z-2)",
                             "--from", "0", "--mu", "0.5", "--tol", "1e-8")

@@ -9,10 +9,15 @@ No entry may warn first, or return an inf or a nan.
 
 The vector contract is checked the same way: each entry that takes a
 coordinate vector is called with each vector of ``HOSTILE_VECTORS``, and
-each other array an entry reads is given a bool in ``BOOL_ARRAYS``.
+each other array an entry reads is given a bool in ``BOOL_ARRAYS``.  Each
+array entry reads each kind of ``ARRAY_KINDS`` one way, the way of
+``errors._array``.  Each numeric parameter refuses a bool by name
+(``BOOL_PARAMETERS``), and the FD oracle returns no non-finite quotient
+(``FD_ENTRIES``).
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,11 +25,13 @@ import pytest
 
 from wirtcalc import (DescentConfig, DimensionMismatch, DomainError,
                       FunctionalJet, build_least_squares, classify,
-                      classify_functional, constant, eval_jet, fd_partials,
-                      fd_wirtinger, functional_constant, hvec, inner,
-                      ip_functional, linear_combine, newton_step_scalar,
-                      second_order_taylor, seed_variable, squared_distance,
-                      steepest_descent_hilbert, steepest_descent_scalar)
+                      classify_functional, constant, eval_jet, fd_gradients,
+                      fd_partials, fd_wirtinger, fd_wirtinger_gradients,
+                      functional_constant, hessian_is_real_consistent, hvec,
+                      inner, ip_functional, linear_combine,
+                      newton_step_scalar, second_order_taylor, seed_variable,
+                      squared_distance, steepest_descent_hilbert,
+                      steepest_descent_scalar)
 from wirtcalc.expr import Const
 
 HOSTILE_SCALARS = [
@@ -36,6 +43,7 @@ HOSTILE_SCALARS = [
     (None, TypeError),
     ("abc", ValueError),
     (True, TypeError),          # complex(True) is 1
+    (np.True_, TypeError),      # numpy's bool, which complex() takes too
     ("1+2j", ValueError),       # Python's syntax, not the grammar's 2i
 ]
 
@@ -61,7 +69,8 @@ SCALAR_ENTRIES = {
 
 @pytest.mark.parametrize("bad, error", HOSTILE_SCALARS,
                          ids=["nan", "inf", "-inf", "nanj", "10**400",
-                              "None", "str", "bool", "numeric-str"])
+                              "None", "str", "bool", "numpy-bool",
+                              "numeric-str"])
 @pytest.mark.parametrize("name", SCALAR_ENTRIES)
 def test_scalar_entries_keep_the_contract(name, bad, error):
     with warnings.catch_warnings():
@@ -73,9 +82,11 @@ def test_scalar_entries_keep_the_contract(name, bad, error):
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("k, error", [(10 ** 400, DomainError),
                                       (True, TypeError),
+                                      (np.True_, TypeError),
                                       ("abc", ValueError),
                                       ("1+2j", ValueError)],
-                         ids=["10**400", "bool", "str", "numeric-str"])
+                         ids=["10**400", "bool", "numpy-bool", "str",
+                              "numeric-str"])
 def test_hand_built_constants_keep_the_contract(k, error, order):
     # a tree's constant is an outside scalar too, at every order
     with warnings.catch_warnings():
@@ -98,6 +109,8 @@ def test_verdict_tolerance_is_a_number_at_least_zero(tol):
         classify("z", 1, tol=tol)
     with pytest.raises(ValueError, match="tol must be a number >= 0"):
         classify_functional(lambda f: f[0], [1 + 0j], tol=tol)
+    with pytest.raises(ValueError, match="tol must be a number >= 0"):
+        hessian_is_real_consistent(_JET2, tol=tol)
 
 
 #: vectors of dimension 2 that numpy would read as numbers
@@ -190,3 +203,130 @@ def test_dimension_is_an_integer_at_least_one(n, error):
         warnings.simplefilter("error")
         with pytest.raises(error, match="n must be an integer|n >= 1"):
             functional_constant(1, n)
+
+
+#: one array of each kind numpy reads without a bool: a ragged list, a 0-d
+#: array, an empty one, and a big-endian one, which is not complex128 and so
+#: is converted where a complex128 array is read in place
+ARRAY_KINDS = {
+    "ragged": [[1, 2], [3]],
+    "0-d": np.array(1 + 1j),
+    "empty": np.array([], dtype=complex),
+    "big-endian": np.array([1 + 2j, -0.5j], dtype=">c16"),
+}
+
+#: each entry with the array in its one array argument, dimension 2
+ARRAY_ENTRIES = {
+    "hvec": hvec,
+    "inner, first": lambda v: inner(v, [1, 1j]),
+    "inner, second": lambda v: inner([1, 1j], v),
+    "squared_distance program": lambda v: squared_distance([1, 1j])(v),
+    "squared_distance parameter": lambda v: squared_distance(v)([0, 1]),
+    "ip_functional": lambda v: ip_functional("fw", v, [1, 2]),
+    "FunctionalJet dz": lambda v: FunctionalJet(1, v, [0, 0]),
+    "functional_constant": lambda v: functional_constant(v, 2),
+    "build_least_squares targets": lambda v: build_least_squares(
+        [[1, 0], [0, 1j]], v)([0.5, 1j]),
+}
+
+#: the entries that read a 0-d or an empty array as numbers, and what as
+READ_AS = {
+    ("functional_constant", "0-d"): 1 + 1j,     # one constant
+    ("functional_constant", "empty"): np.zeros(0),  # a stack of none
+}
+
+
+def _same(a, b) -> bool:
+    """Equal results, in complex128 of the native byte order."""
+    if isinstance(a, FunctionalJet):
+        return a == b and a.dz.dtype == np.complex128
+    return np.array_equal(a, b) and np.asarray(a).dtype == np.complex128
+
+
+@pytest.mark.parametrize("kind", ARRAY_KINDS)
+@pytest.mark.parametrize("name", ARRAY_ENTRIES)
+def test_array_entries_read_each_kind_one_way(name, kind):
+    entry, x = ARRAY_ENTRIES[name], ARRAY_KINDS[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "big-endian":
+            assert _same(entry(x), entry(x.astype(np.complex128)))
+        elif (name, kind) in READ_AS:
+            assert _same(entry(x), entry(READ_AS[name, kind]))
+        else:
+            with pytest.raises(DimensionMismatch):
+                entry(x)
+
+
+@pytest.mark.parametrize("widely_linear", [False, True])
+def test_big_endian_samples_build_the_complex128_program(widely_linear):
+    # the widely-linear factor reads the samples' bytes as float64 pairs
+    X = np.array([[1 + 2j, -0.5j], [3, 1 - 1j], [0.25j, 2]])
+    d = np.array([1j, 2, -1])
+    c = [0.5, 1j] * (2 if widely_linear else 1)
+    got = build_least_squares(X.astype(">c16"), d.astype(">c16"),
+                              widely_linear)(c)
+    assert _same(got, build_least_squares(X, d, widely_linear)(c))
+
+
+#: each numeric parameter, named as its TypeError names it
+BOOL_PARAMETERS = {
+    "mu": lambda b: DescentConfig(mu=b),
+    "tol (descent)": lambda b: DescentConfig(tol=b),
+    "max_iter": lambda b: DescentConfig(max_iter=b),
+    "order": lambda b: eval_jet("z", 1, order=b),
+    "step (fd_partials)": lambda b: fd_partials("z", 1, step=b),
+    "step (fd_gradients)": lambda b: fd_gradients(
+        lambda v: complex(v[0]), [1 + 0j], step=b),
+    "tol (classify)": lambda b: classify("z", 1, tol=b),
+    "tol (classify_functional)": lambda b: classify_functional(
+        lambda v: complex(v[0]), [1 + 0j], tol=b),
+    "tol (hessian_is_real_consistent)": lambda b: hessian_is_real_consistent(
+        _JET2, tol=b),
+    "n": lambda b: functional_constant(1, b),
+}
+
+
+@pytest.mark.parametrize("b", [True, False, np.True_],
+                         ids=["True", "False", "numpy-True"])
+@pytest.mark.parametrize("name", BOOL_PARAMETERS)
+def test_no_parameter_reads_a_bool(name, b):
+    param = name.split()[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match=f"^{param} must be"):
+            BOOL_PARAMETERS[name](b)
+
+
+@pytest.mark.parametrize("n", [1.5, math.nan, "3"])
+def test_iteration_budget_is_an_integer_named_max_iter(n):
+    with pytest.raises(TypeError, match="^max_iter must be an integer"):
+        DescentConfig(max_iter=n)
+
+
+#: each FD oracle entry, given a scalar function and a step; the vector
+#: entries read it at the first coordinate of C^1
+FD_ENTRIES = {
+    "fd_partials": lambda f, s: fd_partials(f, 1, s),
+    "fd_wirtinger": lambda f, s: fd_wirtinger(f, 1, s),
+    "classify": lambda f, s: classify(f, 1, s),
+    "fd_gradients": lambda f, s: fd_gradients(
+        lambda v: f(complex(v[0])), [1 + 0j], s),
+    "fd_wirtinger_gradients": lambda f, s: fd_wirtinger_gradients(
+        lambda v: f(complex(v[0])), [1 + 0j], s),
+    "classify_functional": lambda f, s: classify_functional(
+        lambda v: f(complex(v[0])), [1 + 0j], s),
+}
+
+
+@pytest.mark.parametrize("f, step", [
+    (lambda c: c, 1e308),                   # 2 * step overflows
+    (lambda c: complex(math.inf), 1e-5),
+], ids=["step-1e308", "returns-inf"])
+@pytest.mark.parametrize("name", FD_ENTRIES)
+def test_the_oracle_returns_no_non_finite_quotient(name, f, step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(
+                f"non-finite difference quotient at step {step:g}")):
+            FD_ENTRIES[name](f, step)
