@@ -9,10 +9,10 @@ attribute reads.  The scalar calculus (jets, the order-2 block, holomorphy
 verdicts, scalar descent and Newton steps) is pure ``cmath``; the
 Hilbert-space names (``FunctionalJet``, ``hvec``, ``inner``, ...) import
 ``wirtcalc.hilbert`` and numpy.  ``build_least_squares`` loads numpy and
-``optimize`` only; ``hilbert`` follows on a program's first call or
-``steepest_descent_hilbert``'s.  The expression engine ``wirtcalc.expr``
-loads only where an expression is read: no Hilbert-space program,
-descent or FD check loads it.
+``optimize`` only; ``hilbert``, with ``forward`` and ``fdcheck``, follows
+on a program's first call or ``steepest_descent_hilbert``'s.  The
+expression engine ``wirtcalc.expr`` loads only where an expression is
+read, so no Hilbert-space name loads it.
 """
 
 __version__ = "0.1.0"
@@ -29,8 +29,7 @@ _LAZY = {name: module for module, names in (
                 "div linear_combine mul power_int seed_variable sub"),
     ("hilbert", "FunctionalJet classify_functional fd_gradients "
                 "fd_wirtinger_gradients functional_constant hvec inner "
-                "ip_functional outer_chain squared_distance "
-                "stack_vector_operator"),
+                "ip_functional squared_distance stack_vector_operator"),
     ("optimize", "DescentConfig DescentTrace Termination build_least_squares "
                  "newton_step_scalar steepest_descent_hilbert "
                  "steepest_descent_scalar"),

@@ -539,7 +539,7 @@ def eval_jet(e, c: complex, order: int = 1):
     """
     tape = compile_expr(e)
     c = _require_finite(c, "evaluation point")
-    if _parameter(order, "order") not in (0, 1, 2):
+    if _parameter(order, "order", integer=True) not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     try:
         r = _run(tape, c, _RULES[order]())

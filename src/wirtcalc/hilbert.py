@@ -86,12 +86,13 @@ class FunctionalJet(fw.WirtingerJet):
     """Jet of one functional on C^n, or of a stack of m functionals at one
     point, in frozen complex128 slots: a complex ``value`` and (n,)
     gradients ``dz``/``dzc``, or for a stack an (m,) ``value`` and (n, m)
-    gradients, column k for jet k.  ``forward``'s rules broadcast over a
-    stack's last axis; those that need one value (div, apply_primitive,
-    outer_chain) raise DimensionMismatch on it, as does mixing a single jet
-    with a stack.  The constructor refuses a non-finite slot with
-    DomainError.  Equality compares all three slots; like their arrays,
-    jets are unhashable."""
+    gradients, column k for jet k, n and m >= 1.  ``forward``'s rules
+    broadcast over a stack's last axis; those that need one value (div,
+    apply_primitive, chain with scalar partials) raise DimensionMismatch on
+    it, as does mixing a single jet with a stack.  S(T(f)) for a scalar S
+    is ``chain`` of S's jet at ``T.value``: this module reads no expression.
+    The constructor refuses a non-finite slot with DomainError.  Equality
+    compares all three slots; like their arrays, jets are unhashable."""
 
     __hash__ = None
 
@@ -105,7 +106,7 @@ class FunctionalJet(fw.WirtingerJet):
     def __post_init__(self):
         value, gf, gfc = (_array(a).copy()
                           for a in (self.value, self.dz, self.dzc))
-        if (value.ndim > 1 or gf.ndim != value.ndim + 1
+        if (value.ndim > 1 or not gf.size or gf.ndim != value.ndim + 1
                 or gf.shape[1:] != value.shape or gfc.shape != gf.shape):
             raise DimensionMismatch(
                 f"slot shapes {value.shape}, {gf.shape} and {gfc.shape} do "
@@ -171,11 +172,11 @@ def _unpickle(value, dz, dzc) -> FunctionalJet:
 
 
 def functional_constant(k, n: int) -> FunctionalJet:
-    """Jet of the constant functional ``k`` on C^n; a vector of m
+    """Jet of the constant functional ``k`` on C^n; a vector of m >= 1
     constants gives their stack.  ``n`` keeps the parameter rule."""
     k = _array(k).copy()
-    if k.ndim > 1 or _parameter(n, "n", integer=True) < 1:
-        raise DimensionMismatch(f"need a constant or a vector of them and "
+    if k.ndim > 1 or not k.size or _parameter(n, "n", integer=True) < 1:
+        raise DimensionMismatch(f"need a constant or m >= 1 of them and "
                                 f"n >= 1, got shape {k.shape} and n = {n}")
     zero = np.zeros((n,) + k.shape, dtype=np.complex128)  # _fresh freezes it
     return FunctionalJet._fresh(k, zero, zero)
@@ -189,12 +190,12 @@ def ip_functional(kind: str, w, c: HVec) -> FunctionalJet:
     kind 'fcw' : f -> inner(f*, w)  gradients (0, conj(w))
     kind 'wfc' : f -> inner(w, f*)  gradients (w, 0)
 
-    A row stack ``w`` of shape (m, n) gives the stack of the m
+    A row stack ``w`` of shape (m, n), m >= 1, gives the stack of the m
     functionals, one per row.
     """
     w = _array(w)
     c = _checked(c)
-    if w.ndim not in (1, 2) or w.shape[-1:] != c.shape:
+    if w.ndim not in (1, 2) or not w.size or w.shape[-1:] != c.shape:
         raise DimensionMismatch(f"expected a vector or a row stack of "
                                 f"dimension {c.size}, got shape {w.shape}")
     # every slot array is made here: w itself may be the caller's array;
@@ -213,17 +214,6 @@ def ip_functional(kind: str, w, c: HVec) -> FunctionalJet:
         if kind == "wfc":
             return FunctionalJet._fresh(w @ c, wt.copy(), zero)
     raise ValueError(f"unknown inner-product kind {kind!r}")
-
-
-def outer_chain(s, a: FunctionalJet) -> FunctionalJet:
-    """Jet of S(T(f)) for a scalar outer function S given as an expression
-    in z (and conj(z)); its scalar jet is evaluated at the value slot.
-    Loads ``expr``: see the package docstring."""
-    if a.dz.ndim != 1:
-        raise DimensionMismatch("outer_chain takes one jet, not a stack")
-    from . import expr
-    sj = expr.eval_jet(s, a.value, order=1)
-    return fw.chain(sj.value, sj.dz, sj.dzc, a)
 
 
 def squared_distance(w: HVec) -> Functional:

@@ -170,7 +170,6 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
             x = x - cfg.mu * grad
         else:
             t = cfg.mu
-            accepted = False
             for _ in range(60):
                 candidate = x - t * grad
                 try:
@@ -179,10 +178,9 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
                     c_new = math.inf    # no cost there: shrink the step
                 if c_new <= cost - ARMIJO_C * t * gn * gn:
                     x = candidate
-                    accepted = True
                     break
                 t *= SHRINK
-            if not accepted:
+            else:                       # no step of the 60 was accepted
                 trace.termination = Termination.STALLED
                 return trace
     trace.termination = Termination.MAX_ITER

@@ -5,6 +5,7 @@ command loads only the modules it runs."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,8 +31,7 @@ PUBLIC_NAMES = [
     # Hilbert space
     "FunctionalJet", "classify_functional", "fd_gradients",
     "fd_wirtinger_gradients", "functional_constant", "hvec", "inner",
-    "ip_functional", "outer_chain", "squared_distance",
-    "stack_vector_operator",
+    "ip_functional", "squared_distance", "stack_vector_operator",
     # minimization
     "DescentConfig", "DescentTrace", "Termination", "build_least_squares",
     "newton_step_scalar", "steepest_descent_hilbert",
@@ -189,12 +189,28 @@ HILBERT_CALLS = {
                 "wc.fd_gradients(lambda v: sq(v).value, [0j, 1])",
     "classify": "wc.classify_functional(lambda v: complex(v[0] ** 2), "
                 "[1j, 0j])",
+    "vectors": "wc.inner(wc.hvec([1, 2j]), [0j, 1])",
+    "jets": "t = wc.ip_functional('fw', [1, 2j], [0j, 1]); "
+            "wc.stack_vector_operator([wc.apply_primitive('exp', t), "
+            "wc.add(t, wc.functional_constant(2, 2)), "
+            "wc.FunctionalJet(1j, [1, 0], [0, 1])])",
+    "Wirtinger gradients": "wc.fd_wirtinger_gradients("
+                           "lambda v: complex(v[0] * v[1].conjugate()), "
+                           "[1j, 2])",
 }
+
+
+def test_the_hilbert_path_calls_every_hilbert_space_name():
+    called = set(re.findall(r"wc\.(\w+)\(", " ".join(HILBERT_CALLS.values())))
+    names = {name for name, module in wirtcalc._LAZY.items()
+             if module == "hilbert"}
+    assert names <= called, names - called
 
 
 @pytest.mark.parametrize("call", HILBERT_CALLS.values(), ids=HILBERT_CALLS)
 def test_hilbert_path_never_loads_the_expression_engine(call):
-    # the Hilbert-space calculus reads no expression text
+    # the Hilbert-space calculus reads no expression text; a scalar outer
+    # function is applied by a rule (apply_primitive, chain), not parsed
     code = f"""
 import json, sys
 import wirtcalc as wc

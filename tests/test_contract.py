@@ -232,7 +232,6 @@ ARRAY_ENTRIES = {
 #: the entries that read a 0-d or an empty array as numbers, and what as
 READ_AS = {
     ("functional_constant", "0-d"): 1 + 1j,     # one constant
-    ("functional_constant", "empty"): np.zeros(0),  # a stack of none
 }
 
 
@@ -302,6 +301,39 @@ def test_no_parameter_reads_a_bool(name, b):
 def test_iteration_budget_is_an_integer_named_max_iter(n):
     with pytest.raises(TypeError, match="^max_iter must be an integer"):
         DescentConfig(max_iter=n)
+
+
+@pytest.mark.parametrize("order", [1.0, 2.0, np.float64(1)],
+                         ids=["1.0", "2.0", "numpy-1.0"])
+def test_order_is_an_integer(order):
+    with pytest.raises(TypeError, match="^order must be an integer"):
+        eval_jet("z", 1, order=order)
+
+
+def test_order_may_be_a_numpy_integer():
+    assert eval_jet("z*z", 1, order=np.int64(2)) == eval_jet("z*z", 1, 2)
+
+
+#: each entry that builds a functional jet, given a zero-size one: on C^0,
+#: or a stack of no jets
+ZERO_SIZE_JETS = {
+    "FunctionalJet on C^0": lambda: FunctionalJet(1, [], []),
+    "FunctionalJet stack on C^0": lambda: FunctionalJet(
+        np.zeros(2), np.zeros((0, 2)), np.zeros((0, 2))),
+    "FunctionalJet empty stack": lambda: FunctionalJet(
+        np.array([]), np.zeros((2, 0)), np.zeros((2, 0))),
+    "functional_constant": lambda: functional_constant(np.array([]), 2),
+    "ip_functional": lambda: ip_functional("fw", np.zeros((0, 2)), [1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_SIZE_JETS)
+def test_no_functional_jet_is_zero_size(name):
+    # as hvec([]) and stack_vector_operator([]) refuse theirs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch):
+            ZERO_SIZE_JETS[name]()
 
 
 #: each FD oracle entry, given a scalar function and a step; the vector

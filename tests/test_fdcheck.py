@@ -4,7 +4,6 @@ from conftest import CORPUS, sample_points
 from wirtcalc.errors import DomainError, StepTooSmall
 from wirtcalc.expr import parse
 from wirtcalc.fdcheck import (Verdict, classify, fd_partials, fd_wirtinger)
-from wirtcalc.hilbert import outer_chain, squared_distance
 from wirtcalc.optimize import (DescentConfig, newton_step_scalar,
                                steepest_descent_scalar)
 
@@ -137,10 +136,7 @@ def test_expressions_reach_a_rebound_eval_jet(monkeypatch):
     calls.clear()
     fd_partials("z^2", 1)
     assert calls == [0] * 4
-    # so do the Hilbert-space outer chain and the scalar descent and Newton
-    calls.clear()
-    outer_chain("exp(z)", squared_distance([1j])([0j]))
-    assert calls == [1]
+    # so do the scalar descent and Newton
     calls.clear()
     steepest_descent_scalar("z*conj(z)", 1, DescentConfig(
         mu=0.5, max_iter=1, step_mode="backtracking"))

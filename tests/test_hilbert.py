@@ -9,6 +9,7 @@ from wirtcalc import forward as fw
 from wirtcalc import hilbert as hb
 from wirtcalc.errors import (DimensionMismatch, DomainError, PoleError,
                              StepTooSmall)
+from wirtcalc.expr import eval_jet
 from wirtcalc.fdcheck import DEFAULT_STEP, Verdict, fd_partials
 from wirtcalc.optimize import (DescentConfig, build_least_squares,
                                steepest_descent_hilbert)
@@ -30,6 +31,12 @@ def functional_corpus(w, v):
                      fw.mul(g, fw.conj(g)))
         return fw.div(num, den)
 
+    def outer_square(c):
+        # S(T(f)) by the chain rule: S's scalar jet at T's value
+        t = hb.ip_functional("fw", w, c)
+        s = eval_jet("z^2 + conj(z)", t.value)
+        return fw.chain(s.value, s.dz, s.dzc, t)
+
     return [
         ("rule_fw", lambda c: hb.ip_functional("fw", w, c)),
         ("rule_wf", lambda c: hb.ip_functional("wf", w, c)),
@@ -43,8 +50,7 @@ def functional_corpus(w, v):
                    hb.ip_functional("wf", v, c)),
             hb.ip_functional("wfc", w, c))),
         ("rational", rational),
-        ("outer_square", lambda c: hb.outer_chain(
-            "z^2 + conj(z)", hb.ip_functional("fw", w, c))),
+        ("outer_square", outer_square),
         ("distance", hb.squared_distance(w)),
         ("linear_mix", lambda c: fw.linear_combine(
             2 - 1j, hb.ip_functional("fw", w, c),
@@ -180,9 +186,11 @@ def test_mul_gives_modulus_squared_gradient(np_rng):
     assert abs(j.value.imag) < 1e-12  # |<f,w>|^2 is real
 
 
-def test_outer_chain_holomorphic_outer(np_rng):
+def test_chain_holomorphic_outer(np_rng):
     w, c = rand_vec(np_rng, 3), rand_vec(np_rng, 3)
-    j = hb.outer_chain("z^2", hb.ip_functional("fw", w, c))
+    t = hb.ip_functional("fw", w, c)
+    s = eval_jet("z^2", t.value)
+    j = fw.chain(s.value, s.dz, s.dzc, t)
     assert np.allclose(j.grad_f, 2 * hb.inner(c, w) * np.conj(w), atol=1e-12)
     assert np.all(j.grad_fc == 0)
 
@@ -207,7 +215,7 @@ def test_jet_dimension_mismatch(np_rng):
     results = [op(a, b) for op in rules] + [
         fw.neg(a), fw.conj(a), fw.power_int(a, 0),
         fw.power_int(a, -2), fw.apply_primitive("sin", a),
-        hb.outer_chain("z*conj(z)", a), hb.functional_constant(2, 3)]
+        hb.functional_constant(2, 3)]
     for j in results:
         assert isinstance(j, hb.FunctionalJet) and j.dz.shape == (3,)
         assert_frozen_slots(j)
@@ -635,7 +643,6 @@ def test_stack_rules_that_need_one_value_raise(m, np_rng):
         "div": lambda: fw.div(sa, sb),
         "div by itself": lambda: fw.div(sa, sa),
         "chain with scalar partials": lambda: fw.chain(1j, 2.0, 0.5j, sa),
-        "outer_chain": lambda: hb.outer_chain("z^2", sa),
     }
     for name in fw.PRIMITIVES:
         if name != "conj":
@@ -654,7 +661,7 @@ def test_stack_rules_that_need_one_value_raise(m, np_rng):
         for pair_name, (x, y) in pairs.items():
             calls[f"{rule_name} {pair_name}"] = (
                 lambda rule=rule, x=x, y=y: rule(x, y))
-    assert len(calls) == 4 + len(fw.PRIMITIVES) - 1 + 5 * 6   # no key reused
+    assert len(calls) == 3 + len(fw.PRIMITIVES) - 1 + 5 * 6   # no key reused
     for name, call in calls.items():
         with pytest.raises(DimensionMismatch):
             call()

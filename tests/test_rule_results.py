@@ -88,7 +88,6 @@ def test_functional_forward_rule_results(np_rng):
     a = fw.add(hb.ip_functional("fw", w, c), hb.functional_constant(0.5j, 3))
     b = fw.mul(hb.ip_functional("wf", v, c), hb.ip_functional("fcw", w, c))
     results = forward_results(a, b)
-    results["outer_chain"] = hb.outer_chain("z^2 + conj(z)", a)
     for kind in ("fw", "wf", "fcw", "wfc"):
         results[f"ip_functional {kind}"] = hb.ip_functional(kind, w, c)
         # real coordinates and a caller's writeable arrays
