@@ -21,13 +21,14 @@ finite at the start, 4 diverged or non-real cost, 5 line search stalled.
 Set WIRT_LOG=debug for diagnostics.
 
 Only ``minimize --data`` loads numpy; the other commands run on ``cmath``.
-Start-up loads ``errors`` and ``fdcheck`` (the parser defaults read the
-latter); each command that reads expression text loads ``expr`` and its
-rules, ``forward``.  ``diff``, ``check`` and ``classify`` load nothing
-more, ``hessian`` adds ``second``, ``minimize`` adds ``optimize`` (and
-``logging``), and ``minimize --data`` loads numpy, ``optimize``,
-``logging``, ``hilbert`` and ``forward``, but no ``expr``.  ``logging`` is
-otherwise loaded only when WIRT_LOG is set.
+Start-up loads ``errors`` and ``fdcheck``: the parser defaults read the
+latter, and ``check`` and ``classify`` take their finite differences and
+verdict from its ``classify``.  Each command that reads expression text
+loads ``expr`` and its rules, ``forward``.  ``diff``, ``check`` and
+``classify`` load nothing more, ``hessian`` adds ``second``, ``minimize``
+adds ``optimize`` (and ``logging``), and ``minimize --data`` loads numpy,
+``optimize``, ``logging``, ``hilbert`` and ``forward``, but no ``expr``.
+``logging`` is otherwise loaded only when WIRT_LOG is set.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from . import __version__
 from .errors import (DimensionMismatch, DomainError, EmptyData,
                      ExprSyntaxError, NonRealCost, PoleError, WirtcalcError,
                      _require_finite, _require_tol)
-from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, classify, fd_wirtinger,
-                      holomorphy_report)
+from .fdcheck import DEFAULT_STEP, DEFAULT_TOL, classify
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -110,15 +110,16 @@ def cmd_check(args) -> int:
     at = parse_complex(args.at)
     e = compile_expr(args.expr)
     j = eval_jet(e, at, order=1)
-    w, cw = fd_wirtinger(e, at, args.step)
-    verdict = holomorphy_report(w, cw, abs(w), abs(cw), DEFAULT_TOL)
-    res_dz = abs(j.dz - w) / (1.0 + abs(j.dz))
-    res_dzc = abs(j.dzc - cw) / (1.0 + abs(j.dzc))
+    # a callable: ``classify`` skips the order-1 check that ``j`` made
+    rep = classify(lambda c: eval_jet(e, c, order=0), at, args.step)
+    res_dz = abs(j.dz - rep.w) / (1.0 + abs(j.dz))
+    res_dzc = abs(j.dzc - rep.cw) / (1.0 + abs(j.dzc))
     ok = res_dz < args.tol and res_dzc < args.tol
     _emit(_report("check", e, at, step=args.step, tol=args.tol,
-                  dz=_pair(j.dz), dzc=_pair(j.dzc), fd_w=_pair(w),
-                  fd_cw=_pair(cw), residual_dz=res_dz, residual_dzc=res_dzc,
-                  classification=verdict.verdict.value, ok=ok))
+                  dz=_pair(j.dz), dzc=_pair(j.dzc), fd_w=_pair(rep.w),
+                  fd_cw=_pair(rep.cw), residual_dz=res_dz,
+                  residual_dzc=res_dzc, classification=rep.verdict.value,
+                  ok=ok))
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -4,7 +4,8 @@ The scalar contract: a complex scalar a caller passes to a public entry (a
 point, a constant, a coefficient, a displacement) that is not finite, or
 is an integer beyond float range, raises DomainError.  A bool raises
 TypeError, a str (even "1+2j") ValueError, and any other value that is not
-a number the TypeError or ValueError of ``complex``.
+a number the TypeError or ValueError of ``complex``; a hand-built tree's
+constant, exponent and function name are checked in ``expr.compile_expr``.
 
 The vector contract: a coordinate vector passed to ``hvec``, ``inner`` or a
 Hilbert-space program that is not 1-D numbers of the needed dimension raises
@@ -30,14 +31,10 @@ def _holds_bool(x) -> bool:
     return kind == "b" or kind == "O" and any(map(_holds_bool, x.flat))
 
 
-class _NotANumber(ValueError):
-    """A str's ValueError, which ``expr.eval_jet`` passes on unmapped."""
-
-
 def _require_finite(w: complex, what: str = "value") -> complex:
     if w.__class__ is not complex:
         if isinstance(w, str) or _holds_bool(w):  # complex() takes "1j", True
-            raise (_NotANumber if isinstance(w, str) else TypeError)(
+            raise (ValueError if isinstance(w, str) else TypeError)(
                 f"{what} must be a number, got {w!r}")
         try:
             w = complex(w)

@@ -24,14 +24,14 @@ rather than ``Neg(Const(5))`` when constructing trees by hand, for the
 same reason.  Number literals that overflow to inf are syntax errors.
 
 ASTs are immutable; parsing, printing and evaluation are pure functions.
-``compile_expr`` walks a tree once, without recursion, into a ``Tape`` of
-flat instructions that printing, evaluation and a tree's ``==``, ``hash``
-and ``repr`` replay in one loop.  So the nesting cap (a depth of 200
-grammar steps: 39 nested parentheses or calls, or 196 stacked unary minus
-signs) and |k| <= 64 are the only size limits: a chain such as
-``z+z+...+z`` of any length prints, compares and evaluates.  A tree is
-compiled once while it lives (text on every call), and a replay runs each
-distinct subtree once: ``abs2(z-1) + (z-1)^2`` computes ``z-1`` once.
+``compile_expr`` walks a tree once, without recursion, into flat cached
+instructions that printing, evaluation and a tree's ``==``, ``hash`` and
+``repr`` replay in one loop.  So the nesting cap (a depth of 200 grammar
+steps: 39 nested parentheses or calls, or 196 stacked unary minus signs)
+and |k| <= 64 are the only size limits: a chain such as ``z+z+...+z`` of
+any length prints, compares and evaluates.  A tree is compiled once while
+it lives (text on every call), and a replay runs each distinct subtree
+once: ``abs2(z-1) + (z-1)^2`` computes ``z-1`` once.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ import cmath
 import operator
 import re
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from math import copysign
 
 from . import forward as fw
 from .errors import (ArityError, DomainError, ExprSyntaxError, PoleError,
-                     UnknownIdentifier, _NotANumber, _parameter,
-                     _require_finite)
+                     UnknownIdentifier, _parameter, _require_finite)
 from .forward import PRIMITIVES
 
 MAX_POW = 64
@@ -55,20 +54,20 @@ _MAX_DEPTH = 200
 
 class Expr:
     """Base class for AST nodes.  ``==``, ``hash`` and ``repr`` read the
-    node's tape, so they work on trees of any depth; ``repr`` prints what
-    the dataclass ``repr`` would."""
+    node's compiled instructions, so they work on trees of any depth;
+    ``repr`` prints what the dataclass ``repr`` would."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         return (isinstance(other, Expr)
-                and compile_expr(self).ops == compile_expr(other).ops)
+                and _compiled(self)[1] == _compiled(other)[1])
 
     def __hash__(self):
-        return hash(compile_expr(self).ops)
+        return hash(_compiled(self)[1])
 
     def __repr__(self):
-        return _run(compile_expr(self), None, _REPR_RULES)
+        return _run(_compiled(self)[2], None, _REPR_RULES)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -291,42 +290,30 @@ def parse(text: str) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# tape
+# compiled trees
 # --------------------------------------------------------------------------
 
 # An instruction's code indexes a rule tuple (variable, constant, add, sub,
-# mul, div, neg, power, call).  Instructions without payload are shared.
+# mul, div, neg, power, call); the payload is a constant's value, a power's
+# exponent or a call's name.  Instructions without payload are shared.
 _BINARY = {Add: (2, None), Sub: (3, None), Mul: (4, None), Div: (5, None)}
 
-
-@dataclass(frozen=True, eq=False)
-class Tape:
-    """``tree`` compiled for repeated evaluation: its post-order as
-    ``(code, payload)`` instructions, the payload being a constant's value,
-    a power's exponent or a call's name.  ``==`` is identity."""
-
-    tree: Expr
-    ops: tuple
-    _plan: tuple = field(repr=False)    # _value_number(ops)
-
-
-#: id(tree) -> (weak reference to the tree, its ops, its plan).  The
-#: reference's callback drops the entry, so the cache keeps no tree alive;
-#: a WeakKeyDictionary would hash the tree, which compiles it.
+#: id(tree) -> (weak reference to it, its post-order instructions, their
+#: ``_value_number`` plan); the reference's callback drops the entry, so the
+#: cache keeps no tree alive; a WeakKeyDictionary would hash, so compile, it.
 _TAPES = {}
 
 
-def compile_expr(e) -> Tape:
-    """Tape of ``e`` (text, AST or tape, returned as is), built in one walk
-    without recursion; the only code that knows which fields hold children.
-    A tree is compiled once while it lives."""
-    if isinstance(e, Tape):
-        return e
+def compile_expr(e) -> Expr:
+    """``e`` (text is parsed first), compiled into the cache once while it
+    lives by one walk without recursion: the only code that knows which
+    fields hold children, and the check of a hand-built tree.  A constant
+    keeps the scalar contract of ``errors`` and an exponent the integer
+    parameter rule; any other child or function name raises TypeError."""
     if isinstance(e, str):
         e = parse(e)
-    hit = _TAPES.get(id(e))
-    if hit is not None:
-        return Tape(e, *hit[1:])
+    if id(e) in _TAPES:
+        return e
     ops, stack = [], [e]
     emit, push = ops.append, stack.append
     while stack:
@@ -335,28 +322,36 @@ def compile_expr(e) -> Tape:
         if t is Var:
             emit((0, None))
         elif t is Const:
+            _require_finite(n.value, "constant")
             emit((1, n.value))
         elif t in _BINARY:
             emit(_BINARY[t])
             push(n.left)
             push(n.right)
         elif t is Call:
+            if n.func not in PRIMITIVES:
+                raise TypeError(f"not a function name: {n.func!r}")
             emit((8, n.func))
             push(n.arg)
         elif t is Neg:
             emit((6, None))
             push(n.operand)
         elif t is Pow:
-            emit((7, n.exponent))
+            emit((7, _parameter(n.exponent, "exponent", integer=True)))
             push(n.base)
         else:
             raise TypeError(f"not an Expr node: {n!r}")
     ops = tuple(ops[::-1])
-    plan = _value_number(ops)
     # ``pop`` is bound now: at interpreter exit the global may be gone
     _TAPES[id(e)] = (weakref.ref(e, lambda _, k=id(e), pop=_TAPES.pop:
-                                 pop(k, None)), ops, plan)
-    return Tape(e, ops, plan)
+                                 pop(k, None)), ops, _value_number(ops))
+    return e
+
+
+def _compiled(e) -> tuple:
+    """The cache entry of ``e``, compiled first if it is not there."""
+    e = compile_expr(e)     # held: a text's tree would die at once
+    return _TAPES[id(e)]
 
 
 def _value_number(ops) -> tuple:
@@ -393,14 +388,14 @@ def _value_number(ops) -> tuple:
     return tuple(plan)
 
 
-def _run(tape: Tape, c, rules):
-    """Replay ``tape`` with ``rules``, each distinct subtree once, at its
+def _run(plan: tuple, c, rules):
+    """Replay ``plan`` with ``rules``, each distinct subtree once, at its
     first occurrence in the post-order: the first rule to fail is the one a
     replay of every node would meet first, and a rule with side effects (a
     test double) sees one call per distinct subtree."""
     variable, constant, _, _, _, _, neg, power, call = rules
-    regs = [None] * len(tape._plan)
-    for code, p, i, j, d in tape._plan:
+    regs = [None] * len(plan)
+    for code, p, i, j, d in plan:
         if code == 0:
             regs[d] = variable(c)
         elif code == 1:
@@ -425,8 +420,6 @@ _PREC_PARENS = 6    # an atom already in parentheses: a complex constant
 
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("cannot format a non-finite constant")
     if x == int(x) and abs(x) <= 2 ** 53:
         return str(int(x))
     return repr(x)
@@ -486,10 +479,10 @@ _REPR_RULES = tuple(map(_repr_rule, (Var, Const, Add, Sub, Mul, Div, Neg,
 
 
 def format_expr(e) -> str:
-    """Canonical minimal-parentheses rendering of an AST (or tape);
+    """Canonical minimal-parentheses rendering of an AST (or text);
     ``parse(format_expr(e))`` is structurally equal to ``e`` for
     parser-producible trees."""
-    return _run(compile_expr(e), None, _PRINT_RULES)[0]
+    return _run(_compiled(e)[2], None, _PRINT_RULES)[0]
 
 
 # --------------------------------------------------------------------------
@@ -525,7 +518,7 @@ _RULES = {
 
 
 def eval_jet(e, c: complex, order: int = 1):
-    """Evaluate expression ``e`` (text, AST or tape) at the point ``c``.
+    """Evaluate expression ``e`` (text or AST) at the point ``c``.
 
     order 0 returns the plain complex value, order 1 a WirtingerJet and
     order 2 a SecondOrderJet; the value slot is bitwise identical across
@@ -534,19 +527,17 @@ def eval_jet(e, c: complex, order: int = 1):
     anywhere in the tree raises PoleError; an overflow (also a negative
     power of a nonzero value whose true result overflows), a cmath domain
     failure or an inf/nan slot in the result raises DomainError.  The
-    point ``c`` and a hand-built tree's constants keep the scalar contract
-    of ``errors``.
+    point ``c`` keeps the scalar contract of ``errors``, and a hand-built
+    tree is checked where it is compiled (``compile_expr``).
     """
-    tape = compile_expr(e)
+    plan = (_TAPES.get(id(e)) or _compiled(e))[2]
     c = _require_finite(c, "evaluation point")
     if _parameter(order, "order", integer=True) not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     try:
-        r = _run(tape, c, _RULES[order]())
+        r = _run(plan, c, _RULES[order]())
     except ZeroDivisionError as exc:
         raise PoleError(f"division at a pole: {exc}") from None
-    except _NotANumber:         # a hand-built str constant
-        raise
     except (OverflowError, ValueError) as exc:
         raise DomainError(f"{type(exc).__name__}: {exc}") from None
     slots = (r,) if order == 0 else [getattr(r, f) for f in r.__slots__]
@@ -559,12 +550,12 @@ def parse_complex(text: str) -> complex:
     """Parse a variable-free expression (``1+2i``, ``-3i``, ``0.5``) into a
     complex number.  Shares the expression grammar and ``eval_jet``'s
     errors."""
-    tape = compile_expr(text)
-    if any(code == 0 for code, _ in tape.ops):
+    tree = compile_expr(text)
+    if any(code == 0 for code, _ in _TAPES[id(tree)][1]):
         off = next(off for kind, name, off in _tokenize(text)
                    if kind == "ident" and name in ("z", "zc"))
         raise ExprSyntaxError("expected a constant, found the variable z", off)
-    return eval_jet(tape, 0j, order=0)
+    return eval_jet(tree, 0j, order=0)
 
 
 

@@ -19,13 +19,13 @@ from typing import TYPE_CHECKING, Callable, Union
 from .errors import StepTooSmall, _parameter, _require_finite, _require_tol
 
 if TYPE_CHECKING:
-    from .expr import Expr, Tape
+    from .expr import Expr
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
 MIN_STEP = 1e-12
 
-Evaluable = Union["Expr", str, "Tape", Callable[[complex], complex]]
+Evaluable = Union["Expr", str, Callable[[complex], complex]]
 
 
 class Verdict(enum.Enum):
@@ -79,11 +79,11 @@ def wirtinger_pair(fx, fy):
 
 
 def _as_callable(f: Evaluable) -> Callable[[complex], complex]:
-    if callable(f):     # an AST node or a tape is not
+    if callable(f):     # an AST node is not
         return f
     from . import expr
-    tape = expr.compile_expr(f)
-    return lambda c: expr.eval_jet(tape, c, order=0)
+    tree = expr.compile_expr(f)
+    return lambda c: expr.eval_jet(tree, c, order=0)
 
 
 def _checked_step(step: float) -> float:
@@ -115,7 +115,7 @@ def classify(f: Evaluable, c: complex, step: float = DEFAULT_STEP,
              tol: float = DEFAULT_TOL) -> HolomorphyReport:
     """Threshold the finite-difference W/CW magnitudes at ``c``.
 
-    For expressions (text, AST or tape; compiled once), an order-1
+    For expressions (text or AST; compiled once), an order-1
     evaluation runs first, so that non-differentiable points (abs or arg at
     0) raise instead of giving a spurious verdict; callables get no check.
     A ``tol`` that is NaN or below 0 raises ValueError.

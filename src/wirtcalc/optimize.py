@@ -187,15 +187,15 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
     return trace
 
 
-def steepest_descent_scalar(cost: str | ex.Expr | ex.Tape, z0: complex,
+def steepest_descent_scalar(cost: str | ex.Expr, z0: complex,
                             cfg: DescentConfig) -> DescentTrace:
-    """Minimize a real-valued expression in z, z* (text, AST or tape) from
+    """Minimize a real-valued expression in z, z* (text or AST) from
     the point ``z0`` (scalar contract: ``errors``), compiling it once."""
     from . import expr
-    tape = expr.compile_expr(cost)
+    tree = expr.compile_expr(cost)
     return _descend(
-        value_of=lambda z: expr.eval_jet(tape, z, order=0),
-        jet_of=lambda z: expr.eval_jet(tape, z, order=1),
+        value_of=lambda z: expr.eval_jet(tree, z, order=0),
+        jet_of=lambda z: expr.eval_jet(tree, z, order=1),
         grad_norm_of=abs,
         x0=_require_finite(z0, "starting point"),
         cfg=cfg,
@@ -336,7 +336,7 @@ DET_TOL = 1e-12
 NEWTON_CONJ_TOL = 1e-8
 
 
-def newton_step_scalar(cost: str | ex.Expr | ex.Tape, z: complex) -> complex:
+def newton_step_scalar(cost: str | ex.Expr, z: complex) -> complex:
     """One Newton displacement for a real-valued cost: solve the 2x2 system
 
         [dzz  dzzc ] [dz_step ]     [dz ]
@@ -346,7 +346,7 @@ def newton_step_scalar(cost: str | ex.Expr | ex.Tape, z: complex) -> complex:
     the second row is the conjugate of the first, so the solved pair must be
     conjugate; a violation (like a singular or non-real block) raises
     SingularHessian and callers should fall back to a gradient step.  A
-    caller that steps repeatedly compiles ``cost`` (text, AST or tape) once.
+    caller that steps repeatedly compiles ``cost`` (text or AST) once.
     ``z`` keeps the scalar contract of ``errors``."""
     from . import expr
     j = expr.eval_jet(cost, z, order=2)

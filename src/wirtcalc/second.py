@@ -183,8 +183,8 @@ def apply_primitive2(name: str, a: SecondOrderJet) -> SecondOrderJet:
 
 
 def second_order_taylor(jet: SecondOrderJet, h: complex) -> complex:
-    """Quadratic model value at displacement ``h`` (scalar contract:
-    ``errors``) from the jet's base point:
+    """Quadratic model value, finite or DomainError, at displacement ``h``
+    (scalar contract: ``errors``) from the jet's base point:
 
         f(c) + dz*h + dzc*h* + (dzz*h^2 + (dzzc+dzcz)*h*h* + dzczc*h*^2) / 2
     """
@@ -192,7 +192,7 @@ def second_order_taylor(jet: SecondOrderJet, h: complex) -> complex:
     hc = h.conjugate()
     quad = (jet.dzz * h * h + (jet.dzzc + jet.dzcz) * h * hc
             + jet.dzczc * hc * hc)
-    return jet.value + jet.dz * h + jet.dzc * hc + 0.5 * quad
+    return _require_finite(jet.value + jet.dz * h + jet.dzc * hc + 0.5 * quad)
 
 
 def hessian_is_real_consistent(jet: SecondOrderJet,

@@ -32,7 +32,7 @@ from wirtcalc import (DescentConfig, DimensionMismatch, DomainError,
                       newton_step_scalar, second_order_taylor, seed_variable,
                       squared_distance, steepest_descent_hilbert,
                       steepest_descent_scalar)
-from wirtcalc.expr import Const
+from wirtcalc.expr import Add, Const, Var, format_expr
 
 HOSTILE_SCALARS = [
     (math.nan, DomainError),
@@ -81,18 +81,26 @@ def test_scalar_entries_keep_the_contract(name, bad, error):
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("k, error", [(10 ** 400, DomainError),
+                                      (math.inf, DomainError),
                                       (True, TypeError),
                                       (np.True_, TypeError),
                                       ("abc", ValueError),
                                       ("1+2j", ValueError)],
-                         ids=["10**400", "bool", "numpy-bool", "str",
+                         ids=["10**400", "inf", "bool", "numpy-bool", "str",
                               "numeric-str"])
 def test_hand_built_constants_keep_the_contract(k, error, order):
-    # a tree's constant is an outside scalar too, at every order
+    # a tree's constant is an outside scalar too, at every order; it is
+    # checked where the tree is compiled, so printing, ==, hash and repr
+    # refuse it as evaluation does
+    tree = Add(Var(), Const(k))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error):
             eval_jet(Const(k), 1, order)
+        for op in (lambda e: eval_jet(e, 1, order), format_expr,
+                   lambda e: e == e, hash, repr):
+            with pytest.raises(error):
+                op(tree)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

@@ -109,6 +109,13 @@ def test_taylor_exact_on_quadratic():
     assert second_order_taylor(j, h) == (1 + 1j) ** 2
 
 
+def test_taylor_model_value_that_overflows_is_a_domain_error():
+    # a finite jet and displacement whose model value is not finite
+    j = eval_jet("z^2", 1, order=2)
+    with pytest.raises(DomainError, match="non-finite value"):
+        second_order_taylor(j, 1e200)
+
+
 def test_taylor_exact_on_modulus_squared(rng):
     j = eval_jet("z*conj(z)", 0, order=2)
     for _ in range(10):
