@@ -24,14 +24,14 @@ rather than ``Neg(Const(5))`` when constructing trees by hand, for the
 same reason.  Number literals that overflow to inf are syntax errors.
 
 ASTs are immutable; parsing, printing and evaluation are pure functions.
-``compile_expr`` walks a tree once, without recursion, into flat cached
-instructions that printing, evaluation and a tree's ``==``, ``hash`` and
-``repr`` replay in one loop.  So the nesting cap (a depth of 200 grammar
-steps: 39 nested parentheses or calls, or 196 stacked unary minus signs)
-and |k| <= 64 are the only size limits: a chain such as ``z+z+...+z`` of
-any length prints, compares and evaluates.  A tree is compiled once while
-it lives (text on every call), and a replay runs each distinct subtree
-once: ``abs2(z-1) + (z-1)^2`` computes ``z-1`` once.
+``compile_expr`` walks a tree once, without recursion, into flat
+instructions, stored on the tree, that printing, evaluation and a tree's
+``==``, ``hash`` and ``repr`` replay in one loop.  So the nesting cap (a
+depth of 200 grammar steps: 39 nested parentheses or calls, or 196 stacked
+unary minus signs) and |k| <= 64 are the only size limits: a chain such as
+``z+z+...+z`` of any length prints, compares and evaluates.  A tree is
+compiled once while it lives (text on every call), and a replay runs each
+distinct subtree once: ``abs2(z-1) + (z-1)^2`` computes ``z-1`` once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 import cmath
 import operator
 import re
-import weakref
 from dataclasses import dataclass, fields
 from math import copysign
 
@@ -57,17 +56,21 @@ class Expr:
     node's compiled instructions, so they work on trees of any depth;
     ``repr`` prints what the dataclass ``repr`` would."""
 
-    __slots__ = ()
+    __slots__ = ("_compiled",)
 
     def __eq__(self, other):
-        return (isinstance(other, Expr)
-                and _compiled(self)[1] == _compiled(other)[1])
+        return (isinstance(other, Expr) and compile_expr(self)._compiled[0]
+                == compile_expr(other)._compiled[0])
 
     def __hash__(self):
-        return hash(_compiled(self)[1])
+        return hash(compile_expr(self)._compiled[0])
 
     def __repr__(self):
-        return _run(_compiled(self)[2], None, _REPR_RULES)
+        return _run(compile_expr(self)._compiled[1], None, _REPR_RULES)
+
+    def __getstate__(self):
+        # fields only (a frozen node refuses the slot); a copy compiles anew
+        return self.__dict__
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -298,21 +301,18 @@ def parse(text: str) -> Expr:
 # exponent or a call's name.  Instructions without payload are shared.
 _BINARY = {Add: (2, None), Sub: (3, None), Mul: (4, None), Div: (5, None)}
 
-#: id(tree) -> (weak reference to it, its post-order instructions, their
-#: ``_value_number`` plan); the reference's callback drops the entry, so the
-#: cache keeps no tree alive; a WeakKeyDictionary would hash, so compile, it.
-_TAPES = {}
-
 
 def compile_expr(e) -> Expr:
-    """``e`` (text is parsed first), compiled into the cache once while it
-    lives by one walk without recursion: the only code that knows which
-    fields hold children, and the check of a hand-built tree.  A constant
-    keeps the scalar contract of ``errors`` and an exponent the integer
-    parameter rule; any other child or function name raises TypeError."""
+    """``e`` (text is parsed first), compiled once while it lives by one
+    walk without recursion: the only code that knows which fields hold
+    children, and the check of a hand-built tree.  The post-order
+    instructions and their ``_value_number`` plan are stored on the tree
+    and go with it.  A constant keeps the scalar contract of ``errors`` and
+    an exponent the integer parameter rule and the parser's bound
+    (ValueError); any other child or function name raises TypeError."""
     if isinstance(e, str):
         e = parse(e)
-    if id(e) in _TAPES:
+    if hasattr(e, "_compiled"):
         return e
     ops, stack = [], [e]
     emit, push = ops.append, stack.append
@@ -337,21 +337,16 @@ def compile_expr(e) -> Expr:
             emit((6, None))
             push(n.operand)
         elif t is Pow:
-            emit((7, _parameter(n.exponent, "exponent", integer=True)))
+            k = _parameter(n.exponent, "exponent", integer=True)
+            if abs(k) > MAX_POW:
+                raise ValueError(f"exponent magnitude exceeds {MAX_POW}")
+            emit((7, k))
             push(n.base)
         else:
             raise TypeError(f"not an Expr node: {n!r}")
     ops = tuple(ops[::-1])
-    # ``pop`` is bound now: at interpreter exit the global may be gone
-    _TAPES[id(e)] = (weakref.ref(e, lambda _, k=id(e), pop=_TAPES.pop:
-                                 pop(k, None)), ops, _value_number(ops))
+    object.__setattr__(e, "_compiled", (ops, _value_number(ops)))
     return e
-
-
-def _compiled(e) -> tuple:
-    """The cache entry of ``e``, compiled first if it is not there."""
-    e = compile_expr(e)     # held: a text's tree would die at once
-    return _TAPES[id(e)]
 
 
 def _value_number(ops) -> tuple:
@@ -482,7 +477,7 @@ def format_expr(e) -> str:
     """Canonical minimal-parentheses rendering of an AST (or text);
     ``parse(format_expr(e))`` is structurally equal to ``e`` for
     parser-producible trees."""
-    return _run(_compiled(e)[2], None, _PRINT_RULES)[0]
+    return _run(compile_expr(e)._compiled[1], None, _PRINT_RULES)[0]
 
 
 # --------------------------------------------------------------------------
@@ -530,7 +525,7 @@ def eval_jet(e, c: complex, order: int = 1):
     point ``c`` keeps the scalar contract of ``errors``, and a hand-built
     tree is checked where it is compiled (``compile_expr``).
     """
-    plan = (_TAPES.get(id(e)) or _compiled(e))[2]
+    plan = (getattr(e, "_compiled", None) or compile_expr(e)._compiled)[1]
     c = _require_finite(c, "evaluation point")
     if _parameter(order, "order", integer=True) not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
@@ -551,7 +546,7 @@ def parse_complex(text: str) -> complex:
     complex number.  Shares the expression grammar and ``eval_jet``'s
     errors."""
     tree = compile_expr(text)
-    if any(code == 0 for code, _ in _TAPES[id(tree)][1]):
+    if any(code == 0 for code, _ in tree._compiled[0]):
         off = next(off for kind, name, off in _tokenize(text)
                    if kind == "ident" and name in ("z", "zc"))
         raise ExprSyntaxError("expected a constant, found the variable z", off)

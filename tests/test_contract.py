@@ -32,7 +32,7 @@ from wirtcalc import (DescentConfig, DimensionMismatch, DomainError,
                       newton_step_scalar, second_order_taylor, seed_variable,
                       squared_distance, steepest_descent_hilbert,
                       steepest_descent_scalar)
-from wirtcalc.expr import Add, Const, Var, format_expr
+from wirtcalc.expr import Add, Const, Pow, Var, format_expr, parse
 
 HOSTILE_SCALARS = [
     (math.nan, DomainError),
@@ -108,6 +108,24 @@ def test_hand_built_int_constant_is_a_complex(order):
     r = eval_jet(Const(1), 1, order)
     value = r if order == 0 else r.value
     assert value.__class__ is complex and value == 1
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("k", [65, -65, 100, np.int64(65)],
+                         ids=["65", "-65", "100", "numpy-65"])
+def test_hand_built_power_keeps_the_parser_bound(k, order):
+    # parse refuses z^65, so no entry may evaluate or print it
+    for op in (lambda e: eval_jet(e, 1, order), format_expr,
+               lambda e: e == e, hash, repr):
+        with pytest.raises(ValueError, match="exponent magnitude exceeds 64"):
+            op(Add(Var(), Pow(Var(), k)))
+
+
+@pytest.mark.parametrize("k", [64, -64])
+def test_hand_built_power_at_the_bound_round_trips(k):
+    tree = Pow(Var(), k)
+    assert parse(format_expr(tree)) == tree
+    assert eval_jet(tree, 1j, 2).dz == k * 1j ** (k - 1)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-4])
