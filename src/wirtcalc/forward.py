@@ -11,11 +11,11 @@ The derivative slots may also hold arrays: ``hilbert.FunctionalJet`` is a
 C^n, or, stacked, of m of them in (m,) and (n, m) slots that the rules
 broadcast over, and every rule here builds its result with its operand's
 ``_fresh`` hook, so one rule set serves scalar and functional jets.  The
-hook is a slot filler: it makes the instance with ``object.__new__`` and
-stores each slot through the slot descriptor, skipping the dataclass
-``__init__``; for an array jet it also freezes the arrays the rule has
-just computed in place of copying them.  A result equals, prints and
-pickles like the publicly constructed jet with the same slots, and is
+hook is a slot filler that skips the dataclass ``__init__``: it stores the
+slots on ``_Slots``, a mutable twin with the jet's ``__slots__``, and then
+gives it the jet's class; for an array jet it also freezes the arrays the
+rule has just computed in place of copying them.  A result equals, prints
+and pickles like the publicly constructed jet with the same slots, and is
 frozen like it; the public constructors are unchanged:
 ``FunctionalJet(...)`` keeps its conversion, shape checks and copies for
 arrays a caller passes in.  ``hilbert.squared_distance`` runs no rule.
@@ -61,20 +61,19 @@ class WirtingerJet:
 
 
 # Rule results skip the dataclass __init__ (which sets each field through
-# object.__setattr__): a filler makes the instance and stores each slot with
-# its descriptor's __set__.  Unrolled, because a loop over the setters costs
-# as much as the __init__ it replaces.
-_new = object.__new__
-_set_value = WirtingerJet.value.__set__
-_set_dz = WirtingerJet.dz.__set__
-_set_dzc = WirtingerJet.dzc.__set__
+# object.__setattr__): a filler stores the slots on a mutable twin with the
+# jet's own __slots__, then gives it the jet's class, which CPython allows
+# between classes that add the same slots to one base.
+class _Slots:
+    __slots__ = WirtingerJet.__slots__
 
 
 def _fill(value, dz, dzc) -> WirtingerJet:
-    j = _new(WirtingerJet)
-    _set_value(j, value)
-    _set_dz(j, dz)
-    _set_dzc(j, dzc)
+    j = _Slots()
+    j.value = value
+    j.dz = dz
+    j.dzc = dzc
+    j.__class__ = WirtingerJet
     return j
 
 

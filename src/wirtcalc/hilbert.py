@@ -42,7 +42,7 @@ from .errors import (DimensionMismatch, DomainError, _array, _parameter,
                      _require_finite)
 from .fdcheck import (DEFAULT_STEP, DEFAULT_TOL, HolomorphyReport,
                       _checked_step, holomorphy_report, wirtinger_pair)
-from .forward import _new, _set_dz, _set_dzc, _set_value
+from .forward import _Slots
 
 HVec = np.ndarray
 
@@ -113,9 +113,10 @@ class FunctionalJet(fw.WirtingerJet):
                 "not make a FunctionalJet")
         if not all(np.isfinite(a).all() for a in (value, gf, gfc)):
             raise DomainError("a FunctionalJet slot is not finite")
-        _set_value(self, _freeze(value) if value.ndim else complex(value))
-        _set_dz(self, _freeze(gf))
-        _set_dzc(self, _freeze(gfc))
+        object.__setattr__(self, "value",
+                           _freeze(value) if value.ndim else complex(value))
+        object.__setattr__(self, "dz", _freeze(gf))
+        object.__setattr__(self, "dzc", _freeze(gfc))
 
     def __reduce__(self):  # as a rule result, whose gradient may be inf
         return _unpickle, (self.value, self.dz, self.dzc)
@@ -127,7 +128,8 @@ class FunctionalJet(fw.WirtingerJet):
         frozen slots.  They are frozen in place, not copied; the
         constructor's copy and checks are for arrays a caller passes in.
         The value must be finite (DomainError), a stack's an (m,) array
-        (DimensionMismatch); gradients go unchecked."""
+        (DimensionMismatch); gradients go unchecked.  Built on the
+        ``forward._Slots`` twin, as this class adds no slots."""
         if dz.ndim == 1:
             value = complex(value)
             if not cmath.isfinite(value):
@@ -141,10 +143,11 @@ class FunctionalJet(fw.WirtingerJet):
             value.setflags(write=False)
         dz.setflags(write=False)
         dzc.setflags(write=False)
-        j = _new(FunctionalJet)
-        _set_value(j, value)
-        _set_dz(j, dz)
-        _set_dzc(j, dzc)
+        j = _Slots()
+        j.value = value
+        j.dz = dz
+        j.dzc = dzc
+        j.__class__ = FunctionalJet
         return j
 
     @property

@@ -8,10 +8,10 @@ as a flat record; the last four are the 2x2 block, row by row.  Both mixed
 slots are kept, each from its own mirrored formula: they agree to rounding,
 and the mirror keeps exact zeros and a real-valued function's block
 structure.  ``expr.eval_jet(e, c, order=2)`` builds one.
-The rules build their results with a slot filler (``object.__new__`` plus
-the seven slot descriptors) instead of the dataclass ``__init__``; the
-result equals, prints and pickles like ``SecondOrderJet(...)`` of the same
-slots and is frozen like it; that public constructor is unchanged.
+The rules build their results with a slot filler, not the dataclass
+``__init__``: it stores the seven slots on ``_Slots``, a mutable twin with
+the jet's ``__slots__``, and gives it the jet's class.  The result equals,
+prints and pickles like ``SecondOrderJet(...)`` and is frozen like it.
 
 The rules below are the first-order rules differentiated once more, with
 no pole checks: ``expr.eval_jet`` reports their ZeroDivisionError at a pole
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, _require_finite, _require_tol
-from .forward import PRIMITIVES, _new, _pow_error
+from .forward import PRIMITIVES, _pow_error
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,27 +46,23 @@ class SecondOrderJet:
 
 _ZERO = 0.0 + 0.0j
 
-# The rules build their results with a slot filler instead of the dataclass
-# __init__, which sets the 7 fields through object.__setattr__; see
-# forward._fill.  Unrolled, like it.
-_set_value = SecondOrderJet.value.__set__
-_set_dz = SecondOrderJet.dz.__set__
-_set_dzc = SecondOrderJet.dzc.__set__
-_set_dzz = SecondOrderJet.dzz.__set__
-_set_dzzc = SecondOrderJet.dzzc.__set__
-_set_dzcz = SecondOrderJet.dzcz.__set__
-_set_dzczc = SecondOrderJet.dzczc.__set__
+# The rules' slot filler (see forward._fill): plain stores on a mutable
+# twin, which then takes the jet's class; the dataclass __init__ would set
+# the 7 fields through object.__setattr__.
+class _Slots:
+    __slots__ = SecondOrderJet.__slots__
 
 
 def _fill(value, dz, dzc, dzz, dzzc, dzcz, dzczc) -> SecondOrderJet:
-    j = _new(SecondOrderJet)
-    _set_value(j, value)
-    _set_dz(j, dz)
-    _set_dzc(j, dzc)
-    _set_dzz(j, dzz)
-    _set_dzzc(j, dzzc)
-    _set_dzcz(j, dzcz)
-    _set_dzczc(j, dzczc)
+    j = _Slots()
+    j.value = value
+    j.dz = dz
+    j.dzc = dzc
+    j.dzz = dzz
+    j.dzzc = dzzc
+    j.dzcz = dzcz
+    j.dzczc = dzczc
+    j.__class__ = SecondOrderJet
     return j
 
 

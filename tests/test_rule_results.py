@@ -2,20 +2,26 @@
 
 The rules build their results with a slot filler instead of the public
 constructor (``forward.WirtingerJet._fresh``, ``FunctionalJet._fresh``,
-``second._fill``).  A result must still be indistinguishable from the
-publicly constructed jet with the same slots: the operand's exact class,
-equal to it with the same ``repr``, immutable, picklable and, for a
-functional jet, holding frozen 1-D complex128 arrays (for a stack of m
-functional jets on C^n, of shapes (m,) and (n, m)).
+``second._fill``): it stores the slots on a mutable twin class whose
+``__slots__`` are the jet's own (``forward._Slots``, ``second._Slots``),
+then assigns the jet's class to the instance.  A result must still be
+indistinguishable from the publicly constructed jet with the same slots:
+the operand's exact class, equal to it with the same ``repr``, immutable,
+with no ``__dict__``, copyable, picklable and, for a functional jet,
+holding frozen 1-D complex128 arrays (for a stack of m functional jets on
+C^n, of shapes (m,) and (n, m)).
 """
 
+import copy
 import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
+from conftest import CORPUS, sample_points
 from test_hilbert import STACK_RULES, assert_frozen_slots, operand_stacks
+from wirtcalc import expr as ex
 from wirtcalc import forward as fw
 from wirtcalc import hilbert as hb
 from wirtcalc import second as so
@@ -32,6 +38,9 @@ def assert_rule_result(j, cls, rule):
     for f in dataclasses.fields(j):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(j, f.name, 0j)
+    assert not hasattr(j, "__dict__"), rule
+    for dup in (copy.copy(j), copy.deepcopy(j)):
+        assert dup.__class__ is cls and dup == j, rule
     back = pickle.loads(pickle.dumps(j))
     assert back == j, rule
     if cls is hb.FunctionalJet and j.dz.ndim == 1:
@@ -140,6 +149,25 @@ def test_second_rule_results():
         results[f"apply_primitive2 {name}"] = so.apply_primitive2(name, a)
     for name, j in results.items():
         assert_rule_result(j, so.SecondOrderJet, name)
+
+
+@pytest.mark.parametrize("twin, jet", [(fw._Slots, fw.WirtingerJet),
+                                       (fw._Slots, hb.FunctionalJet),
+                                       (so._Slots, so.SecondOrderJet)])
+def test_each_twin_has_its_jets_slots(twin, jet):
+    # the slots a jet class holds, its own or inherited, in their order
+    held = tuple(f.name for f in dataclasses.fields(jet))
+    assert twin.__slots__ == held
+    assert twin.__bases__ == (object,)
+    assert twin.__basicsize__ == jet.__basicsize__
+
+
+@pytest.mark.parametrize("order, cls", [(1, fw.WirtingerJet),
+                                        (2, so.SecondOrderJet)])
+def test_eval_jet_results_on_the_corpus(order, cls):
+    for text in CORPUS:
+        for c in sample_points(17, 2):
+            assert_rule_result(ex.eval_jet(text, c, order), cls, text)
 
 
 
