@@ -11,14 +11,8 @@ The derivative slots may also hold arrays: ``hilbert.FunctionalJet`` is a
 C^n, or, stacked, of m of them in (m,) and (n, m) slots that the rules
 broadcast over, and every rule here builds its result with its operand's
 ``_fresh`` hook, so one rule set serves scalar and functional jets.  The
-hook is a slot filler that skips the dataclass ``__init__``: it stores the
-slots on ``_Slots``, a mutable twin with the jet's ``__slots__``, and then
-gives it the jet's class; for an array jet it also freezes the arrays the
-rule has just computed in place of copying them.  A result equals, prints
-and pickles like the publicly constructed jet with the same slots, and is
-frozen like it; the public constructors are unchanged:
-``FunctionalJet(...)`` keeps its conversion, shape checks and copies for
-arrays a caller passes in.  ``hilbert.squared_distance`` runs no rule.
+hook is a slot filler (see ``_Slots``).  ``hilbert.squared_distance`` runs
+no rule.
 
 The binary rules raise DimensionMismatch unless both operands are jets of
 one kind and slot shape; ``div``, ``apply_primitive`` and scalar partials

@@ -128,8 +128,7 @@ class FunctionalJet(fw.WirtingerJet):
         frozen slots.  They are frozen in place, not copied; the
         constructor's copy and checks are for arrays a caller passes in.
         The value must be finite (DomainError), a stack's an (m,) array
-        (DimensionMismatch); gradients go unchecked.  Built on the
-        ``forward._Slots`` twin, as this class adds no slots."""
+        (DimensionMismatch); gradients go unchecked.  See forward._Slots."""
         if dz.ndim == 1:
             value = complex(value)
             if not cmath.isfinite(value):

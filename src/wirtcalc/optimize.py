@@ -183,7 +183,6 @@ def _descend(value_of: Callable, jet_of: Callable, grad_norm_of: Callable,
             else:                       # no step of the 60 was accepted
                 trace.termination = Termination.STALLED
                 return trace
-    trace.termination = Termination.MAX_ITER
     return trace
 
 

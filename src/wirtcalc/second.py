@@ -8,10 +8,7 @@ as a flat record; the last four are the 2x2 block, row by row.  Both mixed
 slots are kept, each from its own mirrored formula: they agree to rounding,
 and the mirror keeps exact zeros and a real-valued function's block
 structure.  ``expr.eval_jet(e, c, order=2)`` builds one.
-The rules build their results with a slot filler, not the dataclass
-``__init__``: it stores the seven slots on ``_Slots``, a mutable twin with
-the jet's ``__slots__``, and gives it the jet's class.  The result equals,
-prints and pickles like ``SecondOrderJet(...)`` and is frozen like it.
+The rules build their results with a slot filler: see ``forward._Slots``.
 
 The rules below are the first-order rules differentiated once more, with
 no pole checks: ``expr.eval_jet`` reports their ZeroDivisionError at a pole
@@ -38,17 +35,10 @@ class SecondOrderJet:
     dzcz: complex
     dzczc: complex
 
-    @property
-    def mixed_symmetry_gap(self) -> float:
-        """|dzzc - dzcz|: rounding, not a smoothness test."""
-        return abs(self.dzzc - self.dzcz)
-
 
 _ZERO = 0.0 + 0.0j
 
-# The rules' slot filler (see forward._fill): plain stores on a mutable
-# twin, which then takes the jet's class; the dataclass __init__ would set
-# the 7 fields through object.__setattr__.
+# The rules' slot filler: see forward._Slots.
 class _Slots:
     __slots__ = SecondOrderJet.__slots__
 

@@ -379,6 +379,36 @@ def test_minimize_non_finite_data_exits_3(capsys, tmp_path, payload):
     assert err.startswith("error: ") and "not finite" in err
 
 
+HOSTILE_DATA = [
+    ({"X": [[[1, 0], [0, 1]], [[1, 0]]], "d": [[1, 0], [0, 1]]}, 2),
+    ({"X": [[]], "d": [[1, 0]]}, 2),
+    ({"X": [[[1, 0]], [[0, 1]]], "d": [[1, 0]]}, 2),
+    ([[[1, 0]]], 2),
+    ({"X": [[[1, None]]], "d": [[1, 0]]}, 2),
+    ({"X": [[[1, 0]]], "d": [["1", 0]]}, 2),
+    (b"\xef\xbb\xbf" + json.dumps({"X": [[[1, 0]]], "d": [[1, 0]]}).encode(),
+     2),
+    # finite entries whose column norms overflow: too large to factor
+    ({"X": [[[1e307, 0]]] * 5000, "d": [[1e307, 0]] * 5000}, 3),
+]
+
+
+@pytest.mark.parametrize("payload, code", HOSTILE_DATA, ids=[
+    "ragged-rows", "empty-row", "fewer-targets", "top-level-list",
+    "null-entry", "string-entry", "utf8-bom", "5000-rows-of-1e307"])
+def test_hostile_data_files_exit_with_one_error_line(capsys, tmp_path,
+                                                     payload, code):
+    path = tmp_path / "lsq.json"
+    path.write_bytes(payload if isinstance(payload, bytes)
+                     else json.dumps(payload).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, "minimize", "--data", str(path))
+    assert (got, out) == (code, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_minimize_missing_data_file_exits_1(capsys, tmp_path):
     path = tmp_path / "missing.json"
     code, out, err = run(capsys, "minimize", "--data", str(path))

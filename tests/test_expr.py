@@ -547,7 +547,7 @@ def test_compile_returns_a_parsed_text_or_the_tree_itself():
     assert format_expr(compile_expr(text)) == format_expr(text)
 
 
-def test_tape_run_looks_up_rebound_rules(monkeypatch):
+def test_plan_replay_looks_up_rebound_rules(monkeypatch):
     tree = compile_expr("z*z + 1")
     calls = []
 
@@ -643,7 +643,7 @@ NONHOLOMORPHIC = "z^2*conj(z) + exp(z)"
 
 @pytest.mark.parametrize("make", [str, parse, compile_expr],
                          ids=["text", "ast", "compiled"])
-def test_callers_agree_on_text_ast_and_tape(make):
+def test_callers_agree_on_text_ast_and_compiled_tree(make):
     cfg = DescentConfig(mu=0.2, max_iter=50)
     trace = steepest_descent_scalar(make(DESCENT_COST), 1 + 1j, cfg)
     want = steepest_descent_scalar(DESCENT_COST, 1 + 1j, cfg)
