@@ -277,7 +277,8 @@ def main(argv=None) -> int:
     level = os.environ.get("WIRT_LOG", "").upper()
     if level:
         import logging
-        logging.basicConfig(level=getattr(logging, level, logging.INFO))
+        code = logging.getLevelName(level)  # "Level X" for an unknown X
+        logging.basicConfig(level=code if type(code) is int else logging.INFO)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

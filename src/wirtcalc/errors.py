@@ -62,6 +62,8 @@ def _array(x):
 
 def _parameter(x, name: str, integer: bool = False):
     """``x`` once it keeps the parameter rule (``integer``: has __index__)."""
+    if x.__class__ is int or x.__class__ is float and not integer:
+        return x
     if _holds_bool(x) or integer and not hasattr(x, "__index__"):
         kind = "an integer" if integer else "a number"
         raise TypeError(f"{name} must be {kind}, got {x!r}")

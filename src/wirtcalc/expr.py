@@ -143,10 +143,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     append, number, name = tokens.append, _NUMBER.match, _NAME.match
     while i < n:
         ch = text[i]
-        if ch in _SPACE:
-            i += 1
-        elif ch in _OPS:
+        if ch in _OPS:
             append(("op", ch, i))
+            i += 1
+        elif ch in _SPACE:
             i += 1
         elif m := name(text, i):
             append(("ident", m[0], i))
@@ -169,67 +169,74 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 _INFIX = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 _RESERVED = {"z": Var(), "zc": Call("conj", Var()), "i": Const(1j)}
+_new, _set = object.__new__, object.__setattr__
+
+
+def _node(cls, x, a, y=None, b=None):
+    """``cls(a)`` or ``cls(a, b)``, the fields ``x`` and ``y`` stored as
+    the frozen dataclass ``__init__`` stores them, minus its call."""
+    n = _new(cls)
+    _set(n, x, a)
+    if y:
+        _set(n, y, b)
+    return n
 
 
 class _Parser:
-    """Recursive descent, one method per grammar rule; ``depth`` counts
-    grammar steps, and ``expr``, ``unary`` and ``atom`` enforce the cap."""
+    """Recursive descent: ``expr``, ``term`` and ``atom`` serve their
+    rules, and ``unary`` serves unary and power.  ``depth`` counts grammar
+    steps as if power had its own method: under a unary at d, power is at
+    d + 1, its atom and its exponent's unary at d + 2.  ``expr``, ``unary``
+    and ``atom`` enforce the cap.  Only an operator's payload is a str."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def offset(self) -> int:
-        return self.tokens[self.pos][2]
-
-    def take(self, ops: str):
-        """The current token, consumed, if it is one of the operators
-        ``ops``; else None."""
-        kind, payload, _ = self.tokens[self.pos]
-        if kind == "op" and payload in ops:
-            self.pos += 1
-            return payload
-        return None
-
-    def check_depth(self, depth: int) -> None:
-        if depth > _MAX_DEPTH:
-            raise ExprSyntaxError("expression nested too deeply",
-                                  self.offset())
+    def check_depth(self) -> None:
+        """Raises the nesting error; called once a depth exceeds the cap."""
+        raise ExprSyntaxError("expression nested too deeply",
+                              self.tokens[self.pos][2])
 
     def expr(self, depth: int) -> Expr:
-        self.check_depth(depth)
-        left = self.term(depth + 1)
-        while op := self.take("+-"):
+        if depth > _MAX_DEPTH:
+            self.check_depth()
+        left, tokens = self.term(depth + 1), self.tokens
+        while (op := tokens[self.pos][1]) == "+" or op == "-":
+            self.pos += 1
             right = self.term(depth + 1)
             # fold the two-token complex literal `a+bi` / `a-bi`
             if (isinstance(left, Const) and isinstance(right, Const)
                     and left.value.imag == 0.0 and right.value.real == 0.0
                     and right.value.imag != 0.0):
-                left = Const(left.value + right.value if op == "+"
-                             else left.value - right.value)
+                left = _node(Const, "value", left.value + right.value
+                             if op == "+" else left.value - right.value)
             else:
-                left = _INFIX[op](left, right)
+                left = _node(_INFIX[op], "left", left, "right", right)
         return left
 
     def term(self, depth: int) -> Expr:
-        left = self.unary(depth + 1)
-        while op := self.take("*/"):
-            left = _INFIX[op](left, self.unary(depth + 1))
+        left, tokens = self.unary(depth + 1), self.tokens
+        while (op := tokens[self.pos][1]) == "*" or op == "/":
+            self.pos += 1
+            left = _node(_INFIX[op], "left", left, "right",
+                         self.unary(depth + 1))
         return left
 
     def unary(self, depth: int) -> Expr:
-        self.check_depth(depth)
-        if not self.take("-"):
-            return self.power(depth + 1)
-        e = self.unary(depth + 1)
-        return Const(-e.value) if isinstance(e, Const) else Neg(e)
-
-    def power(self, depth: int) -> Expr:
-        base = self.atom(depth + 1)
-        if not self.take("^"):
+        if depth > _MAX_DEPTH:
+            self.check_depth()
+        if self.tokens[self.pos][1] == "-":
+            self.pos += 1
+            e = self.unary(depth + 1)
+            return (_node(Const, "value", -e.value) if isinstance(e, Const)
+                    else _node(Neg, "operand", e))
+        base = self.atom(depth + 2)
+        _, op, off = self.tokens[self.pos]
+        if op != "^":
             return base
-        off = self.tokens[self.pos - 1][2]  # the offset of '^'
-        e = self.unary(depth + 1)  # right associative, allows -k
+        self.pos += 1
+        e = self.unary(depth + 2)  # right associative, allows -k
         if not isinstance(e, Const):
             raise ExprSyntaxError("exponent must be an integer literal", off)
         if e.value.imag != 0.0 or e.value.real != int(e.value.real):
@@ -243,36 +250,40 @@ class _Parser:
             except ArithmeticError:  # 0^-1, 1e200^2
                 value = cmath.nan
             if cmath.isfinite(value):  # 1e10^64 is nan, not an error
-                return Const(value)
-        return Pow(base, k)
+                return _node(Const, "value", value)
+        return _node(Pow, "base", base, "exponent", k)
 
     def atom(self, depth: int) -> Expr:
-        self.check_depth(depth)
+        if depth > _MAX_DEPTH:
+            self.check_depth()
         kind, payload, off = self.tokens[self.pos]
         self.pos += 1
         if kind == "num":
-            return Const(complex(payload, 0.0))
+            return _node(Const, "value", complex(payload, 0.0))
         if kind == "imag":
-            return Const(complex(0.0, payload))
+            return _node(Const, "value", complex(0.0, payload))
         if kind == "ident":
             if payload in _RESERVED:
                 return _RESERVED[payload]
             if payload not in PRIMITIVES:
                 raise UnknownIdentifier(payload, off)
-            if not self.take("("):
+            _, op, off = self.tokens[self.pos]
+            if op != "(":
                 raise ArityError(f"{payload} expects exactly one "
-                                 "parenthesized argument", self.offset())
+                                 "parenthesized argument", off)
+            self.pos += 1
         elif payload != "(":
             raise ExprSyntaxError("unexpected end of input" if kind == "end"
                                   else f"unexpected token {payload!r}", off)
         # NAME '(' expr ')' or '(' expr ')'
         e = self.expr(depth + 1)
-        if kind == "ident" and self.tokens[self.pos][1] == ",":
-            raise ArityError(f"{payload} takes exactly one argument",
-                             self.offset())
-        if not self.take(")"):
-            raise ExprSyntaxError("expected ')'", self.offset())
-        return Call(payload, e) if kind == "ident" else e
+        _, op, off = self.tokens[self.pos]
+        if kind == "ident" and op == ",":
+            raise ArityError(f"{payload} takes exactly one argument", off)
+        if op != ")":
+            raise ExprSyntaxError("expected ')'", off)
+        self.pos += 1
+        return _node(Call, "func", payload, "arg", e) if kind == "ident" else e
 
 
 def parse(text: str) -> Expr:
@@ -315,19 +326,19 @@ def compile_expr(e) -> Expr:
     if hasattr(e, "_compiled"):
         return e
     ops, stack = [], [e]
-    emit, push = ops.append, stack.append
+    emit, push, pop = ops.append, stack.append, stack.pop
     while stack:
-        n = stack.pop()
+        n = pop()
         t = type(n)
-        if t is Var:
+        if t in _BINARY:
+            emit(_BINARY[t])
+            push(n.left)
+            push(n.right)
+        elif t is Var:
             emit((0, None))
         elif t is Const:
             _require_finite(n.value, "constant")
             emit((1, n.value))
-        elif t in _BINARY:
-            emit(_BINARY[t])
-            push(n.left)
-            push(n.right)
         elif t is Call:
             if n.func not in PRIMITIVES:
                 raise TypeError(f"not a function name: {n.func!r}")
@@ -358,12 +369,14 @@ def _value_number(ops) -> tuple:
     plan, seen, stack = [], {}, []
     pop, push = stack.pop, stack.append
     for code, p in ops:
-        j = pop() if 1 < code < 6 else -1
-        i = pop() if code > 1 else -1
-        t = p.__class__
-        key = (code, (p, copysign(1.0, p.real), copysign(1.0, p.imag))
-               if t is complex else p if p is None or t in (int, str)
-               else (id(p),), i, j)
+        if 1 < code < 6:        # two operands and no payload
+            j, i = pop(), pop()
+            key = (code, i, j)
+        else:                   # a payload, and one operand or none
+            i, j, t = pop() if code > 1 else -1, -1, p.__class__
+            key = (code, i, (p, copysign(1.0, p.real), copysign(1.0, p.imag))
+                   if t is complex else p if p is None or t in (int, str)
+                   else (id(p),))
         v = seen.setdefault(key, len(plan))
         if v == len(plan):
             plan.append((code, p, i, j))
@@ -376,9 +389,10 @@ def _value_number(ops) -> tuple:
     for k in range(len(plan) - 1, -1, -1):
         code, p, i, j = plan[k]
         free.append(reg[k])
-        for v in (i, j):
-            if reg[v] < 0:
-                reg[v] = free.pop()
+        if reg[i] < 0:
+            reg[i] = free.pop()
+        if reg[j] < 0:
+            reg[j] = free.pop()
         plan[k] = (code, p, reg[i], reg[j], reg[k])
     return tuple(plan)
 
@@ -423,20 +437,11 @@ def _fmt_float(x: float) -> str:
 def _fmt_const(w: complex) -> tuple[str, int]:
     """Rendering plus the effective precedence of the rendered atom."""
     re_, im_ = w.real, w.imag
-    if im_ == 0.0:
-        s = _fmt_float(re_)
-        return s, (_PREC_UNARY if s.startswith("-") else _PREC_ATOM)
-    if re_ == 0.0:
-        if im_ == 1.0:
-            return "i", _PREC_ATOM
-        if im_ == -1.0:
-            return "-i", _PREC_UNARY
-        s = _fmt_float(im_) + "i"
-        return s, (_PREC_UNARY if s.startswith("-") else _PREC_ATOM)
-    sign = "+" if im_ > 0 else "-"
-    mag = abs(im_)
-    imag_part = "i" if mag == 1.0 else _fmt_float(mag) + "i"
-    return f"({_fmt_float(re_)}{sign}{imag_part})", _PREC_PARENS
+    s = (_fmt_float(re_) if im_ == 0.0 else "i" if im_ == 1.0
+         else "-i" if im_ == -1.0 else _fmt_float(im_) + "i")
+    if im_ != 0.0 and re_ != 0.0:   # the imaginary part carries its sign
+        return f"({_fmt_float(re_)}{'+' if im_ > 0 else ''}{s})", _PREC_PARENS
+    return s, (_PREC_UNARY if s.startswith("-") else _PREC_ATOM)
 
 
 def _paren(p: tuple[str, int], prec: int) -> str:

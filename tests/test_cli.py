@@ -460,7 +460,8 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("level, logs", [("debug", True), ("chatty", False)])
+@pytest.mark.parametrize("level, logs", [("debug", True), ("chatty", False),
+                                         ("basic_format", False)])
 def test_wirt_log_sets_the_log_level(level, logs):
     # a subprocess, so that logging.basicConfig leaves this one alone
     proc = cli_process(
@@ -470,6 +471,8 @@ def test_wirt_log_sets_the_log_level(level, logs):
     assert json.loads(proc.stdout)["iterations"] == 2
     assert ("DEBUG:wirtcalc.optimize:iter 0: " in proc.stderr) is logs
     assert ("DEBUG" in proc.stderr) is logs
+    # a name that logging defines but that is not a level is unknown too
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv, code", [

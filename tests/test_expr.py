@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from math import copysign
 
 import pytest
 from hypothesis import given, settings
@@ -359,6 +360,68 @@ def test_repr_eq_and_hash_agree_with_the_node_fields():
     assert len({parse("z+1"), parse("z + 1"), parse("1+z")}) == 2
 
 
+def _rebuilt(tree):
+    """A copy of ``tree`` made by the node constructors, without recursion,
+    with its own complex constants; a node shared in ``tree`` is shared in
+    the copy.  It reads fields by name, so ``tree`` stays as it was."""
+    done, stack = {}, [tree]
+    while stack:
+        node = stack[-1]
+        values = [getattr(node, f.name) for f in dataclasses.fields(node)]
+        todo = [v for v in values if isinstance(v, Expr) and id(v) not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        done[id(node)] = type(node)(*(
+            done[id(v)] if isinstance(v, Expr)
+            else complex(v.real, v.imag) if isinstance(v, complex) else v
+            for v in values))
+    return done[id(tree)]
+
+
+def test_parsed_nodes_are_the_nodes_the_constructors_build():
+    rng = random.Random(404)
+    texts = CORPUS + [format_expr(random_ast(rng, 6)) for _ in range(100)]
+    for text in texts:
+        tree = parse(text)
+        pairs = [(tree, _rebuilt(tree))]
+        while pairs:
+            node, twin = pairs.pop()
+            names = [f.name for f in dataclasses.fields(node)]
+            assert list(vars(node)) == list(vars(twin)) == names, text
+            assert repr(node) == repr(twin) and node == twin, text
+            assert hash(node) == hash(twin), text
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, name, Var())
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(node, name)
+            for copied in (copy.copy(node), dataclasses.replace(node),
+                           pickle.loads(pickle.dumps(node))):
+                assert type(copied) is type(node) and copied == node, text
+                assert list(vars(copied)) == names, text
+            pairs += [(v, getattr(twin, k)) for k, v in vars(node).items()
+                      if isinstance(v, Expr)]
+
+
+def test_a_parsed_chain_holds_no_more_than_its_rebuilt_copy():
+    # held: what a tree frees when it goes (freed memory is the tree's own
+    # at any allocator state); a node with a __dict__ of its own holds more
+    chain = "+".join(["2*z^2"] * 2000)
+    parsed, held = parse(chain), []
+    for build in (lambda: parse(chain), lambda: _rebuilt(parsed)):
+        tracemalloc.start()
+        try:
+            tree = build()
+            built = tracemalloc.get_traced_memory()[0]
+            del tree
+            held.append(built - tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    assert held[0] <= 1.05 * held[1], held
+
+
 def test_parse_complex_long_constant_chain():
     assert parse_complex("+".join(["1"] * 1500)) == 1500
 
@@ -532,6 +595,34 @@ def test_each_nesting_check_reports_its_offset(text, offset, site):
     assert info.traceback[-2].name == site
 
 
+@pytest.mark.parametrize("text, offset, site", [
+    # an exponent is a unary two grammar steps below the power's unary
+    ("z^" + "-" * 194 + "1", None, None),
+    ("z^" + "-" * 195 + "1", 197, "atom"),
+    ("z^" + "-" * 197 + "1", 199, "unary"),
+    ("z^" + "-" * 193 + "(2)", 196, "unary"),
+    ("z^" + "-" * 194 + "(2)", 197, "expr"),
+    ("z^(" + "-" * 189 + "2)", None, None),
+    ("z^(" + "-" * 190 + "2)", 193, "atom"),
+    ("z^" + "(" * 38 + "2" + ")" * 38, None, None),
+    ("z^" + "(" * 39 + "2" + ")" * 39, 41, "atom"),
+    ("z^" + "(" * 39 + "-2" + ")" * 39, 42, "atom"),
+    ("(" * 37 + "z^(-1)" + ")" * 37, None, None),
+    ("(" * 38 + "z^(-1)" + ")" * 38, 42, "atom"),
+    ("(" * 40 + "z^(-1)" + ")" * 40, 40, "unary"),
+    ("-" * 193 + "z^-1", None, None),
+    ("-" * 194 + "z^-1", 197, "atom"),
+])
+def test_the_nesting_cap_holds_through_exponents(text, offset, site):
+    if offset is None:
+        assert parse(text) is not None
+        return
+    with pytest.raises(ExprSyntaxError, match="nested too deeply") as info:
+        parse(text)
+    assert info.value.offset == offset
+    assert info.traceback[-2].name == site
+
+
 # --------------------------------------------------------------------------
 # compiled trees
 # --------------------------------------------------------------------------
@@ -577,6 +668,23 @@ def test_constants_with_signed_zeros_are_not_shared():
     e = Add(Call("sqrt", Const(complex(-4, -0.0))),
             Call("sqrt", Const(complex(-4, 0.0))))
     assert eval_jet(e, 1, order=0) == 0j
+
+
+def test_plans_of_shared_subtrees_and_signed_zeros_are_as_pinned():
+    # (code, payload, operand register, operand register, result register)
+    assert compile_expr("abs2(z-1) + (z-1)^2*abs2(z-1)")._compiled[1] == (
+        (0, None, 0, 0, 1), (1, 1 + 0j, 0, 0, 0), (3, None, 1, 0, 1),
+        (8, "abs2", 1, 0, 0), (7, 2, 1, 0, 1), (4, None, 1, 0, 1),
+        (2, None, 0, 1, 0))
+    plan = compile_expr("exp(0) + exp(-0) + z*0 - z*-0")._compiled[1]
+    assert plan == (
+        (1, 0j, 0, 0, 3), (8, "exp", 3, 0, 0),
+        (1, complex(-0.0, -0.0), 0, 0, 2), (8, "exp", 2, 0, 1),
+        (2, None, 0, 1, 0), (0, None, 0, 0, 1), (4, None, 1, 3, 3),
+        (2, None, 0, 3, 0), (4, None, 1, 2, 1), (3, None, 0, 1, 0))
+    # == does not tell 0j from -0j; the signs of the two constants do
+    assert [copysign(1.0, p.imag) for code, p, *_ in plan if code == 1] == [
+        1.0, -1.0]
 
 
 def test_a_tree_is_compiled_once_and_the_cache_keeps_no_tree_alive():
